@@ -17,6 +17,10 @@ class InvalidEdge(InvalidArgument):
     """An edge is degenerate or not present in the graph."""
 
 
+class NotAscii(InvalidArgument):
+    """A graph file contains a byte outside 7-bit ASCII."""
+
+
 class DisconnectedGraph(AvecError, ValueError):
     """The operation needs a connected graph."""
 

@@ -7,7 +7,6 @@ are reported with the `UNREACHABLE` sentinel, never a large number.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,50 +116,60 @@ class DistanceVector:
     dist: tuple
 
 
-def distances_from(g, sources):
-    """Multi-source BFS distances from `sources` (nonempty vertex set)."""
+def _bfs(g, sources, cap=None):
+    """Layered BFS from a duplicate-free, validated source collection.
+
+    Stops after layer `cap` when a cap is given.  Returns (dist, layer,
+    reached): the distance list with `UNREACHABLE` where not reached,
+    the last nonempty layer, whose vertices are all at the largest
+    distance reached, and the reached vertices in BFS order.
+    """
+    adjacency = g.adjacency
+    dist = [UNREACHABLE] * g.n
+    layer = list(sources)
+    for s in layer:
+        dist[s] = 0
+    reached = list(layer)
+    d = 0
+    while d != cap:
+        d += 1
+        nxt = []
+        for u in layer:
+            for w in adjacency[u]:
+                # UNREACHABLE is None; the literal test skips a global
+                # lookup in the hottest loop of the package.
+                if dist[w] is None:
+                    dist[w] = d
+                    nxt.append(w)
+        if not nxt:
+            break
+        reached += nxt
+        layer = nxt
+    return dist, layer, reached
+
+
+def _source_set(g, sources):
     src = sorted(set(sources))
     if not src:
         raise InvalidArgument("source set must be nonempty")
     for s in src:
         if not (0 <= s < g.n):
             raise InvalidVertex(f"source {s} outside 0..{g.n - 1}")
-    dist = [UNREACHABLE] * g.n
-    queue = deque(src)
-    for s in src:
-        dist[s] = 0
-    adjacency = g.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for w in adjacency[u]:
-            if dist[w] is UNREACHABLE:
-                dist[w] = du
-                queue.append(w)
+    return src
+
+
+def distances_from(g, sources):
+    """Multi-source BFS distances from `sources` (nonempty vertex set)."""
+    src = _source_set(g, sources)
+    dist, _, _ = _bfs(g, src)
     return DistanceVector(frozenset(src), tuple(dist))
-
-
-def _single_source_all(g, s):
-    # Plain BFS returning a mutable dist list; UNREACHABLE where unreached.
-    dist = [UNREACHABLE] * g.n
-    dist[s] = 0
-    queue = deque((s,))
-    adjacency = g.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for w in adjacency[u]:
-            if dist[w] is UNREACHABLE:
-                dist[w] = du
-                queue.append(w)
-    return dist
 
 
 def is_connected(g):
     if g.n == 0:
         return False
-    dist = _single_source_all(g, 0)
-    return all(d is not UNREACHABLE for d in dist)
+    _, _, reached = _bfs(g, (0,))
+    return len(reached) == g.n
 
 
 @dataclass(frozen=True)
@@ -178,37 +187,74 @@ class EccentricityProfile:
     radius: int
 
 
+#: Rounds in a row that resolve no vertex but their own source, after
+#: which `eccentricity_profile` stops bounding.  Paths and grids stall
+#: for a few rounds at the start before bounding takes off; on
+#: vertex-transitive graphs such as `reiman(q)` it never does.
+_STALL_ROUNDS = 8
+
+
 def eccentricity_profile(g):
-    """Eccentricities of every vertex of a connected graph."""
-    if g.n < 1:
+    """Eccentricities of every vertex of a connected graph.
+
+    Exact, by the bounding of Takes & Kosters, "Computing the
+    eccentricity distribution of large graphs", Algorithms 6(1), 2013.
+    A BFS from v with eccentricity e bounds every w at distance d by
+    max(e - d, d) <= ecc(w) <= e + d, and w is resolved when its two
+    bounds meet.  After vertex 0, sources alternate between the
+    unresolved vertex with the largest upper bound and the one with the
+    smallest lower bound, ties going to the higher degree.  After
+    `_STALL_ROUNDS` rounds in a row that resolve only their own source,
+    each vertex left gets one plain BFS.
+    """
+    n = g.n
+    if n < 1:
         raise InvalidArgument("graph must have at least one vertex")
-    ecc = []
     adjacency = g.adjacency
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        queue = deque((s,))
-        reached = 1
-        last = 0
-        while queue:
-            u = queue.popleft()
-            du = dist[u] + 1
-            for w in adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = du
-                    reached += 1
-                    last = du
-                    queue.append(w)
-        if reached != g.n:
+    ecc = [0] * n
+    lower = [0] * n
+    upper = [n] * n
+    candidates = range(n)
+    source = 0
+    take_upper = True
+    stalled = 0
+    while True:
+        dist, layer, reached = _bfs(g, (source,))
+        if len(reached) != n:
             raise DisconnectedGraph(
-                f"vertex {s} reaches only {reached} of {g.n} vertices"
+                f"vertex {source} reaches only {len(reached)} of {n} vertices"
             )
-        ecc.append(last)
+        e = dist[layer[0]]
+        left = []
+        for w in candidates:
+            d = dist[w]
+            lo = max(lower[w], e - d, d)
+            hi = min(upper[w], e + d)
+            if lo == hi:
+                ecc[w] = lo
+            else:
+                lower[w] = lo
+                upper[w] = hi
+                left.append(w)
+        stalled = stalled + 1 if len(left) == len(candidates) - 1 else 0
+        candidates = left
+        if not candidates:
+            break
+        if stalled == _STALL_ROUNDS:
+            for v in candidates:
+                dist, layer, _ = _bfs(g, (v,))
+                ecc[v] = dist[layer[0]]
+            break
+        if take_upper:
+            source = max(candidates, key=lambda w: (upper[w], len(adjacency[w])))
+        else:
+            source = min(candidates, key=lambda w: (lower[w], -len(adjacency[w])))
+        take_upper = not take_upper
     ex_total = sum(ecc)
     return EccentricityProfile(
         ecc=tuple(ecc),
         ex_total=ex_total,
-        avec=Fraction(ex_total, g.n),
+        avec=Fraction(ex_total, n),
         diameter=max(ecc),
         radius=min(ecc),
     )
@@ -241,31 +287,29 @@ def weighted_avec(g, weights):
 def girth(g):
     """Length of a shortest cycle, or `INFINITE_GIRTH` for a forest.
 
-    One BFS per root; every non-tree edge seen closes a cycle through
-    the root of length dist[u] + dist[w] + 1, and the minimum of those
-    candidates over all roots is exact.
+    One BFS per root r, read layer by layer: an edge inside layer d
+    closes a walk through r of length 2d + 1, and a vertex with two
+    neighbours in layer d - 1 closes one of length 2d.  Each such walk
+    contains a cycle no longer than it, and a shortest cycle through r
+    shows up this way, so the minimum over all roots is exact.  Layers
+    beyond (best - 1) // 2 cannot improve the best found so far.
     """
     best = INFINITE_GIRTH
     adjacency = g.adjacency
     for r in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[r] = 0
-        queue = deque((r,))
-        while queue:
-            u = queue.popleft()
+        cap = None if best == INFINITE_GIRTH else (best - 1) // 2
+        dist, _, reached = _bfs(g, (r,), cap)
+        for u in reached:
             du = dist[u]
-            if 2 * du >= best:
-                break
+            below = 0
             for w in adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = du + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u]:
-                    cand = du + dist[w] + 1
-                    if cand < best:
-                        best = cand
+                dw = dist[w]
+                if dw == du:
+                    best = min(best, 2 * du + 1)
+                elif dw == du - 1:
+                    below += 1
+            if below > 1:
+                best = min(best, 2 * du)
     return best
 
 
@@ -336,24 +380,8 @@ def ball(g, sources, k):
     """Set of vertices within distance k of the source set."""
     if k < 0:
         raise InvalidArgument(f"radius must be nonnegative, got {k}")
-    src = sorted(set(sources))
-    if not src:
-        raise InvalidArgument("source set must be nonempty")
-    for s in src:
-        if not (0 <= s < g.n):
-            raise InvalidVertex(f"source {s} outside 0..{g.n - 1}")
-    dist = {s: 0 for s in src}
-    queue = deque(src)
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if du == k:
-            continue
-        for w in g.adjacency[u]:
-            if w not in dist:
-                dist[w] = du + 1
-                queue.append(w)
-    return frozenset(dist)
+    _, _, reached = _bfs(g, _source_set(g, sources), k)
+    return frozenset(reached)
 
 
 def _require_edge(g, e):

@@ -5,7 +5,7 @@ Edge-list format: first line ``n m``, then m lines ``u v`` with
 starting with ``#`` are ignored.
 """
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, NotAscii
 from .graph import Graph, build_graph
 
 
@@ -116,8 +116,13 @@ def from_graph6(text: str) -> Graph:
 
 def read_graph(path) -> Graph:
     """Read a graph file, sniffing edge-list vs graph6 by content."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise NotAscii(
+            f"{path}: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} is not ASCII"
+        ) from None
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -34,6 +34,7 @@ from .errors import (
     OutOfRange,
 )
 from .graph import (
+    _bfs,
     build_graph,
     distances_from,
     eccentricity_profile,
@@ -424,20 +425,12 @@ def _dist_matrix(g):
 
 
 def _component_count(g):
-    seen = [False] * g.n
+    unseen = set(range(g.n))
     count = 0
-    for s in range(g.n):
-        if seen[s]:
-            continue
+    while unseen:
+        _, _, reached = _bfs(g, (unseen.pop(),))
+        unseen.difference_update(reached)
         count += 1
-        stack = [s]
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
     return count
 
 

@@ -6,6 +6,7 @@ built once and shared across criteria through module-level caches.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
+import avec
 from avec.bounds import (
     BOUND_G6,
     audit_balls,
@@ -308,9 +310,14 @@ def test_criterion_8d_displacement_and_contraction():
 
 
 def _run_cli(args, cwd):
+    # The subprocess runs in cwd, so a relative PYTHONPATH would not
+    # resolve there; point it at the directory holding this avec.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(avec.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-m", "avec", *args],
         cwd=cwd,
+        env=env,
         capture_output=True,
         timeout=300,
     )

@@ -75,6 +75,14 @@ class TestAnalyze:
         assert run(["analyze", str(tmp_path / "nope.txt")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_non_ascii_file(self, tmp_path, capsys):
+        path = tmp_path / "f"
+        path.write_bytes(b"\xff")
+        assert run(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not ASCII" in err
+        assert len(err.splitlines()) == 1
+
     def test_violation_exit_code(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "g.txt"
         run(["gen", "reiman", "--q", "2", "--out", str(path)])

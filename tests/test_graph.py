@@ -5,6 +5,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+import avec.graph
 from avec.errors import (
     DisconnectedGraph,
     InvalidArgument,
@@ -12,7 +13,7 @@ from avec.errors import (
     InvalidVertex,
     InvalidWeights,
 )
-from avec.generators import classic
+from avec.generators import ChainSpec, chain, classic, reiman
 from avec.graph import (
     INFINITE_GIRTH,
     UNREACHABLE,
@@ -142,6 +143,31 @@ class TestEccentricity:
     def test_disconnected_raises(self):
         with pytest.raises(DisconnectedGraph):
             eccentricity_profile(build_graph(3, [(0, 1)]))
+
+    def test_bfs_runs(self, monkeypatch):
+        # Bounding resolves long thin graphs with a handful of BFS runs;
+        # on vertex-transitive graphs nothing prunes and each vertex
+        # gets exactly one.
+        runs = []
+        bfs = avec.graph._bfs
+
+        def counting(g, sources, cap=None):
+            runs.append(sources)
+            return bfs(g, sources, cap)
+
+        monkeypatch.setattr(avec.graph, "_bfs", counting)
+        for g, most in (
+            (chain(ChainSpec(3, 16)).graph, 10),
+            (chain(ChainSpec(5, 8)).graph, 30),
+            (classic("path", 500), 10),
+        ):
+            runs.clear()
+            eccentricity_profile(g)
+            assert len(runs) <= most
+        for g in (reiman(7).graph, classic("cycle", 50)):
+            runs.clear()
+            eccentricity_profile(g)
+            assert sorted(runs) == [(v,) for v in range(g.n)]
 
     def test_empty_raises(self):
         with pytest.raises(InvalidArgument):

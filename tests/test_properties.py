@@ -2,23 +2,35 @@
 
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from avec.bounds import path_avec
+from avec.errors import DisconnectedGraph
+from avec.generators import ChainSpec, chain, classic, reiman
 from avec.gf import make_field
 from avec.graph import (
+    ball,
     build_graph,
     distances_from,
     eccentricity_profile,
     forbidden_cycle_scan,
     girth,
+    is_connected,
     line_graph,
     power_graph,
     weighted_avec,
 )
 from avec.io import format_edgelist, from_graph6, parse_edgelist, to_graph6
-from util import girth_oracle, has_cycle_oracle
+from util import (
+    eccentricities_oracle,
+    from_nx,
+    girth_oracle,
+    has_cycle_oracle,
+    relabel,
+    to_nx,
+)
 
 COMMON = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -51,6 +63,91 @@ def trees(draw, max_n=24):
         (draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)
     ]
     return build_graph(n, edges)
+
+
+@st.composite
+def graphs(draw, max_n=16):
+    """Any simple graph, connected or not, with at least one vertex."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=n - 1),
+                st.integers(min_value=0, max_value=n - 1),
+            ),
+            max_size=2 * n,
+        )
+    )
+    return build_graph(n, [(u, v) for u, v in pairs if u != v])
+
+
+@st.composite
+def relabelled(draw, base):
+    g = draw(base)
+    return relabel(g, draw(st.permutations(range(g.n))))
+
+
+# Connected inputs for the bounded eccentricity profile: random graphs and
+# trees, where bounding resolves most vertices, and vertex-transitive
+# families (cycles, hypercubes, Petersen, reiman), where it stalls and
+# the plain-BFS fallback runs.  Labels are shuffled because the order in
+# which sources are taken depends on them.
+PROFILE_GRAPHS = relabelled(
+    st.one_of(
+        connected_graphs(max_n=30),
+        trees(max_n=60),
+        st.integers(min_value=1, max_value=80).map(lambda n: classic("path", n)),
+        st.integers(min_value=3, max_value=60).map(lambda n: classic("cycle", n)),
+        st.integers(min_value=1, max_value=6).map(
+            lambda d: from_nx(nx.hypercube_graph(d))
+        ),
+        st.just(from_nx(nx.petersen_graph())),
+        st.sampled_from((2, 3, 4, 5)).map(lambda q: reiman(q).graph),
+        st.tuples(st.sampled_from((3, 4)), st.sampled_from((2, 4))).map(
+            lambda p: chain(ChainSpec(*p)).graph
+        ),
+    )
+)
+
+
+class TestKernelDifferential:
+    @settings(COMMON, max_examples=200)
+    @given(PROFILE_GRAPHS)
+    def test_profile_matches_oracle_and_networkx(self, g):
+        p = eccentricity_profile(g)
+        assert p.ecc == eccentricities_oracle(g)
+        expect = nx.eccentricity(to_nx(g))
+        assert p.ecc == tuple(expect[v] for v in range(g.n))
+        assert p.ex_total == sum(p.ecc)
+        assert p.avec == Fraction(p.ex_total, g.n)
+        assert (p.radius, p.diameter) == (min(p.ecc), max(p.ecc))
+
+    @COMMON
+    @given(connected_graphs(max_n=12), connected_graphs(max_n=12), st.data())
+    def test_disconnected_raises(self, a, b, data):
+        shifted = [(u + a.n, v + a.n) for u, v in b.edge_list]
+        g = build_graph(a.n + b.n, list(a.edge_list) + shifted)
+        g = relabel(g, data.draw(st.permutations(range(g.n))))
+        assert not is_connected(g)
+        with pytest.raises(DisconnectedGraph):
+            eccentricity_profile(g)
+        with pytest.raises(DisconnectedGraph):
+            eccentricities_oracle(g)
+
+    @COMMON
+    @given(graphs(), st.data())
+    def test_traversals_match_networkx(self, g, data):
+        sources = data.draw(
+            st.sets(st.integers(min_value=0, max_value=g.n - 1), min_size=1, max_size=3)
+        )
+        G = to_nx(g)
+        expect = nx.multi_source_dijkstra_path_length(G, sources)
+        assert distances_from(g, sources).dist == tuple(
+            expect.get(v) for v in range(g.n)
+        )
+        for k in range(4):
+            assert ball(g, sources, k) == {v for v, d in expect.items() if d <= k}
+        assert is_connected(g) == nx.is_connected(G)
 
 
 class TestEccentricityProperties:
@@ -98,7 +195,7 @@ class TestEccentricityProperties:
 
 class TestCycleProperties:
     @COMMON
-    @given(connected_graphs(max_n=12))
+    @given(st.one_of(graphs(max_n=12), PROFILE_GRAPHS))
     def test_girth_matches_oracle(self, g):
         assert girth(g) == girth_oracle(g)
 

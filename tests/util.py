@@ -7,9 +7,11 @@ subset enumeration, everything distance-flavoured via networkx.
 
 import itertools
 import math
+from collections import deque
 
 import networkx as nx
 
+from avec.errors import DisconnectedGraph
 from avec.graph import build_graph
 
 
@@ -50,6 +52,37 @@ def has_cycle_oracle(g, k):
             if all(cyc[(i + 1) % k] in adj[cyc[i]] for i in range(k)):
                 return True
     return False
+
+
+def eccentricities_oracle(g):
+    """One full BFS from every vertex, Theta(n m): the all-sources loop
+    that bounded `eccentricity_profile` replaced.  Raises
+    `DisconnectedGraph` on a disconnected graph, as the library does."""
+    ecc = []
+    for s in range(g.n):
+        dist = [-1] * g.n
+        dist[s] = 0
+        queue = deque((s,))
+        reached = 1
+        last = 0
+        while queue:
+            u = queue.popleft()
+            du = dist[u] + 1
+            for w in g.adjacency[u]:
+                if dist[w] < 0:
+                    dist[w] = du
+                    reached += 1
+                    last = du
+                    queue.append(w)
+        if reached != g.n:
+            raise DisconnectedGraph(f"vertex {s} reaches only {reached} of {g.n} vertices")
+        ecc.append(last)
+    return tuple(ecc)
+
+
+def relabel(g, perm):
+    """Copy of g with vertex v renamed perm[v]."""
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list])
 
 
 def random_connected_graph(rng, n, extra_edges=0):
