@@ -7,6 +7,7 @@ are reported with the `UNREACHABLE` sentinel, never a large number.
 """
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,16 +117,32 @@ class DistanceVector:
     dist: tuple
 
 
+#: Graph size above which a capped BFS keeps distances in a dict.  Up
+#: to here, allocating an n-long list costs a few microseconds, less
+#: than a dict spends on each dense ball of `reiman(q)`; beyond it the
+#: list costs more than a dict spends on a small ball of a long chain.
+_LIST_LIMIT = 2048
+
+
 def _bfs(g, sources, cap=None):
     """Layered BFS from a duplicate-free, validated source collection.
 
     Stops after layer `cap` when a cap is given.  Returns (dist, layer,
-    reached): the distance list with `UNREACHABLE` where not reached,
+    reached): the distances, read as `UNREACHABLE` where not reached,
     the last nonempty layer, whose vertices are all at the largest
     distance reached, and the reached vertices in BFS order.
+
+    Distances live in an n-long list, except in a capped search on a
+    graph of more than `_LIST_LIMIT` vertices.  Such a search usually
+    reaches a small ball, and `ball` and `girth` run one per edge or per
+    vertex, so it uses a dict that reads missing keys as None: its cost
+    then grows with the ball, not with n.
     """
     adjacency = g.adjacency
-    dist = [UNREACHABLE] * g.n
+    if cap is None or g.n <= _LIST_LIMIT:
+        dist = [UNREACHABLE] * g.n
+    else:
+        dist = defaultdict(type(UNREACHABLE))
     layer = list(sources)
     for s in layer:
         dist[s] = 0
@@ -292,13 +309,21 @@ def girth(g):
     neighbours in layer d - 1 closes one of length 2d.  Each such walk
     contains a cycle no longer than it, and a shortest cycle through r
     shows up this way, so the minimum over all roots is exact.  Layers
-    beyond (best - 1) // 2 cannot improve the best found so far.
+    beyond (best - 1) // 2 cannot improve the best found so far.  An
+    uncapped BFS whose component has degree sum 2 (size - 1) has found
+    a tree, so no vertex of that component needs to be a root.
     """
     best = INFINITE_GIRTH
     adjacency = g.adjacency
+    in_tree = set()
     for r in range(g.n):
+        if r in in_tree:
+            continue
         cap = None if best == INFINITE_GIRTH else (best - 1) // 2
         dist, _, reached = _bfs(g, (r,), cap)
+        if cap is None and sum(len(adjacency[u]) for u in reached) == 2 * len(reached) - 2:
+            in_tree.update(reached)
+            continue
         for u in reached:
             du = dist[u]
             below = 0

@@ -218,6 +218,16 @@ class TestGirth:
             g = random_connected_graph(rng, n, rng.randint(0, n))
             assert girth(g) == girth_oracle(g)
 
+    def test_large_graphs(self):
+        # Past _LIST_LIMIT vertices, capped searches keep distances in a dict.
+        g = chain(ChainSpec(3, 150)).graph
+        assert g.n > avec.graph._LIST_LIMIT
+        assert girth(g) == 6
+        ring = [(i, (i + 1) % 7) for i in range(7)]
+        tail = [(i, i + 1) for i in range(7, 2106)]
+        assert girth(build_graph(2107, ring + tail)) == 7
+        assert girth(classic("path", 2100)) == INFINITE_GIRTH
+
 
 class TestForbiddenCycleScan:
     def test_triangle(self):
@@ -274,6 +284,18 @@ class TestBall:
                     if d <= k
                 }
                 assert ball(g, (s,), k) == expect
+
+    def test_large_graph(self):
+        # Past _LIST_LIMIT vertices, capped searches keep distances in a dict.
+        g = chain(ChainSpec(3, 150)).graph
+        assert g.n > avec.graph._LIST_LIMIT
+        G = to_nx(g)
+        rng = random.Random(14)
+        for _ in range(10):
+            u, v = rng.choice(g.edge_list)
+            dist = nx.multi_source_dijkstra_path_length(G, {u, v}, cutoff=3)
+            for k in (0, 1, 2, 3):
+                assert ball(g, (u, v), k) == {w for w, d in dist.items() if d <= k}
 
     def test_multi_source(self):
         g = classic("path", 7)

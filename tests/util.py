@@ -55,9 +55,10 @@ def has_cycle_oracle(g, k):
 
 
 def eccentricities_oracle(g):
-    """One full BFS from every vertex, Theta(n m): the all-sources loop
-    that bounded `eccentricity_profile` replaced.  Raises
-    `DisconnectedGraph` on a disconnected graph, as the library does."""
+    """Eccentricities by one full BFS from every vertex, Theta(n m).
+
+    Raises `DisconnectedGraph` on a disconnected graph, as the library
+    does."""
     ecc = []
     for s in range(g.n):
         dist = [-1] * g.n
