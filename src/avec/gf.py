@@ -159,8 +159,7 @@ class FieldElement:
 class FiniteField:
     """GF(p^k) with its canonical modulus.
 
-    Construct through `make_field`; arithmetic lives on the elements
-    and on the add/neg/mul/inv convenience methods.
+    Construct through `make_field`; arithmetic lives on the elements.
     """
 
     p: int
@@ -188,18 +187,6 @@ class FiniteField:
     def elements(self):
         """All q elements in ascending integer order."""
         return [self.from_int(i) for i in range(self.q)]
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return a.inverse()
 
 
 def make_field(q: int) -> FiniteField:

@@ -223,50 +223,58 @@ def eccentricity_profile(g):
     smallest lower bound, ties going to the higher degree.  After
     `_STALL_ROUNDS` rounds in a row that resolve only their own source,
     each vertex left gets one plain BFS.
+
+    Bounding never resolves the inner vertices of a tree, so a tree (a
+    connected graph with n - 1 edges) takes the two-sweep identity
+    instead: with a farthest from vertex 0 and b farthest from a,
+    ecc(v) = max(d(v, a), d(v, b)).  That is 3 BFS runs in all.
     """
     n = g.n
     if n < 1:
         raise InvalidArgument("graph must have at least one vertex")
-    adjacency = g.adjacency
-    ecc = [0] * n
-    lower = [0] * n
-    upper = [n] * n
-    candidates = range(n)
-    source = 0
-    take_upper = True
-    stalled = 0
-    while True:
-        dist, layer, reached = _bfs(g, (source,))
-        if len(reached) != n:
-            raise DisconnectedGraph(
-                f"vertex {source} reaches only {len(reached)} of {n} vertices"
-            )
-        e = dist[layer[0]]
-        left = []
-        for w in candidates:
-            d = dist[w]
-            lo = max(lower[w], e - d, d)
-            hi = min(upper[w], e + d)
-            if lo == hi:
-                ecc[w] = lo
+    dist, layer, reached = _bfs(g, (0,))
+    if len(reached) != n:
+        raise DisconnectedGraph(f"vertex 0 reaches only {len(reached)} of {n} vertices")
+    if g.m == n - 1:
+        dist_a, layer, _ = _bfs(g, (layer[0],))
+        dist_b, _, _ = _bfs(g, (layer[0],))
+        ecc = list(map(max, dist_a, dist_b))
+    else:
+        adjacency = g.adjacency
+        ecc = [0] * n
+        lower = [0] * n
+        upper = [n] * n
+        candidates = range(n)
+        take_upper = True
+        stalled = 0
+        while True:
+            e = dist[layer[0]]
+            left = []
+            for w in candidates:
+                d = dist[w]
+                lo = max(lower[w], e - d, d)
+                hi = min(upper[w], e + d)
+                if lo == hi:
+                    ecc[w] = lo
+                else:
+                    lower[w] = lo
+                    upper[w] = hi
+                    left.append(w)
+            stalled = stalled + 1 if len(left) == len(candidates) - 1 else 0
+            candidates = left
+            if not candidates:
+                break
+            if stalled == _STALL_ROUNDS:
+                for v in candidates:
+                    dist, layer, _ = _bfs(g, (v,))
+                    ecc[v] = dist[layer[0]]
+                break
+            if take_upper:
+                source = max(candidates, key=lambda w: (upper[w], len(adjacency[w])))
             else:
-                lower[w] = lo
-                upper[w] = hi
-                left.append(w)
-        stalled = stalled + 1 if len(left) == len(candidates) - 1 else 0
-        candidates = left
-        if not candidates:
-            break
-        if stalled == _STALL_ROUNDS:
-            for v in candidates:
-                dist, layer, _ = _bfs(g, (v,))
-                ecc[v] = dist[layer[0]]
-            break
-        if take_upper:
-            source = max(candidates, key=lambda w: (upper[w], len(adjacency[w])))
-        else:
-            source = min(candidates, key=lambda w: (lower[w], -len(adjacency[w])))
-        take_upper = not take_upper
+                source = min(candidates, key=lambda w: (lower[w], -len(adjacency[w])))
+            take_upper = not take_upper
+            dist, layer, _ = _bfs(g, (source,))
     ex_total = sum(ecc)
     return EccentricityProfile(
         ecc=tuple(ecc),

@@ -2,7 +2,8 @@
 
 Edge-list format: first line ``n m``, then m lines ``u v`` with
 0-indexed endpoints, u < v, in ascending order.  Blank lines and lines
-starting with ``#`` are ignored.
+starting with ``#`` are ignored.  The m edges must be distinct: a
+repeated or reversed edge is rejected, not merged.
 """
 
 from .errors import InvalidArgument, NotAscii
@@ -43,7 +44,12 @@ def parse_edgelist(text: str) -> Graph:
         except ValueError:
             raise InvalidArgument(f"bad edge line {line!r}") from None
         edges.append((u, v))
-    return build_graph(n, edges)
+    g = build_graph(n, edges)
+    if g.m != m:
+        raise InvalidArgument(
+            f"header promises {m} edges, found {g.m} distinct (repeated or reversed edges)"
+        )
+    return g
 
 
 def to_graph6(g: Graph) -> str:
@@ -98,8 +104,13 @@ def from_graph6(text: str) -> Graph:
     else:
         raise InvalidArgument("truncated graph6 input")
     need = n * (n - 1) // 2
-    if len(body) * 6 < need:
+    words = -(-need // 6)
+    if len(body) < words:
         raise InvalidArgument("graph6 body shorter than the n promised")
+    if len(body) > words:
+        raise InvalidArgument(f"graph6 body has {len(body) - words} bytes past the n promised")
+    if words and body[-1] & ((1 << (6 * words - need)) - 1):
+        raise InvalidArgument("graph6 padding bits are not zero")
     bits = []
     for word in body:
         for s6 in (5, 4, 3, 2, 1, 0):

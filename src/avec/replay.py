@@ -18,6 +18,15 @@ The pipeline mirrors the derivation it certifies:
 
 A failing inequality is recorded (overall_pass = False), never hidden;
 a malformed construction raises ConstructionInvariantViolated.
+
+Replay computes only what its inequalities read, with no n x n
+distance matrix.  Eccentricities of T come from 3 BFS runs (T is a
+tree), and L(T) is searched only from the k matching edges, since cbar
+vanishes elsewhere.  Those k searches give avec_cbar_line and every
+d_L(e_i, e_j) of the power_contraction check.  The structural check
+line_displacement is certified by identity plus a structure check: in
+a tree every gap max d_T - d_L is exactly 1, and the check verifies in
+O(n + |E(L)|) that the graph it was handed is L(T).
 """
 
 from dataclasses import dataclass
@@ -347,14 +356,21 @@ def _assert_tree(g, matching, anchored, dM):
         if e not in anchored.subtrees[i]:
             raise ConstructionInvariantViolated(f"matching edge {e} missing from its ball tree")
     limit = 6 if matching.variant == VARIANT_MAXDEG else 5
-    dist_to = {}
-    for v in {x for e in matching.edges for x in e}:
-        dist_to[v] = distances_from(tree, (v,)).dist
+    # One BFS per matching vertex, each row read for the vertices
+    # assigned to it and then dropped: O(n) memory, not O(k n).
+    hanging = {v: [] for e in matching.edges for v in e}
+    for x, w in enumerate(anchored.assignment):
+        hanging[w].append(x)
+    to_assigned = [None] * n
+    for w, xs in hanging.items():
+        dist = distances_from(tree, (w,)).dist
+        for x in xs:
+            to_assigned[x] = dist[x]
     for x in range(n):
         w = anchored.assignment[x]
-        if dist_to[w][x] != dM[x]:
+        if to_assigned[x] != dM[x]:
             raise ConstructionInvariantViolated(
-                f"vertex {x}: tree distance {dist_to[w][x]} to its matching vertex "
+                f"vertex {x}: tree distance {to_assigned[x]} to its matching vertex "
                 f"{w} differs from graph distance {dM[x]} to V(M)"
             )
         if dM[x] > limit:
@@ -420,10 +436,6 @@ def _le(lhs, rhs):
     return lhs <= rhs
 
 
-def _dist_matrix(g):
-    return [distances_from(g, (s,)).dist for s in range(g.n)]
-
-
 def _component_count(g):
     unseen = set(range(g.n))
     count = 0
@@ -453,24 +465,30 @@ def replay(g, variant, anchor=None) -> ProofTrace:
     avec_t = profile_t.avec
     avec_c_t = weighted_avec(tree, weights.c)
 
+    # cbar vanishes off the matching edges, so one BFS of L(T) from each
+    # gives avec_cbar_line and, kept as k entries, every d_L(e_i, e_j).
     line, line_edges = line_graph(tree)
     line_index = {e: i for i, e in enumerate(line_edges)}
-    cbar_vec = [0] * line.n
-    for i, e in enumerate(matching.edges):
-        cbar_vec[line_index[e]] = weights.cbar[i]
-    avec_cbar_line = weighted_avec(line, cbar_vec)
+    m_line = [line_index[e] for e in matching.edges]
+    line_ecc = []
+    d_line = []
+    for li in m_line:
+        row = distances_from(line, (li,)).dist
+        line_ecc.append(max(row))
+        d_line.append([row[lj] for lj in m_line])
+    avec_cbar_line = Fraction(
+        sum(w * e for w, e in zip(weights.cbar, line_ecc)), sum(weights.cbar)
+    )
 
     power = power_graph(line, 6)
-    m_line = sorted(line_index[e] for e in matching.edges)
     target, orig = induced_subgraph(power, m_line)
     t_of_line = {li: ti for ti, li in enumerate(orig)}
-    t_of_match = tuple(t_of_line[line_index[e]] for e in matching.edges)
+    t_of_match = tuple(t_of_line[li] for li in m_line)
     if maxdeg:
-        d_from_anchor = distances_from(line, (line_index[matching.edges[0]],)).dist
         extra = []
         t0 = t_of_match[0]
         for i in range(1, k):
-            if d_from_anchor[line_index[matching.edges[i]]] <= 7:
+            if d_line[0][i] <= 7:
                 ti = t_of_match[i]
                 extra.append((min(t0, ti), max(t0, ti)))
         target = build_graph(k, list(target.edge_list) + extra)
@@ -560,7 +578,7 @@ def replay(g, variant, anchor=None) -> ProofTrace:
 
     structural = _structural_checks(
         g, matching, anchored, weights, profile_g, profile_t,
-        line, line_index, target, t_of_match, maxdeg, n,
+        line, d_line, target, t_of_match, maxdeg, n,
     )
 
     values = (
@@ -606,7 +624,7 @@ def replay(g, variant, anchor=None) -> ProofTrace:
 
 def _structural_checks(
     g, matching, anchored, weights, profile_g, profile_t,
-    line, line_index, target, t_of_match, maxdeg, n,
+    line, d_line, target, t_of_match, maxdeg, n,
 ):
     out = []
 
@@ -641,36 +659,45 @@ def _structural_checks(
     worst = min(t - gg for t, gg in zip(profile_t.ecc, profile_g.ecc))
     add("tree_ecc_domination", worst, 0, worst >= 0)
 
-    # d_T(x, y) <= d_L(e_x, e_y) + 1 over all endpoint/edge choices.
-    tree = anchored.tree
-    dt = _dist_matrix(tree)
-    dl = _dist_matrix(line)
-    edges = tree.edge_list
-    worst_gap = None
-    for i, (u1, v1) in enumerate(edges):
-        row = dl[i]
-        for j in range(i, len(edges)):
-            u2, v2 = edges[j]
-            dtmax = max(dt[u1][u2], dt[u1][v2], dt[v1][u2], dt[v1][v2])
-            gap = dtmax - row[j]
-            if worst_gap is None or gap > worst_gap:
-                worst_gap = gap
-    add("line_displacement", worst_gap, 1, worst_gap is not None and worst_gap <= 1)
+    worst_gap, is_line = _line_displacement(anchored.tree, line)
+    add("line_displacement", worst_gap, 1, worst_gap is not None and is_line)
 
     # d_L(e, f) <= 6 d_target(e, f) (+2 for maxdeg) over matching pairs.
-    dtarget = _dist_matrix(target)
+    dtarget = [distances_from(target, (t,)).dist for t in t_of_match]
     slack = 2 if maxdeg else 0
     worst_pc = 0
     k = len(matching.edges)
     for i in range(k):
-        li = line_index[matching.edges[i]]
         for j in range(i + 1, k):
-            lj = line_index[matching.edges[j]]
-            lhs = dl[li][lj]
-            rhs = 6 * dtarget[t_of_match[i]][t_of_match[j]] + slack
+            lhs = d_line[i][j]
+            rhs = 6 * dtarget[i][t_of_match[j]] + slack
             worst_pc = max(worst_pc, lhs - rhs)
     add("power_contraction", worst_pc, 0, worst_pc <= 0)
     return tuple(out)
+
+
+def _line_displacement(tree, line):
+    """Worst gap of d_T(x, y) <= d_L(e, f) + 1, and whether line = L(tree).
+
+    Certified by identity, in O(n + |E(L)|) instead of over all pairs:
+    in a tree the farthest endpoints of two edges e != f lie one step
+    beyond the nearest ones on each side, so their distance is
+    d_L(e, f) + 1, and e = f gives d_T = 1 against d_L = 0.  Every gap
+    is 1, and the worst is None only when the tree has no edge.  The
+    identity needs `tree` to be a tree, which `_assert_tree` has shown,
+    and `line` to be its line graph: vertex i is tree edge i, adjacent
+    to exactly the other edges that share an endpoint with it.
+    """
+    edges = tree.edge_list
+    incident = [[] for _ in range(tree.n)]
+    for i, (u, v) in enumerate(edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    is_line = line.n == len(edges) and all(
+        line.adjacency[i] == tuple(sorted(j for j in incident[u] + incident[v] if j != i))
+        for i, (u, v) in enumerate(edges)
+    )
+    return (1 if edges else None), is_line
 
 
 def _num_json(x):

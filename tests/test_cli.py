@@ -83,6 +83,14 @@ class TestAnalyze:
         assert err.startswith("error:") and "not ASCII" in err
         assert len(err.splitlines()) == 1
 
+    def test_repeated_edge_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("4 3\n0 1\n1 2\n2 1\n")
+        assert run(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "distinct" in err
+        assert len(err.splitlines()) == 1
+
     def test_violation_exit_code(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "g.txt"
         run(["gen", "reiman", "--q", "2", "--out", str(path)])

@@ -110,8 +110,6 @@ class TestArithmetic:
         f = make_field(7)
         with pytest.raises(DivisionByZero):
             f.zero().inverse()
-        with pytest.raises(DivisionByZero):
-            f.inv(f.zero())
 
     def test_cross_field_mix_raises(self):
         a = make_field(4).one()
@@ -131,13 +129,15 @@ class TestArithmetic:
         with pytest.raises(InvalidArgument):
             f.from_int(-1)
 
-    def test_delegating_methods(self):
+    def test_operators(self):
+        # GF(9) = GF(3)[x]/(x^2 + 1); 5 = 2 + x and 7 = 1 + 2x
         f = make_field(9)
         a, b = f.from_int(5), f.from_int(7)
-        assert f.add(a, b) == a + b
-        assert f.mul(a, b) == a * b
-        assert f.neg(a) == -a
-        assert f.inv(a) == a.inverse()
+        assert a + b == f.element((0, 0))
+        assert a * b == f.element((0, 2))
+        assert -a == f.element((1, 2))
+        assert a.inverse() == f.element((1, 1))
+        assert a * a.inverse() == f.one()
 
     def test_repr_and_value_semantics(self):
         f = make_field(4)

@@ -147,7 +147,7 @@ class TestEccentricity:
     def test_bfs_runs(self, monkeypatch):
         # Bounding resolves long thin graphs with a handful of BFS runs;
         # on vertex-transitive graphs nothing prunes and each vertex
-        # gets exactly one.
+        # gets exactly one.  Trees take the two-sweep identity: 3 runs.
         runs = []
         bfs = avec.graph._bfs
 
@@ -159,11 +159,17 @@ class TestEccentricity:
         for g, most in (
             (chain(ChainSpec(3, 16)).graph, 10),
             (chain(ChainSpec(5, 8)).graph, 30),
-            (classic("path", 500), 10),
         ):
             runs.clear()
             eccentricity_profile(g)
             assert len(runs) <= most
+        rng = random.Random(12)
+        trees = [classic("path", n) for n in (1, 2, 500)]
+        trees += [random_connected_graph(rng, rng.randint(1, 300)) for _ in range(10)]
+        for g in trees:
+            runs.clear()
+            eccentricity_profile(g)
+            assert len(runs) == 3
         for g in (reiman(7).graph, classic("cycle", 50)):
             runs.clear()
             eccentricity_profile(g)

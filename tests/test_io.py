@@ -47,6 +47,13 @@ class TestEdgelist:
         with pytest.raises(InvalidEdge):
             parse_edgelist("2 1\n1 1\n")
 
+    def test_repeated_or_reversed_edges_rejected(self):
+        for text in ("3 2\n0 1\n0 1\n", "3 2\n0 1\n1 0\n", "3 3\n0 1\n1 2\n2 1\n"):
+            with pytest.raises(InvalidArgument, match="distinct"):
+                parse_edgelist(text)
+        # a reversed edge alone is still the same edge
+        assert parse_edgelist("3 1\n2 0\n").edge_list == ((0, 2),)
+
 
 class TestGraph6:
     def test_matches_networkx_encoding(self):
@@ -71,6 +78,24 @@ class TestGraph6:
             from_graph6("\x1f")
         with pytest.raises(InvalidArgument):
             from_graph6("D")  # promises n=5, no body
+
+    def test_trailing_bytes_rejected(self):
+        for g in (classic("cycle", 5), classic("path", 1), classic("path", 64)):
+            text = to_graph6(g)
+            assert from_graph6(text) == g
+            for extra in ("?", "~", "??"):
+                with pytest.raises(InvalidArgument, match="past the n promised"):
+                    from_graph6(text + extra)
+
+    def test_nonzero_padding_rejected(self):
+        # C5 has 10 adjacency bits in 2 words: the last 2 bits are padding.
+        text = to_graph6(classic("cycle", 5))
+        for bit in (1, 2):
+            bad = text[:-1] + chr(63 + ((ord(text[-1]) - 63) | bit))
+            with pytest.raises(InvalidArgument, match="padding"):
+                from_graph6(bad)
+        # n = 4 has 6 bits, one full word and no padding
+        assert from_graph6(to_graph6(classic("cycle", 4))) == classic("cycle", 4)
 
 
 class TestFiles:

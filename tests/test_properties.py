@@ -220,6 +220,13 @@ class TestSerializationProperties:
         assert from_graph6(to_graph6(g)) == g
 
     @COMMON
+    @given(graphs(max_n=70))
+    def test_networkx_graph6_decodes(self, g):
+        encoded = nx.to_graph6_bytes(to_nx(g), nodes=range(g.n)).decode()
+        assert from_graph6(encoded) == g
+        assert from_graph6(encoded.removeprefix(">>graph6<<")) == g
+
+    @COMMON
     @given(connected_graphs(max_n=40))
     def test_edgelist_round_trip(self, g):
         assert parse_edgelist(format_edgelist(g)) == g

@@ -1,8 +1,11 @@
+import importlib
+import inspect
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avec.bounds import structural_constants
 from avec.errors import (
@@ -15,7 +18,7 @@ from avec.errors import (
     OutOfRange,
 )
 from avec.generators import ChainSpec, chain, classic, reiman
-from avec.graph import ball, distances_from, edge_distance
+from avec.graph import ball, build_graph, distances_from, edge_distance, line_graph
 from avec.replay import (
     Matching,
     build_matching,
@@ -24,7 +27,9 @@ from avec.replay import (
     replay,
     trace_json,
 )
-from util import from_nx
+from util import from_nx, line_displacement_oracle
+
+REPLAY_MODULE = importlib.import_module("avec.replay")
 
 import networkx as nx
 
@@ -301,3 +306,98 @@ class TestTraceJson:
         a = json.dumps(trace_json(replay(chain34.graph, "girth6")), sort_keys=True)
         b = json.dumps(trace_json(replay(chain34.graph, "girth6")), sort_keys=True)
         assert a == b
+
+
+@st.composite
+def labelled_trees(draw, max_n=30):
+    """Random trees with the vertex labels shuffled."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    parents = [draw(st.integers(min_value=0, max_value=v - 1)) for v in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[p], perm[v]) for v, p in enumerate(parents, 1)])
+
+
+def _structural(trace, name):
+    return next(c for c in trace.structural if c.name == name)
+
+
+class TestLineDisplacement:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(labelled_trees())
+    def test_identity_matches_oracle_on_trees(self, tree):
+        line, _ = line_graph(tree)
+        assert REPLAY_MODULE._line_displacement(tree, line) == (
+            line_displacement_oracle(tree, line),
+            True,
+        )
+
+    @pytest.mark.parametrize(
+        "g",
+        [chain(ChainSpec(d, ell)).graph for d, ell in ((3, 2), (3, 4), (3, 6), (4, 4))]
+        + [reiman(q).graph for q in (2, 3, 4)],
+        ids=["chain3_2", "chain3_4", "chain3_6", "chain4_4", "reiman2", "reiman3", "reiman4"],
+    )
+    def test_replay_value_matches_oracle(self, g):
+        tr = replay(g, "girth6")
+        tree = tr.tree.tree
+        check = _structural(tr, "line_displacement")
+        assert check.passed
+        assert check.lhs == line_displacement_oracle(tree, line_graph(tree)[0])
+
+    @pytest.mark.parametrize("tamper", ["drop", "add"])
+    def test_tampered_line_graph_fails(self, monkeypatch, tamper):
+        # Drop an edge inside the clique of a degree-3 tree vertex (L(T)
+        # stays connected), or join two line vertices at distance 2.
+        real = REPLAY_MODULE._structural_checks
+        signature = inspect.signature(real)
+
+        def tampering(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            line = bound.arguments["line"]
+            edges = set(line.edge_list)
+            if tamper == "drop":
+                tree = bound.arguments["anchored"].tree
+                v = next(v for v in range(tree.n) if tree.degree(v) >= 3)
+                ids = [i for i, e in enumerate(tree.edge_list) if v in e]
+                edges.discard((ids[0], ids[1]))
+            else:
+                dist = distances_from(line, (0,)).dist
+                edges.add((0, dist.index(2)))
+            bound.arguments["line"] = build_graph(line.n, edges)
+            return real(*bound.args, **bound.kwargs)
+
+        monkeypatch.setattr(REPLAY_MODULE, "_structural_checks", tampering)
+        tr = replay(chain(ChainSpec(3, 4)).graph, "girth6")
+        check = _structural(tr, "line_displacement")
+        assert not check.passed
+        assert not tr.overall_pass
+        assert all(c.passed for c in tr.structural if c.name != "line_displacement")
+
+    def test_wrong_vertex_count_fails(self):
+        tree = build_graph(3, [(0, 1), (1, 2)])
+        assert REPLAY_MODULE._line_displacement(tree, build_graph(1, [])) == (1, False)
+
+    def test_no_edges(self):
+        tree = build_graph(1, [])
+        assert REPLAY_MODULE._line_displacement(tree, build_graph(0, [])) == (None, True)
+
+
+class TestBfsBudget:
+    def test_girth6_replay_below_one_bfs_per_vertex(self, monkeypatch):
+        # Full BFS runs only; power_graph's radius-6 balls, one per
+        # vertex of L(T), are capped searches and counted apart.
+        graph_module = importlib.import_module("avec.graph")
+        real = graph_module._bfs
+        caps = []
+
+        def counting(g, sources, cap=None):
+            caps.append(cap)
+            return real(g, sources, cap)
+
+        monkeypatch.setattr(graph_module, "_bfs", counting)
+        monkeypatch.setattr(REPLAY_MODULE, "_bfs", counting)
+        g = chain(ChainSpec(3, 32)).graph
+        assert replay(g, "girth6").overall_pass
+        assert caps.count(None) < g.n
+        assert caps.count(6) == g.n - 1
+        assert len(caps) == caps.count(None) + caps.count(6)

@@ -81,6 +81,24 @@ def eccentricities_oracle(g):
     return tuple(ecc)
 
 
+def line_displacement_oracle(tree, line):
+    """max over edge pairs i <= j of (max endpoint distance in tree) -
+    d_line(i, j), where line vertex i is tree edge i; None without edges.
+
+    The all-pairs scan, over networkx distances."""
+    dt = dict(nx.all_pairs_shortest_path_length(to_nx(tree)))
+    dl = dict(nx.all_pairs_shortest_path_length(to_nx(line)))
+    edges = tree.edge_list
+    worst = None
+    for i, (u1, v1) in enumerate(edges):
+        for j in range(i, len(edges)):
+            u2, v2 = edges[j]
+            gap = max(dt[u1][u2], dt[u1][v2], dt[v1][u2], dt[v1][v2]) - dl[i][j]
+            if worst is None or gap > worst:
+                worst = gap
+    return worst
+
+
 def relabel(g, perm):
     """Copy of g with vertex v renamed perm[v]."""
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list])
