@@ -95,7 +95,7 @@ def _cmd_replay(args):
     anchor = args.anchor
     if args.variant == VARIANT_MAXDEG and anchor is None:
         top = g.max_degree()
-        anchor = min(v for v in range(g.n) if g.degree(v) == top)
+        anchor = min((v for v in range(g.n) if g.degree(v) == top), default=None)
     trace = replay(g, args.variant, anchor)
     if args.trace:
         with open(args.trace, "w", encoding="ascii") as fh:

@@ -3,11 +3,17 @@
 Edge-list format: first line ``n m``, then m lines ``u v`` with
 0-indexed endpoints, u < v, in ascending order.  Blank lines and lines
 starting with ``#`` are ignored.  The m edges must be distinct: a
-repeated or reversed edge is rejected, not merged.
+repeated or reversed edge is rejected, not merged.  The header's n may
+be at most `MAX_ORDER`, checked before anything is allocated.
 """
 
 from .errors import InvalidArgument, NotAscii
 from .graph import Graph, build_graph
+
+#: Largest vertex count an edge-list header may declare.  Building the
+#: graph allocates one adjacency list per vertex before any edge is
+#: read, so the bound keeps a short file from claiming gigabytes.
+MAX_ORDER = 2**20
 
 
 def format_edgelist(g: Graph) -> str:
@@ -32,6 +38,8 @@ def parse_edgelist(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise InvalidArgument(f"header must be 'n m', got {rows[0]!r}") from None
+    if n > MAX_ORDER:
+        raise InvalidArgument(f"header declares n={n}, more than MAX_ORDER={MAX_ORDER}")
     if len(rows) - 1 != m:
         raise InvalidArgument(f"header promises {m} edges, found {len(rows) - 1}")
     edges = []

@@ -27,6 +27,15 @@ d_L(e_i, e_j) of the power_contraction check.  The structural check
 line_displacement is certified by identity plus a structure check: in
 a tree every gap max d_T - d_L is exactly 1, and the check verifies in
 O(n + |E(L)|) that the graph it was handed is L(T).
+
+The construction searches only as far as its checks read.  Growing the
+matching takes one full BFS per chosen edge; its row gives the edge's
+pairwise distances and, folded by min, the distance to V(M).  Each ball
+is a BFS capped at its radius (2, or 3 for the maxdeg anchor edge).
+The tree check requires d(x, V(M)) <= 5 (6 for maxdeg) for every x, so
+a BFS on T from each matching vertex capped at that limit reaches
+every vertex that hangs at its graph distance; one it misses hangs too
+deep.
 """
 
 from dataclasses import dataclass
@@ -125,6 +134,8 @@ class ProofTrace:
 def _validate_replay_input(g, variant, anchor):
     if variant not in (VARIANT_GIRTH6, VARIANT_MAXDEG):
         raise InvalidArgument(f"unknown variant {variant!r}")
+    if variant == VARIANT_GIRTH6 and anchor is not None:
+        raise InvalidArgument("the girth6 variant takes no anchor")
     if g.min_degree() < 3:
         raise OutOfRange(f"replay needs minimum degree >= 3, got {g.min_degree()}")
     scan = forbidden_cycle_scan(g)
@@ -141,14 +152,44 @@ def _validate_replay_input(g, variant, anchor):
             )
 
 
+def _edge_dists(g, dist):
+    # d(e, S) per edge of g, from the vertex distances `dist` to S.
+    return [min(dist[a], dist[b]) for a, b in g.edge_list]
+
+
 def _edge_dist_vector(g, edges):
     # d(e, {edges}) per edge of g: min endpoint distance to the vertex set.
-    verts = set()
-    for a, b in edges:
-        verts.add(a)
-        verts.add(b)
-    dist = distances_from(g, verts).dist
-    return [min(dist[a], dist[b]) for a, b in g.edge_list], dist
+    return _edge_dists(g, distances_from(g, {v for e in edges for v in e}).dist)
+
+
+def _next_girth6(g, near):
+    # Smallest edge at distance exactly 5 from M; None once all are within 4.
+    dvec = _edge_dists(g, near)
+    if max(dvec) <= 4:
+        return None
+    for e, d in zip(g.edge_list, dvec):
+        if d == 5:
+            return e
+    raise ConstructionInvariantViolated(
+        "edges remain at distance >= 5 from the matching but none at exactly 5"
+    )
+
+
+def _next_maxdeg(g, d1, near):
+    # Smallest uncovered edge meeting a bound with equality; None once
+    # every edge is within 5 of e_1 or 4 of the rest.
+    d2 = [None] * g.m if near is None else _edge_dists(g, near)
+    uncovered = False
+    for e, a, b in zip(g.edge_list, d1, d2):
+        if a >= 6 and (b is None or b >= 5):
+            if a == 6 or b == 5:
+                return e
+            uncovered = True
+    if uncovered:
+        raise ConstructionInvariantViolated(
+            "uncovered edges remain but none meets a distance bound with equality"
+        )
+    return None
 
 
 def build_matching(g, variant, anchor=None) -> Matching:
@@ -164,58 +205,37 @@ def build_matching(g, variant, anchor=None) -> Matching:
     _validate_replay_input(g, variant, anchor)
     if not g.edge_list:
         raise InvalidArgument("graph has no edges")
-    if variant == VARIANT_GIRTH6:
-        chosen = [g.edge_list[0]]
-        while True:
-            dvec, _ = _edge_dist_vector(g, chosen)
-            if max(dvec) <= 4:
-                break
-            cand = [e for e, d in zip(g.edge_list, dvec) if d == 5]
-            if not cand:
-                raise ConstructionInvariantViolated(
-                    "edges remain at distance >= 5 from the matching "
-                    "but none at exactly 5"
-                )
-            chosen.append(cand[0])
+    maxdeg = variant == VARIANT_MAXDEG
+    if maxdeg:
+        chosen = [min((min(anchor, w), max(anchor, w)) for w in g.adjacency[anchor])]
     else:
-        nbr = g.adjacency[anchor]
-        e0 = min((min(anchor, w), max(anchor, w)) for w in nbr)
-        chosen = [e0]
-        while True:
-            d1, _ = _edge_dist_vector(g, chosen[:1])
-            if len(chosen) > 1:
-                d2, _ = _edge_dist_vector(g, chosen[1:])
-            else:
-                d2 = [None] * g.m
-            cand = []
-            uncovered = False
-            for e, a, b in zip(g.edge_list, d1, d2):
-                if a >= 6 and (b is None or b >= 5):
-                    uncovered = True
-                    if a == 6 or b == 5:
-                        cand.append(e)
-            if not uncovered:
-                break
-            if not cand:
-                raise ConstructionInvariantViolated(
-                    "uncovered edges remain but none meets a distance "
-                    "bound with equality"
-                )
-            chosen.append(cand[0])
+        chosen = [g.edge_list[0]]
+    # One BFS per chosen edge: its row gives the lower triangle of the
+    # symmetric pairwise table and, folded by min, d(., V(M)), for
+    # maxdeg d(., V(M - e_1)).
+    rows = []
+    d1 = near = None
+    while True:
+        dist = distances_from(g, chosen[-1]).dist
+        rows.append([min(dist[a], dist[b]) for a, b in chosen])
+        if maxdeg and d1 is None:
+            d1 = _edge_dists(g, dist)
+        elif near is None:
+            near = dist
+        else:
+            near = [a if a < b else b for a, b in zip(near, dist)]
+        nxt = _next_maxdeg(g, d1, near) if maxdeg else _next_girth6(g, near)
+        if nxt is None:
+            break
+        chosen.append(nxt)
 
     k = len(chosen)
-    pairwise = [[0] * k for _ in range(k)]
-    for i in range(k):
-        dist = distances_from(g, chosen[i]).dist
-        for j in range(k):
-            a, b = chosen[j]
-            pairwise[i][j] = min(dist[a], dist[b])
+    pairwise = tuple(
+        tuple(rows[i] + [rows[j][i] for j in range(i + 1, k)]) for i in range(k)
+    )
     _assert_matching(g, variant, chosen, pairwise)
     return Matching(
-        variant=variant,
-        edges=tuple(chosen),
-        anchor=anchor,
-        pairwise=tuple(tuple(row) for row in pairwise),
+        variant=variant, edges=tuple(chosen), anchor=anchor, pairwise=pairwise
     )
 
 
@@ -230,13 +250,13 @@ def _assert_matching(g, variant, edges, pairwise):
                     f"{pairwise[i][j]} < {need}"
                 )
     if variant == VARIANT_GIRTH6:
-        dvec, _ = _edge_dist_vector(g, edges)
+        dvec = _edge_dist_vector(g, edges)
         if max(dvec) > 4:
             raise ConstructionInvariantViolated("an edge is farther than 4 from the matching")
     else:
-        d1, _ = _edge_dist_vector(g, edges[:1])
+        d1 = _edge_dist_vector(g, edges[:1])
         if k > 1:
-            d2, _ = _edge_dist_vector(g, edges[1:])
+            d2 = _edge_dist_vector(g, edges[1:])
         else:
             d2 = [10**9] * g.m
         for a, b in zip(d1, d2):
@@ -264,51 +284,40 @@ def build_tree(g, matching: Matching) -> AnchoredTree:
     )
     owner = [-1] * n
     assignment = [-1] * n
-    depth = [-1] * n
     tree_edges = set()
     subtrees = []
     for i, (a, b) in enumerate(matching.edges):
-        dist = distances_from(g, (a, b)).dist
-        members = [
-            v for v, d in enumerate(dist) if d is not None and d <= radii[i]
-        ]
+        # The capped BFS reaches exactly the ball, parents before children.
+        dist, _, reached = _bfs(g, (a, b), radii[i])
         sub = {(a, b)}
-        for v in members:
+        for v in reached:
             if owner[v] != -1:
                 raise ConstructionInvariantViolated(
                     f"vertex {v} lies in the balls of {matching.edges[owner[v]]} "
                     f"and {matching.edges[i]}"
                 )
             owner[v] = i
-            depth[v] = dist[v]
-        for v in sorted(members):
             if dist[v] == 0:
                 assignment[v] = v
                 continue
             parent = min(w for w in g.adjacency[v] if dist[w] == dist[v] - 1)
             sub.add((min(v, parent), max(v, parent)))
-        # Root every ball vertex at the endpoint its parent chain reaches.
-        for v in sorted(members, key=lambda x: dist[x]):
-            if dist[v] > 0:
-                parent = min(w for w in g.adjacency[v] if dist[w] == dist[v] - 1)
-                assignment[v] = assignment[parent]
+            assignment[v] = assignment[parent]
         subtrees.append(frozenset(sub))
         tree_edges |= sub
 
-    connectors = []
+    # The first edge from ball i to an earlier ball joins ball i.
+    connectors = [None] * k
+    for x, y in g.edge_list:
+        ox, oy = owner[x], owner[y]
+        if ox != oy and ox >= 0 and oy >= 0 and connectors[max(ox, oy)] is None:
+            connectors[max(ox, oy)] = (x, y)
     for i in range(1, k):
-        hit = None
-        for x, y in g.edge_list:
-            ox, oy = owner[x], owner[y]
-            if (ox == i and 0 <= oy < i) or (oy == i and 0 <= ox < i):
-                hit = (x, y)
-                break
-        if hit is None:
+        if connectors[i] is None:
             raise ConstructionInvariantViolated(
                 f"no edge joins the ball of {matching.edges[i]} to the earlier balls"
             )
-        connectors.append(hit)
-        tree_edges.add(hit)
+        tree_edges.add(connectors[i])
 
     mverts = [v for e in matching.edges for v in e]
     dM = distances_from(g, mverts).dist
@@ -326,7 +335,6 @@ def build_tree(g, matching: Matching) -> AnchoredTree:
         tree_edges.add((min(v, p), max(v, p)))
         in_tree[v] = True
         assignment[v] = assignment[p]
-        depth[v] = d
     if any(d is None for d in dM):
         raise ConstructionInvariantViolated("graph is disconnected")
 
@@ -335,7 +343,7 @@ def build_tree(g, matching: Matching) -> AnchoredTree:
         tree=tree,
         assignment=tuple(assignment),
         subtrees=tuple(subtrees),
-        connectors=tuple(connectors),
+        connectors=tuple(connectors[1:]),
         radii=radii,
     )
     _assert_tree(g, matching, anchored, dM)
@@ -356,27 +364,26 @@ def _assert_tree(g, matching, anchored, dM):
         if e not in anchored.subtrees[i]:
             raise ConstructionInvariantViolated(f"matching edge {e} missing from its ball tree")
     limit = 6 if matching.variant == VARIANT_MAXDEG else 5
-    # One BFS per matching vertex, each row read for the vertices
-    # assigned to it and then dropped: O(n) memory, not O(k n).
-    hanging = {v: [] for e in matching.edges for v in e}
-    for x, w in enumerate(anchored.assignment):
-        hanging[w].append(x)
-    to_assigned = [None] * n
-    for w, xs in hanging.items():
-        dist = distances_from(tree, (w,)).dist
-        for x in xs:
-            to_assigned[x] = dist[x]
     for x in range(n):
-        w = anchored.assignment[x]
-        if to_assigned[x] != dM[x]:
-            raise ConstructionInvariantViolated(
-                f"vertex {x}: tree distance {to_assigned[x]} to its matching vertex "
-                f"{w} differs from graph distance {dM[x]} to V(M)"
-            )
         if dM[x] > limit:
             raise ConstructionInvariantViolated(
                 f"vertex {x} at distance {dM[x]} > {limit} from V(M)"
             )
+    # Every dM is now at most limit, so a BFS from each matching vertex
+    # capped there reaches every vertex that keeps its distance; one it
+    # misses hangs too deep.
+    hanging = {v: [] for e in matching.edges for v in e}
+    for x, w in enumerate(anchored.assignment):
+        hanging[w].append(x)
+    for w, xs in hanging.items():
+        dist, _, _ = _bfs(tree, (w,), limit)
+        for x in xs:
+            if dist[x] != dM[x]:
+                shown = f"above {limit}" if dist[x] is None else dist[x]
+                raise ConstructionInvariantViolated(
+                    f"vertex {x}: tree distance {shown} to its matching vertex "
+                    f"{w} differs from graph distance {dM[x]} to V(M)"
+                )
     if matching.variant == VARIANT_MAXDEG:
         sub_vertices = [set() for _ in matching.edges]
         for i, sub in enumerate(anchored.subtrees):

@@ -6,7 +6,7 @@ import pytest
 from avec import cli
 from avec.bounds import analyze, audit_balls
 from avec.generators import ChainSpec, chain, reiman
-from avec.io import format_edgelist, parse_edgelist, read_graph
+from avec.io import MAX_ORDER, format_edgelist, parse_edgelist, read_graph
 from avec.replay import replay
 
 
@@ -91,6 +91,14 @@ class TestAnalyze:
         assert err.startswith("error:") and "distinct" in err
         assert len(err.splitlines()) == 1
 
+    def test_order_above_limit_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text(f"{MAX_ORDER + 1} 0\n")
+        assert run(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "MAX_ORDER" in err
+        assert len(err.splitlines()) == 1
+
     def test_violation_exit_code(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "g.txt"
         run(["gen", "reiman", "--q", "2", "--out", str(path)])
@@ -158,6 +166,24 @@ class TestReplay:
         path = tmp_path / "c6.txt"
         path.write_text("6 6\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n")
         assert run(["replay", str(path), "--variant", "girth6"]) == 2
+
+    def test_maxdeg_on_empty_graph_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        assert run(["replay", str(path), "--variant", "maxdeg"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at least one vertex" in err
+        assert len(err.splitlines()) == 1
+
+    def test_girth6_rejects_anchor(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        run(["gen", "chain", "--delta", "3", "--ell", "2", "--out", str(path)])
+        capsys.readouterr()
+        assert run(["replay", str(path), "--variant", "girth6", "--anchor", "-7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "anchor" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_failed_check_exit_code(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "g.txt"

@@ -5,7 +5,9 @@ import pytest
 
 from avec.errors import InvalidArgument, InvalidEdge, InvalidVertex
 from avec.generators import classic
+from avec import io
 from avec.io import (
+    MAX_ORDER,
     format_edgelist,
     from_graph6,
     parse_edgelist,
@@ -53,6 +55,14 @@ class TestEdgelist:
                 parse_edgelist(text)
         # a reversed edge alone is still the same edge
         assert parse_edgelist("3 1\n2 0\n").edge_list == ((0, 2),)
+
+    def test_order_above_limit_rejected_before_allocation(self, monkeypatch):
+        def refuse(n, edges):
+            raise AssertionError(f"build_graph called with n={n}")
+
+        monkeypatch.setattr(io, "build_graph", refuse)
+        with pytest.raises(InvalidArgument, match="MAX_ORDER"):
+            parse_edgelist(f"{MAX_ORDER + 1} 0\n")
 
 
 class TestGraph6:

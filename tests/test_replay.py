@@ -1,7 +1,9 @@
+import dataclasses
 import importlib
 import inspect
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,14 @@ from avec.errors import (
     OutOfRange,
 )
 from avec.generators import ChainSpec, chain, classic, reiman
-from avec.graph import ball, build_graph, distances_from, edge_distance, line_graph
+from avec.graph import (
+    _LIST_LIMIT,
+    ball,
+    build_graph,
+    distances_from,
+    edge_distance,
+    line_graph,
+)
 from avec.replay import (
     Matching,
     build_matching,
@@ -73,6 +82,14 @@ def smallest_max_degree_vertex(g):
     return min(v for v in range(g.n) if g.degree(v) == top)
 
 
+def _anchored(g):
+    """girth6 matching, anchored tree and d(., V(M)) for tamper tests."""
+    m = build_matching(g, "girth6")
+    t = build_tree(g, m)
+    dm = distances_from(g, {v for e in m.edges for v in e}).dist
+    return m, t, dm
+
+
 class TestValidation:
     def test_unknown_variant(self, chain32):
         with pytest.raises(InvalidArgument):
@@ -93,6 +110,12 @@ class TestValidation:
     def test_anchor_out_of_range(self, chain32):
         with pytest.raises(InvalidVertex):
             build_matching(chain32.graph, "maxdeg", anchor=99)
+
+    def test_girth6_rejects_anchor(self, chain32):
+        with pytest.raises(InvalidArgument, match="anchor"):
+            build_matching(chain32.graph, "girth6", anchor=8)
+        with pytest.raises(InvalidArgument, match="anchor"):
+            replay(chain32.graph, "girth6", -7)
 
     def test_anchor_not_max_degree(self, chain32):
         # vertex 0 has degree 3 but the maximum is 4
@@ -177,12 +200,74 @@ class TestTree:
                 assert not (covers[i] & covers[j])
 
     def test_connectors_join_earlier_balls(self, chain34):
-        g = chain34.graph
+        head = reiman(3)
+        maxdeg_g = chain(ChainSpec(3, 6, head)).graph
+        cases = (
+            (chain34.graph, "girth6", None),
+            (chain(ChainSpec(3, 10)).graph, "girth6", None),
+            (maxdeg_g, "maxdeg", smallest_max_degree_vertex(maxdeg_g)),
+        )
+        for g, variant, anchor in cases:
+            m = build_matching(g, variant, anchor)
+            t = build_tree(g, m)
+            assert len(t.connectors) == len(m.edges) - 1
+            # Oracle: the smallest edge joining ball i to an earlier ball.
+            balls = [ball(g, e, r) for e, r in zip(m.edges, t.radii)]
+            for i in range(1, len(m.edges)):
+                earlier = frozenset().union(*balls[:i])
+                expected = min(
+                    (x, y) for x, y in g.edge_list
+                    if (x in balls[i] and y in earlier) or (y in balls[i] and x in earlier)
+                )
+                assert t.connectors[i - 1] == expected
+
+    def test_sparse_matching_fails_radius_check(self):
+        # Without its last edge the matching leaves vertices beyond 5.
+        g = chain(ChainSpec(3, 6)).graph
         m = build_matching(g, "girth6")
-        t = build_tree(g, m)
-        assert len(t.connectors) == len(m.edges) - 1
-        for c in t.connectors:
-            assert g.has_edge(*c)
+        short = dataclasses.replace(m, edges=m.edges[:-1])
+        with pytest.raises(ConstructionInvariantViolated, match="> 5 from V"):
+            build_tree(g, short)
+
+    @pytest.mark.parametrize("beyond_cap", [False, True], ids=["within_cap", "beyond_cap"])
+    def test_rehung_vertex_fails_distance_check(self, beyond_cap):
+        # Move a tree leaf x under another graph neighbour y, so that it
+        # hangs deeper than its graph distance to V(M), once within the
+        # cap of 5 and once beyond it.
+        g = chain(ChainSpec(3, 6)).graph
+        m, t, dm = _anchored(g)
+        tree = t.tree
+        for x in range(g.n):
+            if tree.degree(x) != 1 or dm[x] == 0:
+                continue
+            (parent,) = tree.adjacency[x]
+            dist = distances_from(tree, (t.assignment[x],)).dist
+            for y in g.adjacency[x]:
+                depth = dist[y] + 1
+                if y != parent and depth > dm[x] and (depth > 5) == beyond_cap:
+                    break
+            else:
+                continue
+            break
+        else:
+            pytest.fail("no leaf to re-hang")
+        edges = set(tree.edge_list) - {(min(x, parent), max(x, parent))}
+        edges.add((min(x, y), max(x, y)))
+        tampered = dataclasses.replace(t, tree=build_graph(g.n, edges))
+        match = "above 5" if beyond_cap else f"tree distance {depth} "
+        with pytest.raises(ConstructionInvariantViolated, match=match):
+            REPLAY_MODULE._assert_tree(g, m, tampered, dm)
+
+    def test_wrong_matching_vertex_fails_distance_check(self):
+        g = chain(ChainSpec(3, 6)).graph
+        m, t, dm = _anchored(g)
+        assignment = list(t.assignment)
+        x = next(x for x in range(g.n) if dm[x] == 2)
+        a, b = next(e for e in m.edges if assignment[x] in e)
+        assignment[x] = b if assignment[x] == a else a
+        tampered = dataclasses.replace(t, assignment=tuple(assignment))
+        with pytest.raises(ConstructionInvariantViolated, match="tree distance 3 "):
+            REPLAY_MODULE._assert_tree(g, m, tampered, dm)
 
     def test_overlapping_matching_rejected(self, chain32):
         g = chain32.graph
@@ -250,6 +335,19 @@ class TestReplayGirth6:
         assert tr.overall_pass
         assert len(tr.matching.edges) > 1
         assert dict(tr.values)["avec_cbar_target"] is not None
+
+    def test_chain3_160_beyond_list_limit(self):
+        # n = 2240: every capped search keeps its distances in a dict.
+        g = chain(ChainSpec(3, 160)).graph
+        assert g.n > _LIST_LIMIT
+        tr = replay(g, "girth6")
+        assert tr.overall_pass
+        m = tr.matching
+        k = len(m.edges)
+        for i in range(0, k, 29):
+            for j in range(i + 1, k, 37):
+                assert m.pairwise[i][j] == m.pairwise[j][i]
+                assert m.pairwise[i][j] == edge_distance(g, m.edges[i], m.edges[j])
 
 
 class TestReplayMaxdeg:
@@ -383,21 +481,40 @@ class TestLineDisplacement:
 
 
 class TestBfsBudget:
-    def test_girth6_replay_below_one_bfs_per_vertex(self, monkeypatch):
-        # Full BFS runs only; power_graph's radius-6 balls, one per
-        # vertex of L(T), are capped searches and counted apart.
+    """BFS runs in a replay of chain(3,32), by cap.
+
+    Capped: one ball per matching edge (radius 2; the maxdeg anchor 3),
+    one tree check per matching vertex (cap 5; maxdeg 6) and
+    power_graph's radius-6 balls, one per vertex of L(T).  Full runs
+    stay within 3k + 25.
+    """
+
+    @staticmethod
+    def _caps(monkeypatch, variant):
+        g = chain(ChainSpec(3, 32)).graph
+        anchor = smallest_max_degree_vertex(g) if variant == "maxdeg" else None
         graph_module = importlib.import_module("avec.graph")
         real = graph_module._bfs
-        caps = []
+        caps = Counter()
 
         def counting(g, sources, cap=None):
-            caps.append(cap)
+            caps[cap] += 1
             return real(g, sources, cap)
 
         monkeypatch.setattr(graph_module, "_bfs", counting)
         monkeypatch.setattr(REPLAY_MODULE, "_bfs", counting)
-        g = chain(ChainSpec(3, 32)).graph
-        assert replay(g, "girth6").overall_pass
-        assert caps.count(None) < g.n
-        assert caps.count(6) == g.n - 1
-        assert len(caps) == caps.count(None) + caps.count(6)
+        tr = replay(g, variant, anchor)
+        assert tr.overall_pass
+        return g.n, len(tr.matching.edges), caps
+
+    def test_girth6_replay_below_one_bfs_per_vertex(self, monkeypatch):
+        n, k, caps = self._caps(monkeypatch, "girth6")
+        assert k > 1
+        assert caps[None] <= 3 * k + 25
+        assert caps == Counter({None: caps[None], 2: k, 5: 2 * k, 6: n - 1})
+
+    def test_maxdeg_replay_capped_construction(self, monkeypatch):
+        n, k, caps = self._caps(monkeypatch, "maxdeg")
+        assert k > 1
+        assert caps[None] <= 3 * k + 25
+        assert caps == Counter({None: caps[None], 3: 1, 2: k - 1, 6: 2 * k + n - 1})
