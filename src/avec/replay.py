@@ -19,23 +19,32 @@ The pipeline mirrors the derivation it certifies:
 A failing inequality is recorded (overall_pass = False), never hidden;
 a malformed construction raises ConstructionInvariantViolated.
 
+Both variants run one construction.  They differ only in the anchor
+bonus, 1 for maxdeg and 0 for girth6, which the anchor edge e_1 adds to
+every radius: its gap to the other matching edges is 5 + bonus, its
+coverage radius 4 + bonus, its ball radius 2 + bonus, the tree keeps
+every vertex within 5 + bonus of V(M), and e_1 joins the contraction
+target at d_L <= 6 + bonus, which gives the slack of 2 bonus in
+power_contraction.
+
 Replay computes only what its inequalities read, with no n x n
 distance matrix.  Eccentricities of T come from 3 BFS runs (T is a
 tree), and L(T) is searched only from the k matching edges, since cbar
-vanishes elsewhere.  Those k searches give avec_cbar_line and every
-d_L(e_i, e_j) of the power_contraction check.  The structural check
+vanishes elsewhere.  One loop over the matching edges runs one BFS of
+L(T) and one of the target from each; together they give
+avec_cbar_line, the target eccentricities and components, and the
+worst power_contraction gap, with no k x k table.  The structural check
 line_displacement is certified by identity plus a structure check: in
 a tree every gap max d_T - d_L is exactly 1, and the check verifies in
 O(n + |E(L)|) that the graph it was handed is L(T).
 
 The construction searches only as far as its checks read.  Growing the
-matching takes one full BFS per chosen edge; its row gives the edge's
-pairwise distances and, folded by min, the distance to V(M).  Each ball
-is a BFS capped at its radius (2, or 3 for the maxdeg anchor edge).
-The tree check requires d(x, V(M)) <= 5 (6 for maxdeg) for every x, so
-a BFS on T from each matching vertex capped at that limit reaches
-every vertex that hangs at its graph distance; one it misses hangs too
-deep.
+matching takes one full BFS per chosen edge; the first row gives the
+distance to e_1, and the others, folded by min, the distance to
+V(M - e_1).  Each ball is a BFS capped at its radius.  The tree check
+requires d(x, V(M)) <= 5 + bonus for every x, so a BFS on T from each
+matching vertex capped at that limit reaches every vertex that hangs
+at its graph distance; one it misses hangs too deep.
 """
 
 from dataclasses import dataclass
@@ -44,6 +53,7 @@ from fractions import Fraction
 from . import bounds as _bounds
 from .errors import (
     ConstructionInvariantViolated,
+    DisconnectedGraph,
     InvalidArgument,
     InvalidVertex,
     LemmaBoundViolated,
@@ -65,11 +75,6 @@ from .graph import (
 
 VARIANT_GIRTH6 = "girth6"
 VARIANT_MAXDEG = "maxdeg"
-
-#: Ball radius per matching edge; the maxdeg anchor edge gets 3.
-_BALL_RADIUS = 2
-_ANCHOR_RADIUS = 3
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -162,27 +167,21 @@ def _edge_dist_vector(g, edges):
     return _edge_dists(g, distances_from(g, {v for e in edges for v in e}).dist)
 
 
-def _next_girth6(g, near):
-    # Smallest edge at distance exactly 5 from M; None once all are within 4.
-    dvec = _edge_dists(g, near)
-    if max(dvec) <= 4:
-        return None
-    for e, d in zip(g.edge_list, dvec):
-        if d == 5:
-            return e
-    raise ConstructionInvariantViolated(
-        "edges remain at distance >= 5 from the matching but none at exactly 5"
-    )
+def _bonus(variant):
+    # The maxdeg anchor edge e_1 gets one more unit on every radius.
+    return 1 if variant == VARIANT_MAXDEG else 0
 
 
-def _next_maxdeg(g, d1, near):
-    # Smallest uncovered edge meeting a bound with equality; None once
-    # every edge is within 5 of e_1 or 4 of the rest.
+def _next_edge(g, d1, near, bonus):
+    # Smallest uncovered edge, d(e, e_1) >= 5 + bonus and
+    # d(e, M - e_1) >= 5, that meets one bound with equality; None once
+    # every edge is covered.  `near` is d(., V(M - e_1)), None while
+    # M = {e_1}.
     d2 = [None] * g.m if near is None else _edge_dists(g, near)
     uncovered = False
     for e, a, b in zip(g.edge_list, d1, d2):
-        if a >= 6 and (b is None or b >= 5):
-            if a == 6 or b == 5:
+        if a >= 5 + bonus and (b is None or b >= 5):
+            if a == 5 + bonus or b == 5:
                 return e
             uncovered = True
     if uncovered:
@@ -201,30 +200,36 @@ def build_matching(g, variant, anchor=None) -> Matching:
     anchor; add the smallest uncovered edge whose distances to the
     anchor edge (>= 6) and the rest (>= 5) meet one bound with
     equality, until every edge is within 5 of e_1 or 4 of the rest.
+    Both are one rule: the anchor edge's bounds carry a bonus of 1 in
+    maxdeg and 0 in girth6.
     """
     _validate_replay_input(g, variant, anchor)
     if not g.edge_list:
         raise InvalidArgument("graph has no edges")
-    maxdeg = variant == VARIANT_MAXDEG
-    if maxdeg:
-        chosen = [min((min(anchor, w), max(anchor, w)) for w in g.adjacency[anchor])]
-    else:
+    bonus = _bonus(variant)
+    if anchor is None:
         chosen = [g.edge_list[0]]
+    else:
+        chosen = [min((min(anchor, w), max(anchor, w)) for w in g.adjacency[anchor])]
     # One BFS per chosen edge: its row gives the lower triangle of the
-    # symmetric pairwise table and, folded by min, d(., V(M)), for
-    # maxdeg d(., V(M - e_1)).
+    # symmetric pairwise table.  The first row gives d(., e_1); the
+    # others, folded by min, give d(., V(M - e_1)).
     rows = []
     d1 = near = None
     while True:
         dist = distances_from(g, chosen[-1]).dist
         rows.append([min(dist[a], dist[b]) for a, b in chosen])
-        if maxdeg and d1 is None:
+        if d1 is None:
+            if None in dist:
+                raise DisconnectedGraph(
+                    f"vertex {dist.index(None)} is unreachable from {chosen[0]}"
+                )
             d1 = _edge_dists(g, dist)
         elif near is None:
             near = dist
         else:
             near = [a if a < b else b for a, b in zip(near, dist)]
-        nxt = _next_maxdeg(g, d1, near) if maxdeg else _next_girth6(g, near)
+        nxt = _next_edge(g, d1, near, bonus)
         if nxt is None:
             break
         chosen.append(nxt)
@@ -233,44 +238,36 @@ def build_matching(g, variant, anchor=None) -> Matching:
     pairwise = tuple(
         tuple(rows[i] + [rows[j][i] for j in range(i + 1, k)]) for i in range(k)
     )
-    _assert_matching(g, variant, chosen, pairwise)
+    _assert_matching(g, chosen, pairwise, bonus)
     return Matching(
         variant=variant, edges=tuple(chosen), anchor=anchor, pairwise=pairwise
     )
 
 
-def _assert_matching(g, variant, edges, pairwise):
+def _assert_matching(g, edges, pairwise, bonus):
     k = len(edges)
     for i in range(k):
         for j in range(i + 1, k):
-            need = 6 if (variant == VARIANT_MAXDEG and 0 in (i, j)) else 5
+            need = 5 + bonus if i == 0 else 5
             if pairwise[i][j] < need:
                 raise ConstructionInvariantViolated(
                     f"matching edges {edges[i]} and {edges[j]} at distance "
                     f"{pairwise[i][j]} < {need}"
                 )
-    if variant == VARIANT_GIRTH6:
-        dvec = _edge_dist_vector(g, edges)
-        if max(dvec) > 4:
-            raise ConstructionInvariantViolated("an edge is farther than 4 from the matching")
-    else:
-        d1 = _edge_dist_vector(g, edges[:1])
-        if k > 1:
-            d2 = _edge_dist_vector(g, edges[1:])
-        else:
-            d2 = [10**9] * g.m
-        for a, b in zip(d1, d2):
-            if a > 5 and b > 4:
-                raise ConstructionInvariantViolated(
-                    "an edge escapes both coverage radii (5 around the "
-                    "anchor, 4 around the rest)"
-                )
+    d1 = _edge_dist_vector(g, edges[:1])
+    d2 = _edge_dist_vector(g, edges[1:]) if k > 1 else [None] * g.m
+    for a, b in zip(d1, d2):
+        if a > 4 + bonus and (b is None or b > 4):
+            raise ConstructionInvariantViolated(
+                f"an edge escapes both coverage radii ({4 + bonus} around the "
+                "anchor, 4 around the rest)"
+            )
 
 
 def build_tree(g, matching: Matching) -> AnchoredTree:
     """Spanning tree from ball trees, connectors, and BFS extension.
 
-    Each matching edge's ball (radius 2; the maxdeg anchor gets 3) is
+    Each matching edge's ball (radius 2, the anchor edge 2 + bonus) is
     spanned by a tree preserving the distance to the edge; the balls
     must be pairwise disjoint.  Ball trees are joined by the smallest
     joining edge, then every remaining vertex is attached to a
@@ -278,10 +275,7 @@ def build_tree(g, matching: Matching) -> AnchoredTree:
     """
     n = g.n
     k = len(matching.edges)
-    radii = tuple(
-        _ANCHOR_RADIUS if (matching.variant == VARIANT_MAXDEG and i == 0) else _BALL_RADIUS
-        for i in range(k)
-    )
+    radii = (2 + _bonus(matching.variant),) + (2,) * (k - 1)
     owner = [-1] * n
     assignment = [-1] * n
     tree_edges = set()
@@ -363,7 +357,7 @@ def _assert_tree(g, matching, anchored, dM):
     for i, e in enumerate(matching.edges):
         if e not in anchored.subtrees[i]:
             raise ConstructionInvariantViolated(f"matching edge {e} missing from its ball tree")
-    limit = 6 if matching.variant == VARIANT_MAXDEG else 5
+    limit = 5 + _bonus(matching.variant)
     for x in range(n):
         if dM[x] > limit:
             raise ConstructionInvariantViolated(
@@ -374,6 +368,10 @@ def _assert_tree(g, matching, anchored, dM):
     # misses hangs too deep.
     hanging = {v: [] for e in matching.edges for v in e}
     for x, w in enumerate(anchored.assignment):
+        if w not in hanging:
+            raise ConstructionInvariantViolated(
+                f"vertex {x} is assigned to {w}, which is not a matching vertex"
+            )
         hanging[w].append(x)
     for w, xs in hanging.items():
         dist, _, _ = _bfs(tree, (w,), limit)
@@ -384,19 +382,12 @@ def _assert_tree(g, matching, anchored, dM):
                     f"vertex {x}: tree distance {shown} to its matching vertex "
                     f"{w} differs from graph distance {dM[x]} to V(M)"
                 )
-    if matching.variant == VARIANT_MAXDEG:
-        sub_vertices = [set() for _ in matching.edges]
-        for i, sub in enumerate(anchored.subtrees):
-            for e in sub:
-                sub_vertices[i].update(e)
-        for i, verts in enumerate(sub_vertices):
-            ok = set(matching.edges[i])
-            for x in verts:
-                if anchored.assignment[x] not in ok:
-                    raise ConstructionInvariantViolated(
-                        f"vertex {x} in the ball tree of {matching.edges[i]} "
-                        f"is assigned outside that edge"
-                    )
+    for e, sub in zip(matching.edges, anchored.subtrees):
+        for x in sorted({v for f in sub for v in f}):
+            if anchored.assignment[x] not in e:
+                raise ConstructionInvariantViolated(
+                    f"vertex {x} in the ball tree of {e} is assigned outside that edge"
+                )
 
 
 def compute_weights(g, matching: Matching, anchored: AnchoredTree, constants) -> WeightSystem:
@@ -443,16 +434,6 @@ def _le(lhs, rhs):
     return lhs <= rhs
 
 
-def _component_count(g):
-    unseen = set(range(g.n))
-    count = 0
-    while unseen:
-        _, _, reached = _bfs(g, (unseen.pop(),))
-        unseen.difference_update(reached)
-        count += 1
-    return count
-
-
 def replay(g, variant, anchor=None) -> ProofTrace:
     """Run the whole pipeline and check every inequality in order."""
     profile_g = eccentricity_profile(g)
@@ -472,36 +453,52 @@ def replay(g, variant, anchor=None) -> ProofTrace:
     avec_t = profile_t.avec
     avec_c_t = weighted_avec(tree, weights.c)
 
-    # cbar vanishes off the matching edges, so one BFS of L(T) from each
-    # gives avec_cbar_line and, kept as k entries, every d_L(e_i, e_j).
+    # The target joins matching edges at d_L <= 6, and e_1 also those at
+    # d_L <= 6 + bonus, read off one BFS of L(T) from e_1 that the loop
+    # below reuses.
+    bonus = _bonus(variant)
     line, line_edges = line_graph(tree)
     line_index = {e: i for i, e in enumerate(line_edges)}
     m_line = [line_index[e] for e in matching.edges]
+    target, orig = induced_subgraph(power_graph(line, 6), m_line)
+    t_of_line = {li: ti for ti, li in enumerate(orig)}
+    t_of_match = [t_of_line[li] for li in m_line]
+    row = distances_from(line, (m_line[0],)).dist
+    t0 = t_of_match[0]
+    target = build_graph(
+        k,
+        list(target.edge_list)
+        + [(t0, t_of_match[i]) for i in range(1, k) if row[m_line[i]] <= 6 + bonus],
+    )
+
+    # cbar vanishes off the matching edges, so one BFS of L(T) and one of
+    # the target from each give avec_cbar_line, the target eccentricities
+    # and components, and the worst d_L - 6 d_target - 2 bonus over pairs
+    # in one component.
     line_ecc = []
-    d_line = []
-    for li in m_line:
-        row = distances_from(line, (li,)).dist
+    target_ecc = []
+    seen = [False] * k
+    components = 0
+    worst_pc = 0
+    for i, li in enumerate(m_line):
+        if i:
+            row = distances_from(line, (li,)).dist
         line_ecc.append(max(row))
-        d_line.append([row[lj] for lj in m_line])
+        ti = t_of_match[i]
+        dt, layer, reached = _bfs(target, (ti,))
+        target_ecc.append(dt[layer[0]])
+        if not seen[ti]:
+            components += 1
+            for v in reached:
+                seen[v] = True
+        for j in range(i + 1, k):
+            d = dt[t_of_match[j]]
+            if d is not None:
+                worst_pc = max(worst_pc, row[m_line[j]] - 6 * d - 2 * bonus)
+    connected = components == 1
     avec_cbar_line = Fraction(
         sum(w * e for w, e in zip(weights.cbar, line_ecc)), sum(weights.cbar)
     )
-
-    power = power_graph(line, 6)
-    target, orig = induced_subgraph(power, m_line)
-    t_of_line = {li: ti for ti, li in enumerate(orig)}
-    t_of_match = tuple(t_of_line[li] for li in m_line)
-    if maxdeg:
-        extra = []
-        t0 = t_of_match[0]
-        for i in range(1, k):
-            if d_line[0][i] <= 7:
-                ti = t_of_match[i]
-                extra.append((min(t0, ti), max(t0, ti)))
-        target = build_graph(k, list(target.edge_list) + extra)
-
-    components = _component_count(target)
-    connected = components == 1
 
     checks = []
 
@@ -543,17 +540,15 @@ def replay(g, variant, anchor=None) -> ProofTrace:
     avec_cprime_target = None
     anchor_target_ecc = None
     if connected:
-        profile_target = eccentricity_profile(target)
-        ecc_by_match = tuple(profile_target.ecc[t] for t in t_of_match)
         avec_cbar_target = Fraction(
-            sum(w * e for w, e in zip(weights.cbar, ecc_by_match)), n
+            sum(w * e for w, e in zip(weights.cbar, target_ecc)), n
         )
         acc = 0
-        for w, e in zip(weights.cprime, ecc_by_match):
+        for w, e in zip(weights.cprime, target_ecc):
             acc = acc + w * e
         avec_cprime_target = acc / weights.n_normalized
         if maxdeg:
-            anchor_target_ecc = ecc_by_match[0]
+            anchor_target_ecc = target_ecc[0]
         shift = 8 if maxdeg else 5
         check(
             "power_contraction_transfer",
@@ -573,7 +568,6 @@ def replay(g, variant, anchor=None) -> ProofTrace:
                 (n - constants.Delta_star) / constants.delta_star,
             )
     else:
-        shift = 8 if maxdeg else 5
         check("power_contraction_transfer", None, None, passed=False)
         check("contracted_path_bound", None, None, passed=False)
         if maxdeg:
@@ -584,8 +578,7 @@ def replay(g, variant, anchor=None) -> ProofTrace:
     check("final_bound", avec_g, final_bound)
 
     structural = _structural_checks(
-        g, matching, anchored, weights, profile_g, profile_t,
-        line, d_line, target, t_of_match, maxdeg, n,
+        anchored, weights, profile_g, profile_t, line, worst_pc, n
     )
 
     values = (
@@ -629,10 +622,7 @@ def replay(g, variant, anchor=None) -> ProofTrace:
     )
 
 
-def _structural_checks(
-    g, matching, anchored, weights, profile_g, profile_t,
-    line, d_line, target, t_of_match, maxdeg, n,
-):
+def _structural_checks(anchored, weights, profile_g, profile_t, line, worst_pc, n):
     out = []
 
     def add(name, lhs, rhs, passed):
@@ -669,16 +659,8 @@ def _structural_checks(
     worst_gap, is_line = _line_displacement(anchored.tree, line)
     add("line_displacement", worst_gap, 1, worst_gap is not None and is_line)
 
-    # d_L(e, f) <= 6 d_target(e, f) (+2 for maxdeg) over matching pairs.
-    dtarget = [distances_from(target, (t,)).dist for t in t_of_match]
-    slack = 2 if maxdeg else 0
-    worst_pc = 0
-    k = len(matching.edges)
-    for i in range(k):
-        for j in range(i + 1, k):
-            lhs = d_line[i][j]
-            rhs = 6 * dtarget[i][t_of_match[j]] + slack
-            worst_pc = max(worst_pc, lhs - rhs)
+    # d_L(e, f) <= 6 d_target(e, f) + 2 bonus over matching pairs, worst
+    # gap computed in replay's contraction loop.
     add("power_contraction", worst_pc, 0, worst_pc <= 0)
     return tuple(out)
 

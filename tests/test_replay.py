@@ -3,15 +3,19 @@ import importlib
 import inspect
 import json
 import math
+import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from avec import cli
 from avec.bounds import structural_constants
 from avec.errors import (
     ConstructionInvariantViolated,
+    DisconnectedGraph,
     InvalidArgument,
     InvalidVertex,
     LemmaBoundViolated,
@@ -28,6 +32,7 @@ from avec.graph import (
     edge_distance,
     line_graph,
 )
+from avec.io import format_edgelist
 from avec.replay import (
     Matching,
     build_matching,
@@ -36,7 +41,7 @@ from avec.replay import (
     replay,
     trace_json,
 )
-from util import from_nx, line_displacement_oracle
+from util import from_nx, line_displacement_oracle, matching_oracle, relabel
 
 REPLAY_MODULE = importlib.import_module("avec.replay")
 
@@ -117,6 +122,14 @@ class TestValidation:
         with pytest.raises(InvalidArgument, match="anchor"):
             replay(chain32.graph, "girth6", -7)
 
+    @pytest.mark.parametrize("variant", ["girth6", "maxdeg"])
+    def test_disconnected_graph(self, reiman2, variant):
+        h = reiman2.graph
+        g = build_graph(2 * h.n, list(h.edge_list) + [(u + h.n, v + h.n) for u, v in h.edge_list])
+        anchor = 0 if variant == "maxdeg" else None
+        with pytest.raises(DisconnectedGraph):
+            build_matching(g, variant, anchor)
+
     def test_anchor_not_max_degree(self, chain32):
         # vertex 0 has degree 3 but the maximum is 4
         assert chain32.graph.degree(0) == 3
@@ -167,6 +180,55 @@ class TestMatching:
             a = min(d1[u], d1[v])
             b = min(d2[u], d2[v]) if d2 else None
             assert a <= 5 or (b is not None and b <= 4)
+
+
+class TestAnchorBonus:
+    """The maxdeg bonus of 1 widens e_1's coverage radius to 5 and its
+    gap to the rest to 6; girth6 has no bonus."""
+
+    def test_coverage_radius(self, chain32):
+        g = chain32.graph
+        f = (1, 7)
+        d1 = [edge_distance(g, e, f) for e in g.edge_list]
+        assert max(d1) == 5
+        first_at_5 = g.edge_list[d1.index(5)]
+        assert REPLAY_MODULE._next_edge(g, d1, None, 1) is None
+        assert REPLAY_MODULE._next_edge(g, d1, None, 0) == first_at_5
+        REPLAY_MODULE._assert_matching(g, [f], ((0,),), 1)
+        with pytest.raises(ConstructionInvariantViolated, match=r"\(4 around the anchor"):
+            REPLAY_MODULE._assert_matching(g, [f], ((0,),), 0)
+
+    def test_anchor_gap(self):
+        g = chain(ChainSpec(3, 6)).graph
+        m = build_matching(g, "girth6")
+        assert m.pairwise[0][1] == 5
+        REPLAY_MODULE._assert_matching(g, m.edges, m.pairwise, 0)
+        with pytest.raises(ConstructionInvariantViolated, match="at distance 5 < 6"):
+            REPLAY_MODULE._assert_matching(g, m.edges, m.pairwise, 1)
+
+
+def _matching_cases():
+    for d in (3, 4, 5):
+        for ell in (2, 4, 6):
+            yield f"chain{d}_{ell}", chain(ChainSpec(d, ell)).graph
+    for q, ell in ((3, 2), (4, 4), (5, 2)):
+        yield f"reiman{q}_chain3_{ell}", chain(ChainSpec(3, ell, reiman(q))).graph
+    for seed, (d, ell) in enumerate(((3, 6), (4, 4), (5, 4))):
+        g = chain(ChainSpec(d, ell)).graph
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        yield f"relabelled_chain{d}_{ell}", relabel(g, perm)
+
+
+MATCHING_CASES = dict(_matching_cases())
+
+
+@pytest.mark.parametrize("variant", ["girth6", "maxdeg"])
+@pytest.mark.parametrize("name", list(MATCHING_CASES))
+def test_matching_equals_oracle(name, variant):
+    g = MATCHING_CASES[name]
+    anchor = smallest_max_degree_vertex(g) if variant == "maxdeg" else None
+    assert build_matching(g, variant, anchor).edges == matching_oracle(g, variant, anchor)
 
 
 class TestTree:
@@ -267,6 +329,31 @@ class TestTree:
         assignment[x] = b if assignment[x] == a else a
         tampered = dataclasses.replace(t, assignment=tuple(assignment))
         with pytest.raises(ConstructionInvariantViolated, match="tree distance 3 "):
+            REPLAY_MODULE._assert_tree(g, m, tampered, dm)
+
+    def test_non_matching_assignment_rejected(self, chain32):
+        g = chain32.graph
+        m, t, dm = _anchored(g)
+        x = next(x for x in range(g.n) if dm[x] > 0)
+        assignment = list(t.assignment)
+        assignment[x] = x
+        tampered = dataclasses.replace(t, assignment=tuple(assignment))
+        with pytest.raises(
+            ConstructionInvariantViolated, match=f"vertex {x} is assigned to {x}, "
+        ):
+            REPLAY_MODULE._assert_tree(g, m, tampered, dm)
+
+    def test_ball_tree_of_another_edge_rejected(self):
+        # The distance checks read the tree and the assignment only; a
+        # ball tree that holds another matching edge's ball is caught by
+        # the ball-tree check, in girth6 too.
+        g = chain(ChainSpec(3, 6)).graph
+        m, t, dm = _anchored(g)
+        subtrees = list(t.subtrees)
+        subtrees[0] = subtrees[0] | subtrees[1]
+        tampered = dataclasses.replace(t, subtrees=tuple(subtrees))
+        message = re.escape(f"ball tree of {m.edges[0]} is assigned outside")
+        with pytest.raises(ConstructionInvariantViolated, match=message):
             REPLAY_MODULE._assert_tree(g, m, tampered, dm)
 
     def test_overlapping_matching_rejected(self, chain32):
@@ -386,6 +473,34 @@ class TestReplayMaxdeg:
         anchor = smallest_max_degree_vertex(g)
         tr = replay(g, "maxdeg", anchor)
         assert tr.weights.cbar[0] >= dict(tr.values)["Delta_star"]
+
+
+class TestDisconnectedTarget:
+    """An edgeless 6th power leaves the contraction target disconnected:
+    the trace records the failure instead of raising."""
+
+    @pytest.fixture
+    def edgeless_power(self, monkeypatch):
+        monkeypatch.setattr(
+            REPLAY_MODULE, "power_graph", lambda g, k: build_graph(g.n, [])
+        )
+
+    def test_trace_fails(self, edgeless_power):
+        tr = replay(chain(ChainSpec(3, 4)).graph, "girth6")
+        by_name = {c.name: c for c in tr.checks}
+        assert by_name["contraction_connected"].lhs > 1
+        assert not by_name["contraction_connected"].passed
+        assert not by_name["power_contraction_transfer"].passed
+        assert not tr.overall_pass
+        json.dumps(trace_json(tr))
+
+    def test_cli_exits_1(self, edgeless_power, tmp_path, capsys):
+        path = tmp_path / "c.el"
+        path.write_text(format_edgelist(chain(ChainSpec(3, 4)).graph), encoding="ascii")
+        assert cli.main(["replay", str(path), "--variant", "girth6"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] contraction_connected" in out
+        assert out.endswith("overall: FAIL\n")
 
 
 class TestTraceJson:

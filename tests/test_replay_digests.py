@@ -1,0 +1,140 @@
+"""Byte-identity gate for replay: pinned SHA-256 digests of the trace
+JSON and of the CLI stdout, for both variants on small inputs.
+
+A change that is meant to keep replay's outputs identical must leave
+every digest here as it is.  Record new digests only for a change that
+alters the trace format or a check on purpose, and say so.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from avec import cli
+from avec.generators import ChainSpec, chain, reiman
+from avec.io import format_edgelist
+from avec.replay import replay, trace_json
+
+INPUTS = {
+    "reiman2": lambda: reiman(2),
+    "reiman3": lambda: reiman(3),
+    "chain3_2": lambda: chain(ChainSpec(3, 2)),
+    "chain3_4": lambda: chain(ChainSpec(3, 4)),
+    "chain3_6": lambda: chain(ChainSpec(3, 6)),
+    "chain3_10": lambda: chain(ChainSpec(3, 10)),
+    "chain4_2": lambda: chain(ChainSpec(4, 2)),
+    "chain5_2": lambda: chain(ChainSpec(5, 2)),
+    "reiman4_chain3_2": lambda: chain(ChainSpec(3, 2, reiman(4))),
+    "reiman4_chain3_4": lambda: chain(ChainSpec(3, 4, reiman(4))),
+}
+
+#: (input, variant) -> (sha256 of the trace JSON, sha256 of CLI stdout)
+DIGESTS = {
+    ("chain3_10", "girth6"): (
+        "afd8376ba7a9114c01420ef295cfda4ad2c6bf8d6b6e008fbc74ceb9ede14f55",
+        "0756caeb59571dacb7c88036db86b332f28aa669dd61c8ce7a28bb6498331448",
+    ),
+    ("chain3_10", "maxdeg"): (
+        "5c7ba435d6f7d0573f9e1b1c76933ae840782da1a76ded8335c1f345e6344ea1",
+        "287e7591902000abc2b1f4f0973a787cadd17e63e0b751dd0236240e0805041e",
+    ),
+    ("chain3_2", "girth6"): (
+        "81b29b3dfddec2eba1bb10dd05fcd93d4be45b2988e13399a6db3067b6a694f4",
+        "26e59ebd8a20d71e946c0cbf23a542d7b0f08c54ae02fe7f5d88aaa948585f50",
+    ),
+    ("chain3_2", "maxdeg"): (
+        "52fbb5b9bc17204766c1387ea95737d642e46d0aadb60bda9954a3dba161d2d7",
+        "31225efd3cf19b9c2f16f3b35ad961281e8bdcc79265bf89217768c40d7d9261",
+    ),
+    ("chain3_4", "girth6"): (
+        "3142d5bb9fe17433c4f3dfea323a202a6060a825e220ebd16de69998ef0ffebf",
+        "4dab8888034637b4489904ac78f2c163b74ca6b6714dbce08213c6493e018e71",
+    ),
+    ("chain3_4", "maxdeg"): (
+        "09ef7e7b1773fbd56ab52501974e6b1a0c92c710b9bfe8babd7afbad4b65a868",
+        "ea01b8467fe68fcf479b6261d483ab12d582dd43e9d98630eb2c9e12f991b52e",
+    ),
+    ("chain3_6", "girth6"): (
+        "830c4c1ac8eb6e313b38a8230ada28c619ff5e8c28066c6a8eea3764717730a3",
+        "bddd2b9b1cbc605f87991cca3aa31ef38abecc95334f1a1089e3855b7bcf9ac6",
+    ),
+    ("chain3_6", "maxdeg"): (
+        "48e3768f8f904d78fbeca3e4b5898ec1bdea295e8e1d85acd9a6fd5b835561c8",
+        "9cac08443f6030187ee8b9c5d9194f6aad7c106b24d17489661500fb1b898eef",
+    ),
+    ("chain4_2", "girth6"): (
+        "f69b96282a19f436bca6ecfbf4a5e6a981496cd31d7a7eec9ffd0af3b4b0c767",
+        "450d47296fc2745d422319f1c15bd5ef037389c420badfc8fdf77b64b2aa6a48",
+    ),
+    ("chain4_2", "maxdeg"): (
+        "36184139aafbc6208b5010dde63d1aa1f3ce03dfd83ed3ae1e3b4accf4e60da0",
+        "9d0d2b9bd52a63fbd9cb4cc56a06dd40f259688cb12356986c57688ae9ce9cee",
+    ),
+    ("chain5_2", "girth6"): (
+        "785d767986605beeb68d43c9595a8c247229881e57e996de565db134c71ea571",
+        "6373d5a76be614bd3a1fe75e6df5e5b962add27875a5e4ceae14a6c8b209af2d",
+    ),
+    ("chain5_2", "maxdeg"): (
+        "5799486c40f89c1f6877779c2aa0c2e68d06eeb68b8b9d0e89c67a6623fa9ee1",
+        "a21fc45a199438e88390283c5e1237e5d07f8e6eae4ec1d45d2735cddd922441",
+    ),
+    ("reiman2", "girth6"): (
+        "751e352092fc079b09351b396245375af25a3a4231bab9716660691a01c7cab3",
+        "12205569cd607e67f1ab2ae2af70684c3029f5f770a436c86c4093c491ffe5e9",
+    ),
+    ("reiman2", "maxdeg"): (
+        "e26d9975ee03270d4a899f7b45fa138a7e856b29893fa5aeb5438a0ae0ee3114",
+        "27e120136028b218e6593c9f211963551e6f1f34d8a161baa4535331d164269c",
+    ),
+    ("reiman3", "girth6"): (
+        "e53aaccf834eb17cd75b5a0ab3fc582ce10b3980febf3579dab89f1b18782666",
+        "f1b783461f0f517854662ce021960b92015125c66a4e44e7c0cc034d9a4a384b",
+    ),
+    ("reiman3", "maxdeg"): (
+        "484210fed165853b7c639e8ac1e23591f571fcdd6b596828d66b22b292b259ee",
+        "7abc26c3c994336ad89e4adfb068e7ced1d4ac3d872acb5330fb8be938a2d1fe",
+    ),
+    ("reiman4_chain3_2", "girth6"): (
+        "751b3af76303bcd206da306ed3912cdf89d482c0b67e328eafed956b63e9b4a9",
+        "89db24a0e30d269af58f2e6a8d2091e36a991d05f83e017ad4797307096ebcf7",
+    ),
+    ("reiman4_chain3_2", "maxdeg"): (
+        "963738d6d5dd9b21945d4c743e721f8785743d316fba44aea6c08d188e2c0cf6",
+        "a556a163ad55fc5af0d0270dd9a3dff3aae741d3e55ad7b58420c518d81011fd",
+    ),
+    ("reiman4_chain3_4", "girth6"): (
+        "9ceb5a8dbcc17812249f0c4049d16cc10d2053bf67a6ba167e545efedd211651",
+        "ccf66c46943255550b9008b6f1c2fb1dc559e7dbab4dc18e6ae7de9e6b8136d8",
+    ),
+    ("reiman4_chain3_4", "maxdeg"): (
+        "9bc653ffac2655ffbd56fafc50664f10c7c6b144a3718daf009ea5f8da5f3b92",
+        "0e0accb48304687ffa9007b61fd92336ef5de4172a313980b1d2379e5d7269ba",
+    ),
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def digests(name, variant, tmp_path, capsys):
+    g = INPUTS[name]().graph
+    anchor = None
+    if variant == "maxdeg":
+        top = g.max_degree()
+        anchor = min(v for v in range(g.n) if g.degree(v) == top)
+    trace = json.dumps(trace_json(replay(g, variant, anchor)), indent=2)
+    path = tmp_path / f"{name}.el"
+    path.write_text(format_edgelist(g), encoding="ascii")
+    capsys.readouterr()
+    code = cli.main(["replay", str(path), "--variant", variant])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    return _sha(trace), _sha(captured.out)
+
+
+@pytest.mark.parametrize("variant", ["girth6", "maxdeg"])
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_replay_outputs_pinned(name, variant, tmp_path, capsys):
+    assert digests(name, variant, tmp_path, capsys) == DIGESTS[name, variant]

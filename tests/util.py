@@ -99,6 +99,41 @@ def line_displacement_oracle(tree, line):
     return worst
 
 
+def matching_oracle(g, variant, anchor=None):
+    """The scattered matching by the rules as `build_matching` words them.
+
+    girth6: start at the smallest edge; while some edge is at distance
+    >= 5 from M, add the smallest edge at distance exactly 5.  maxdeg:
+    start at the smallest edge at the anchor; while some edge is at
+    distance >= 6 from e_1 and >= 5 from the rest, add the smallest such
+    edge that meets one of the two bounds with equality.  Every step
+    rescans every edge over networkx all-pairs distances.
+    """
+    G = to_nx(g)
+    dist = dict(nx.all_pairs_shortest_path_length(G))
+    edges = sorted((min(u, v), max(u, v)) for u, v in G.edges)
+
+    def d(e, es):
+        return min((dist[x][y] for f in es for x in e for y in f), default=math.inf)
+
+    if variant == "girth6":
+        chosen = [edges[0]]
+        while any(d(e, chosen) >= 5 for e in edges):
+            chosen.append(next(e for e in edges if d(e, chosen) == 5))
+        return tuple(chosen)
+    chosen = [min(e for e in edges if anchor in e)]
+
+    def uncovered(e):
+        return d(e, chosen[:1]) >= 6 and d(e, chosen[1:]) >= 5
+
+    while any(uncovered(e) for e in edges):
+        chosen.append(next(
+            e for e in edges
+            if uncovered(e) and (d(e, chosen[:1]) == 6 or d(e, chosen[1:]) == 5)
+        ))
+    return tuple(chosen)
+
+
 def relabel(g, perm):
     """Copy of g with vertex v renamed perm[v]."""
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list])
