@@ -27,7 +27,7 @@ from .errors import (
     InvalidArgument,
     LemmaBoundViolated,
 )
-from .generators import ChainSpec, LabeledGraph, chain, reiman
+from .generators import ChainSpec, LabeledGraph, chain, chain_order, reiman
 from .io import format_edgelist, read_graph, to_graph6, write_graph
 from .replay import VARIANT_GIRTH6, VARIANT_MAXDEG, replay, trace_json
 
@@ -122,7 +122,7 @@ def _cmd_replay(args):
 
 def _parse_range(text):
     lo, sep, hi = text.partition("..")
-    if not sep or not lo.isdigit() or not hi.isdigit():
+    if not sep or not lo.isdecimal() or not hi.isdecimal():
         raise InvalidArgument(f"range must look like A..B, got {text!r}")
     a, b = int(lo), int(hi)
     if a > b:
@@ -132,9 +132,10 @@ def _parse_range(text):
 
 def _cmd_sweep(args):
     a, b = _parse_range(args.ell_range)
-    ells = [ell for ell in range(a, b + 1) if ell % 2 == 0 and ell >= 2]
+    ells = range(max(a + a % 2, 2), b + 1, 2)
     if not ells:
         raise InvalidArgument(f"no even ell >= 2 in {args.ell_range}")
+    chain_order(ChainSpec(args.delta, ells[-1]))
     rows = []
     ok = True
     for ell in ells:

@@ -5,6 +5,9 @@ plane over GF(q): a (q+1)-regular bipartite graph on 2(q^2+q+1)
 vertices with girth 6 and diameter 3.  `chain(spec)` strings copies of
 it together into a long girth-6 graph with minimum degree q+1 whose
 average eccentricity grows linearly in the number of copies.
+
+Both refuse, before building anything, a graph of more than
+`io.MAX_ORDER` vertices.
 """
 
 from dataclasses import dataclass, field
@@ -12,6 +15,7 @@ from dataclasses import dataclass, field
 from .errors import InvalidArgument, InvalidChainSpec, NotPrimePower
 from .gf import make_field
 from .graph import Graph, build_graph, distances_from, forbidden_cycle_scan
+from .io import MAX_ORDER
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,6 +44,12 @@ def reiman(q: int) -> LabeledGraph:
     covectors, same order).  A point and a line are adjacent iff their
     dot product vanishes in GF(q).
     """
+    order = 2 * (q * q + q + 1)
+    # q < 2 is left to make_field, which rejects it as no prime power.
+    if q > 1 and order > MAX_ORDER:
+        raise InvalidArgument(
+            f"reiman({q}) has {order} vertices, more than MAX_ORDER={MAX_ORDER}"
+        )
     fld = make_field(q)
     elems = fld.elements()
     add = [[int(a + b) for b in elems] for a in elems]
@@ -90,6 +100,28 @@ def _distance3_vertex(g: Graph, source: int):
     return min(hits) if hits else None
 
 
+def chain_order(spec: ChainSpec) -> int:
+    """Vertex count of `chain(spec)`, worked out without building it.
+
+    That is ell copies of 2(delta^2 - delta + 1) vertices, the first
+    replaced by the head when one is given.  Raises `InvalidChainSpec`
+    for a bad ell or delta, or an order above `io.MAX_ORDER`.
+    """
+    if spec.ell < 2 or spec.ell % 2:
+        raise InvalidChainSpec(f"ell must be even and >= 2, got {spec.ell}")
+    if spec.delta < 3:
+        raise InvalidChainSpec(f"delta must be >= 3, got {spec.delta}")
+    copy = 2 * (spec.delta * spec.delta - spec.delta + 1)
+    first = copy if spec.head is None else spec.head.graph.n
+    order = first + (spec.ell - 1) * copy
+    if order > MAX_ORDER:
+        raise InvalidChainSpec(
+            f"chain(delta={spec.delta}, ell={spec.ell}) has {order} vertices,"
+            f" more than MAX_ORDER={MAX_ORDER}"
+        )
+    return order
+
+
 def chain(spec: ChainSpec) -> LabeledGraph:
     """Chained copies of `reiman(delta - 1)` joined at designated vertices.
 
@@ -99,10 +131,7 @@ def chain(spec: ChainSpec) -> LabeledGraph:
     to copy t+1's u.  With the default head the result has minimum
     degree delta and diameter 6*ell - 5.
     """
-    if spec.ell < 2 or spec.ell % 2:
-        raise InvalidChainSpec(f"ell must be even and >= 2, got {spec.ell}")
-    if spec.delta < 3:
-        raise InvalidChainSpec(f"delta must be >= 3, got {spec.delta}")
+    chain_order(spec)
     try:
         base = reiman(spec.delta - 1)
     except NotPrimePower:

@@ -364,49 +364,65 @@ class CycleScan:
 
 
 def forbidden_cycle_scan(g):
-    """Detect C3, C4 and C5 subgraphs.
+    """Detect C3, C4 and C5 subgraphs, exactly, on any simple graph.
 
-    C3/C4 by common-neighbourhood counting, C5 by an exhaustive scan of
-    closed 5-walks anchored at each edge.  Intended for graphs up to a
-    few thousand edges; beyond roughly 20000 edges it gets slow.
+    One pass over the roots a, each reading one local table: far(a),
+    the vertices other than a at the end of a walk a-x-b, so x is in
+    N(a) and b in N(x).  The middles of b are N(a) & N(b).
+
+    - C3 at a: far(a) meets N(a).  b in N(a) with a middle x closes
+      a-x-b-a on three distinct vertices.
+    - C4 at a: some b in far(a) has two middles x != y, which closes
+      a-x-b-y-a.  It holds exactly when |far(a)| is below the number
+      of such walks, sum(deg x - 1) over x in N(a).
+    - C5 at a: an edge vb inside far(a), a middle u of v and a middle
+      x of b with u != b, x != v and u != x.  The closed walk
+      a-u-v-b-x-a then has 5 distinct vertices: v and b are in far(a),
+      so neither is a; consecutive vertices are adjacent, so distinct;
+      and the three exclusions cover the pairs that remain.
+
+    Every C3, C4 and C5 shows up this way at each of its vertices, so
+    each flag is exact, with or without the other cycles present.  The
+    pass stops once all three flags are set.
+
+    Cost: building far(a) and the C3/C4 tests take sum deg(x) over
+    N(a) set insertions per root, O(sum_v deg(v)^2) in all, in C.  The
+    C5 test first checks each b in far(a) for a neighbour in far(a),
+    sum deg(b) set lookups in C, O(n·Delta^3) in all; only a root that
+    has an edge inside far(a) runs the Python loop over its middles.
+    On a graph of girth 6 no root does.  Memory is O(Delta^2) per root.
     """
-    adj_sets = [set(a) for a in g.adjacency]
-    has_c3 = any(adj_sets[u] & adj_sets[v] for u, v in g.edge_list)
-    has_c4 = False
-    seen_pairs = set()
-    for u in range(g.n):
-        nbrs = g.adjacency[u]
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                pair = (nbrs[i], nbrs[j])
-                if pair in seen_pairs:
-                    has_c4 = True
-                    break
-                seen_pairs.add(pair)
-            if has_c4:
-                break
-        if has_c4:
-            break
-    has_c5 = False
-    for u, v in g.edge_list:
-        for a in g.adjacency[u]:
-            if a == v:
-                continue
-            for b in g.adjacency[v]:
-                if b == u or b == a:
-                    continue
-                # c completes the 5-cycle u-a-c-b-v
-                common = adj_sets[a] & adj_sets[b]
-                common.discard(u)
-                common.discard(v)
-                if common:
-                    has_c5 = True
-                    break
-            if has_c5:
-                break
-        if has_c5:
+    adjacency = g.adjacency
+    nbrs_of = adjacency.__getitem__
+    has_c3 = has_c4 = has_c5 = False
+    for a in range(g.n):
+        nbrs = adjacency[a]
+        far = set().union(*map(nbrs_of, nbrs))
+        far.discard(a)
+        has_c3 = has_c3 or not far.isdisjoint(nbrs)
+        has_c4 = has_c4 or len(far) < sum(map(len, map(nbrs_of, nbrs))) - len(nbrs)
+        has_c5 = has_c5 or _c5_at(adjacency, nbrs, far)
+        if has_c3 and has_c4 and has_c5:
             break
     return CycleScan(has_c3=has_c3, has_c4=has_c4, has_c5=has_c5)
+
+
+def _c5_at(adjacency, nbrs, far):
+    # The C5 test of `forbidden_cycle_scan` at a root with neighbours
+    # nbrs and walk-2 ends far: v-b is the edge, us and xs the middles
+    # of v and b that the exclusions leave.
+    if all(map(far.isdisjoint, map(adjacency.__getitem__, far))):
+        return False
+    near = set(nbrs)
+    for v in far:
+        for b in far.intersection(adjacency[v]):
+            us = near.intersection(adjacency[v])
+            us.discard(b)
+            xs = near.intersection(adjacency[b])
+            xs.discard(v)
+            if us and xs and len(us | xs) > 1:
+                return True
+    return False
 
 
 def ball(g, sources, k):

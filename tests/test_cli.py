@@ -51,6 +51,19 @@ class TestGen:
         assert run(["gen", "reiman", "--q", "6"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["reiman", "--q", "724"],
+        ["reiman", "--q", "1000000007"],
+        ["chain", "--delta", "3", "--ell", "74900"],
+        ["chain", "--delta", "1000", "--ell", "2"],
+    ])
+    def test_order_above_limit_is_usage_error(self, argv, capsys):
+        assert run(["gen", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "MAX_ORDER" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestAnalyze:
     def test_json_default(self, tmp_path, capsys):
@@ -223,6 +236,21 @@ class TestSweep:
                     "--ell-range", "4..2", "--csv", str(tmp_path / "s.csv")]) == 2
         assert run(["sweep", "--family", "chain", "--delta", "3",
                     "--ell-range", "x..y", "--csv", str(tmp_path / "s.csv")]) == 2
+        # str.isdigit accepts "²", which int() rejects
+        assert run(["sweep", "--family", "chain", "--delta", "3",
+                    "--ell-range", "²..4", "--csv", str(tmp_path / "s.csv")]) == 2
+
+    @pytest.mark.parametrize("ell_range", ["2..74900", "2..1000000000000000"])
+    def test_largest_chain_above_limit(self, ell_range, tmp_path, capsys):
+        # rejected before the first chain is generated or printed
+        csv_path = tmp_path / "s.csv"
+        assert run(["sweep", "--family", "chain", "--delta", "3",
+                    "--ell-range", ell_range, "--csv", str(csv_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "MAX_ORDER" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not csv_path.exists()
 
     def test_no_even_ell(self, tmp_path):
         assert run(["sweep", "--family", "chain", "--delta", "3",

@@ -1,0 +1,133 @@
+"""Hostile-input fuzzing of the graph readers and of `avec analyze`.
+
+Whatever the input, the readers may only raise `AvecError` subclasses,
+and the CLI may only exit 0 or 2, with a one-line diagnostic on 2.
+Strategies mix raw text with inputs that are almost well formed, so
+that examples reach the checks behind the header and the body.
+"""
+
+import contextlib
+import io as stdio
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from avec import cli
+from avec.errors import AvecError
+from avec.io import MAX_ORDER, from_graph6, parse_edgelist, read_graph
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
+
+# Tokens near the edge-list grammar: small and negative ints, sizes past
+# MAX_ORDER, non-ASCII digits that str.isdigit accepts, and junk.
+TOKENS = st.one_of(
+    st.integers(min_value=-2, max_value=12).map(str),
+    st.sampled_from([
+        "", "#", "# c", "x", "1.5", "0x3", "+1", "-0", "1e3", "²", "٣",
+        str(MAX_ORDER + 1), "9" * 30, "\x00", "\t",
+    ]),
+)
+LINES = st.lists(TOKENS, max_size=4).map(" ".join)
+
+
+@st.composite
+def near_edgelists(draw):
+    """An edge list of up to 10 vertices, then zero or more defects.
+
+    Half are clean: a random spanning tree plus chords, each edge in a
+    random orientation, under a true header.  The rest draw endpoints
+    from one past either end of 0..n-1 and may miscount m.
+    """
+    n = draw(st.integers(min_value=1, max_value=10))
+    if draw(st.booleans()):
+        edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+        if n > 1:
+            pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            edges |= {(min(e), max(e)) for e in draw(st.lists(pairs, max_size=n)) if e[0] != e[1]}
+        edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in sorted(edges)]
+        m = len(edges)
+    else:
+        ends = st.integers(min_value=-1, max_value=n)
+        edges = draw(st.lists(st.tuples(ends, ends), max_size=8))
+        m = len(edges) + draw(st.sampled_from([0, 0, 1, -1]))
+    lines = [f"{n} {m}"] + [f"{u} {v}" for u, v in edges]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        at = draw(st.integers(min_value=0, max_value=len(lines)))
+        lines.insert(at, draw(st.one_of(st.just("# comment"), st.just(""), LINES)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", " \n\n"]))
+
+
+EDGELIST_TEXT = st.one_of(near_edgelists(), st.lists(LINES, max_size=8).map("\n".join), st.text())
+
+# graph6 bytes run from 63 to 126; the alphabet reaches past both ends.
+G6_CHARS = st.characters(min_codepoint=0, max_codepoint=130)
+
+
+@st.composite
+def near_graph6(draw):
+    """A header for up to 62 vertices and a body near the length it needs."""
+    n = draw(st.integers(min_value=0, max_value=62))
+    words = -(-n * (n - 1) // 2 // 6)
+    size = max(0, words + draw(st.integers(min_value=-1, max_value=1)))
+    body = draw(st.text(st.characters(min_codepoint=63, max_codepoint=126),
+                        min_size=size, max_size=size))
+    prefix = draw(st.sampled_from(["", ">>graph6<<"]))
+    return prefix + chr(n + 63) + body
+
+
+GRAPH6_TEXT = st.one_of(
+    near_graph6(),
+    st.text(G6_CHARS, max_size=20),
+    st.text(G6_CHARS, max_size=12).map(lambda s: "~" + s),
+    st.text(G6_CHARS, max_size=12).map(lambda s: "~~" + s),
+)
+
+FILE_BYTES = st.one_of(
+    EDGELIST_TEXT.map(lambda s: s.encode("utf-8")),
+    GRAPH6_TEXT.map(lambda s: s.encode("utf-8")),
+    st.binary(max_size=40),
+)
+
+
+def _only_avec_errors(fn, arg):
+    try:
+        fn(arg)
+    except AvecError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "g.txt"
+
+
+class TestReaders:
+    @FUZZ
+    @given(EDGELIST_TEXT)
+    def test_parse_edgelist(self, text):
+        _only_avec_errors(parse_edgelist, text)
+
+    @FUZZ
+    @given(GRAPH6_TEXT)
+    def test_from_graph6(self, text):
+        _only_avec_errors(from_graph6, text)
+
+    @FUZZ
+    @given(FILE_BYTES)
+    def test_read_graph(self, fuzz_file, data):
+        fuzz_file.write_bytes(data)
+        _only_avec_errors(read_graph, fuzz_file)
+
+
+class TestAnalyzeCli:
+    @settings(FUZZ, max_examples=100)
+    @given(FILE_BYTES)
+    def test_exit_code_and_one_line(self, fuzz_file, data):
+        fuzz_file.write_bytes(data)
+        out, err = stdio.StringIO(), stdio.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["analyze", str(fuzz_file)])
+        assert code in (0, 2), (data, out.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("error:")
+            assert len(err.getvalue().splitlines()) == 1

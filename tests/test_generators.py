@@ -1,13 +1,15 @@
 import pytest
 
+import avec.generators
 from avec.errors import InvalidArgument, InvalidChainSpec, NotPrimePower
-from avec.generators import ChainSpec, LabeledGraph, chain, classic, reiman
+from avec.generators import ChainSpec, LabeledGraph, chain, chain_order, classic, reiman
 from avec.graph import (
     distances_from,
     eccentricity_profile,
     forbidden_cycle_scan,
     girth,
 )
+from avec.io import MAX_ORDER
 from util import from_nx, is_bipartite
 
 import networkx as nx
@@ -50,6 +52,19 @@ class TestReiman:
             reiman(6)
         with pytest.raises(NotPrimePower):
             reiman(1)
+
+    @pytest.mark.parametrize("q", [724, 727, 729, 10**9 + 7])
+    def test_order_above_max_order(self, q, monkeypatch):
+        # 2(q^2 + q + 1) passes MAX_ORDER between q = 723 and q = 724;
+        # the check runs before the field is built
+        assert 2 * (723 * 723 + 723 + 1) <= MAX_ORDER < 2 * (724 * 724 + 724 + 1)
+
+        def no_field(q):
+            raise AssertionError("field built")
+
+        monkeypatch.setattr(avec.generators, "make_field", no_field)
+        with pytest.raises(InvalidArgument, match="MAX_ORDER"):
+            reiman(q)
 
 
 class TestChain:
@@ -114,6 +129,28 @@ class TestChain:
             chain(ChainSpec(2, 2))
         with pytest.raises(InvalidChainSpec):
             chain(ChainSpec(7, 2))  # 6 is not a prime power
+
+    def test_order(self, reiman4):
+        assert chain_order(ChainSpec(3, 4)) == 56
+        assert chain_order(ChainSpec(3, 2, reiman4)) == 42 + 14
+        # 74898 copies of 14 vertices is the longest delta = 3 chain
+        assert chain_order(ChainSpec(3, 74898)) == 1048572 <= MAX_ORDER
+
+    @pytest.mark.parametrize("delta,ell,head", [
+        (3, 74900, False),
+        (3, 10**12, False),
+        (1000, 2, False),
+        (3, 74898, True),  # 42 + 74897 * 14 = 1048600
+    ])
+    def test_order_above_max_order(self, delta, ell, head, reiman4, monkeypatch):
+        def no_copy(q):
+            raise AssertionError("copy built")
+
+        spec = ChainSpec(delta, ell, reiman4 if head else None)
+        monkeypatch.setattr(avec.generators, "reiman", no_copy)
+        for build in (chain_order, chain):
+            with pytest.raises(InvalidChainSpec, match="MAX_ORDER"):
+                build(spec)
 
     def test_head_validation(self):
         low = reiman(2)  # min degree 3

@@ -30,7 +30,15 @@ from avec.graph import (
     power_graph,
     weighted_avec,
 )
-from util import from_nx, girth_oracle, has_cycle_oracle, random_connected_graph, to_nx
+from util import (
+    cycle_scan_oracle,
+    from_nx,
+    girth_oracle,
+    has_cycle_oracle,
+    random_connected_graph,
+    relabel,
+    to_nx,
+)
 
 
 def petersen():
@@ -251,6 +259,7 @@ class TestForbiddenCycleScan:
         # 0-2-1-3-0 is a 4-cycle subgraph of K4
         s = forbidden_cycle_scan(classic("complete", 4))
         assert s.has_c3 and s.has_c4
+        assert not s.has_c5
         assert not s.class_c4c5free
 
     def test_girth6_class(self, reiman2):
@@ -273,6 +282,63 @@ class TestForbiddenCycleScan:
             assert s.has_c3 == has_cycle_oracle(g, 3)
             assert s.has_c4 == has_cycle_oracle(g, 4)
             assert s.has_c5 == has_cycle_oracle(g, 5)
+
+    def test_matches_brute_oracle_any_density(self):
+        # Edge density drawn per graph, so sparse, dense and
+        # disconnected graphs all occur.
+        rng = random.Random(61)
+        for _ in range(220):
+            n = rng.randint(1, 10)
+            p = rng.random()
+            g = build_graph(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+            ])
+            want = tuple(has_cycle_oracle(g, k) for k in (3, 4, 5))
+            s = forbidden_cycle_scan(g)
+            assert (s.has_c3, s.has_c4, s.has_c5) == want, g.edge_list
+
+    def test_matches_three_scan_oracle_random(self):
+        rng = random.Random(62)
+        for _ in range(150):
+            n = rng.randint(2, 60)
+            # up to n^2/4 edges, skewed towards sparse graphs, which
+            # keep some of the three flags unset
+            m = int(n * n / 4 * rng.random() ** 3)
+            pairs = [rng.sample(range(n), 2) for _ in range(m)]
+            if rng.random() < 0.3:
+                # bipartite: C4s and even cycles only
+                pairs = [(u, v) for u, v in pairs if (u - v) % 2]
+            g = build_graph(n, pairs)
+            assert forbidden_cycle_scan(g) == cycle_scan_oracle(g), g.edge_list
+
+    # Graphs are built inside the test, so that a failing generator
+    # fails these cases instead of the module's collection.
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(lambda q=q: reiman(q).graph, id=f"reiman({q})") for q in (2, 3, 4, 5)),
+        *(pytest.param(lambda d=d, ell=ell: chain(ChainSpec(d, ell)).graph,
+                       id=f"chain({d},{ell})")
+          for d, ell in ((3, 2), (3, 4), (4, 2), (5, 2))),
+        *(pytest.param(lambda d=d, ell=ell: chain(ChainSpec(d, ell, reiman(4))).graph,
+                       id=f"chain({d},{ell}) headed by reiman(4)")
+          for d, ell in ((3, 2), (5, 4))),
+        *(pytest.param(lambda k=k: from_nx(nx.wheel_graph(k)), id=f"wheel({k})")
+          for k in range(4, 10)),
+        pytest.param(petersen, id="petersen"),
+        pytest.param(lambda: build_graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)]),
+                     id="K_2,3 plus a 3-side edge"),
+        pytest.param(lambda: build_graph(9, [(0, i) for i in range(1, 9)]
+                                         + [(i, i + 1) for i in range(1, 9, 2)]),
+                     id="windmill(4)"),
+        pytest.param(lambda: build_graph(6, [(0, 1)] + [(e, i) for i in range(2, 6) for e in (0, 1)]),
+                     id="book(4)"),
+    ])
+    def test_matches_three_scan_oracle_named(self, make):
+        g = make()
+        want = cycle_scan_oracle(g)
+        perm = list(range(g.n))
+        random.Random(g.m).shuffle(perm)
+        assert forbidden_cycle_scan(g) == want
+        assert forbidden_cycle_scan(relabel(g, perm)) == want
 
 
 class TestBall:

@@ -2,7 +2,9 @@
 
 Oracles here deliberately avoid the library's own algorithms: girth by
 edge deletion plus shortest path, short-cycle existence by brute-force
-subset enumeration, everything distance-flavoured via networkx.
+subset enumeration, short-cycle flags by the three separate scans that
+`forbidden_cycle_scan` replaced, everything distance-flavoured via
+networkx.
 """
 
 import itertools
@@ -12,7 +14,7 @@ from collections import deque
 import networkx as nx
 
 from avec.errors import DisconnectedGraph
-from avec.graph import build_graph
+from avec.graph import CycleScan, build_graph
 
 
 def to_nx(g):
@@ -52,6 +54,52 @@ def has_cycle_oracle(g, k):
             if all(cyc[(i + 1) % k] in adj[cyc[i]] for i in range(k)):
                 return True
     return False
+
+
+def cycle_scan_oracle(g):
+    """C3/C4/C5 flags by three separate scans, O(m·Delta^3) for C5.
+
+    C3 by a common neighbour of an edge's ends, C4 by a neighbour pair
+    seen at two vertices, C5 by an exhaustive scan of closed 5-walks
+    anchored at each edge.  Slow beyond a few thousand edges.
+    """
+    adj_sets = [set(a) for a in g.adjacency]
+    has_c3 = any(adj_sets[u] & adj_sets[v] for u, v in g.edge_list)
+    has_c4 = False
+    seen_pairs = set()
+    for u in range(g.n):
+        nbrs = g.adjacency[u]
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                pair = (nbrs[i], nbrs[j])
+                if pair in seen_pairs:
+                    has_c4 = True
+                    break
+                seen_pairs.add(pair)
+            if has_c4:
+                break
+        if has_c4:
+            break
+    has_c5 = False
+    for u, v in g.edge_list:
+        for a in g.adjacency[u]:
+            if a == v:
+                continue
+            for b in g.adjacency[v]:
+                if b == u or b == a:
+                    continue
+                # c completes the 5-cycle u-a-c-b-v
+                common = adj_sets[a] & adj_sets[b]
+                common.discard(u)
+                common.discard(v)
+                if common:
+                    has_c5 = True
+                    break
+            if has_c5:
+                break
+        if has_c5:
+            break
+    return CycleScan(has_c3=has_c3, has_c4=has_c4, has_c5=has_c5)
 
 
 def eccentricities_oracle(g):
