@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .bounds import (
     CSV_HEADER,
@@ -74,9 +75,17 @@ def _cmd_analyze(args):
     return 0 if not report.violations else 1
 
 
+def _write_json(doc, fh):
+    # json.dumps(doc, indent=2) + newline, batched: no whole string, few writes.
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    while batch := "".join(islice(chunks, 8192)):
+        fh.write(batch)
+    fh.write("\n")
+
+
 def _cmd_audit(args):
     record = audit_balls(read_graph(args.path))
-    print(json.dumps(audit_json(record), indent=2))
+    _write_json(audit_json(record), sys.stdout)
     return 0 if record.passed else 1
 
 
@@ -99,8 +108,7 @@ def _cmd_replay(args):
     trace = replay(g, args.variant, anchor)
     if args.trace:
         with open(args.trace, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(trace_json(trace), indent=2))
-            fh.write("\n")
+            _write_json(trace_json(trace), fh)
     head = (
         f"replay variant={trace.variant} n={trace.n} delta={trace.delta}"
         f" max_degree={trace.max_degree}"

@@ -28,15 +28,11 @@ target at d_L <= 6 + bonus, which gives the slack of 2 bonus in
 power_contraction.
 
 Replay computes only what its inequalities read, with no n x n
-distance matrix.  Eccentricities of T come from 3 BFS runs (T is a
-tree), and L(T) is searched only from the k matching edges, since cbar
-vanishes elsewhere.  One loop over the matching edges runs one BFS of
-L(T) and one of the target from each; together they give
-avec_cbar_line, the target eccentricities and components, and the
-worst power_contraction gap, with no k x k table.  The structural check
-line_displacement is certified by identity plus a structure check: in
-a tree every gap max d_T - d_L is exactly 1, and the check verifies in
-O(n + |E(L)|) that the graph it was handed is L(T).
+distance matrix and no search per matching edge for an eccentricity:
+T is a tree, so its eccentricities take 3 BFS runs and give those of
+L(T) (`_line_ecc`); the target takes one BFS per component, then
+eccentricity_profile.  line_displacement and power_contraction are
+certified by identity plus a structure check.
 
 The construction searches only as far as its checks read.  Growing the
 matching takes one full BFS per chosen edge; the first row gives the
@@ -47,8 +43,10 @@ matching vertex capped at that limit reaches every vertex that hangs
 at its graph distance; one it misses hangs too deep.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import bounds as _bounds
 from .errors import (
@@ -453,52 +451,33 @@ def replay(g, variant, anchor=None) -> ProofTrace:
     avec_t = profile_t.avec
     avec_c_t = weighted_avec(tree, weights.c)
 
-    # The target joins matching edges at d_L <= 6, and e_1 also those at
-    # d_L <= 6 + bonus, read off one BFS of L(T) from e_1 that the loop
-    # below reuses.
-    bonus = _bonus(variant)
-    line, line_edges = line_graph(tree)
-    line_index = {e: i for i, e in enumerate(line_edges)}
-    m_line = [line_index[e] for e in matching.edges]
-    target, orig = induced_subgraph(power_graph(line, 6), m_line)
-    t_of_line = {li: ti for ti, li in enumerate(orig)}
-    t_of_match = [t_of_line[li] for li in m_line]
-    row = distances_from(line, (m_line[0],)).dist
-    t0 = t_of_match[0]
-    target = build_graph(
-        k,
-        list(target.edge_list)
-        + [(t0, t_of_match[i]) for i in range(1, k) if row[m_line[i]] <= 6 + bonus],
-    )
-
-    # cbar vanishes off the matching edges, so one BFS of L(T) and one of
-    # the target from each give avec_cbar_line, the target eccentricities
-    # and components, and the worst d_L - 6 d_target - 2 bonus over pairs
-    # in one component.
-    line_ecc = []
-    target_ecc = []
-    seen = [False] * k
-    components = 0
-    worst_pc = 0
-    for i, li in enumerate(m_line):
-        if i:
-            row = distances_from(line, (li,)).dist
-        line_ecc.append(max(row))
-        ti = t_of_match[i]
-        dt, layer, reached = _bfs(target, (ti,))
-        target_ecc.append(dt[layer[0]])
-        if not seen[ti]:
-            components += 1
-            for v in reached:
-                seen[v] = True
-        for j in range(i + 1, k):
-            d = dt[t_of_match[j]]
-            if d is not None:
-                worst_pc = max(worst_pc, row[m_line[j]] - 6 * d - 2 * bonus)
-    connected = components == 1
+    line_ecc = _line_ecc(profile_t.ecc, matching.edges)
     avec_cbar_line = Fraction(
         sum(w * e for w, e in zip(weights.cbar, line_ecc)), sum(weights.cbar)
     )
+
+    # The target joins matching edges at d_L <= 6, and e_1 also those at
+    # d_L <= 6 + bonus, read off one BFS of L(T) from e_1 capped there.
+    # Target vertex i is matching edge i.
+    bonus = _bonus(variant)
+    line, line_edges = line_graph(tree)
+    line_index = {e: i for i, e in enumerate(line_edges)}
+    at = {line_index[e]: i for i, e in enumerate(matching.edges)}
+    m_line = list(at)
+    power, orig = induced_subgraph(power_graph(line, 6), m_line)
+    _, _, near_e1 = _bfs(line, (m_line[0],), 6 + bonus)
+    target = build_graph(
+        k,
+        [(at[orig[u]], at[orig[v]]) for u, v in power.edge_list]
+        + [(0, at[li]) for li in near_e1 if li in at and li != m_line[0]],
+    )
+    components = 0
+    seen = set()
+    for s in range(k):
+        if s not in seen:
+            components += 1
+            seen.update(_bfs(target, (s,))[2])
+    connected = components == 1
 
     checks = []
 
@@ -540,6 +519,7 @@ def replay(g, variant, anchor=None) -> ProofTrace:
     avec_cprime_target = None
     anchor_target_ecc = None
     if connected:
+        target_ecc = eccentricity_profile(target).ecc
         avec_cbar_target = Fraction(
             sum(w * e for w, e in zip(weights.cbar, target_ecc)), n
         )
@@ -578,7 +558,7 @@ def replay(g, variant, anchor=None) -> ProofTrace:
     check("final_bound", avec_g, final_bound)
 
     structural = _structural_checks(
-        anchored, weights, profile_g, profile_t, line, worst_pc, n
+        anchored, weights, profile_g, profile_t, line, target, m_line, bonus, n
     )
 
     values = (
@@ -622,22 +602,19 @@ def replay(g, variant, anchor=None) -> ProofTrace:
     )
 
 
-def _structural_checks(anchored, weights, profile_g, profile_t, line, worst_pc, n):
+def _structural_checks(anchored, weights, profile_g, profile_t, line, target, m_line, bonus, n):
     out = []
 
     def add(name, lhs, rhs, passed):
         out.append(CheckResult(name=name, lhs=lhs, rhs=rhs, passed=passed))
 
-    ball_sets = []
-    for sub in anchored.subtrees:
-        verts = set()
-        for e in sub:
-            verts.update(e)
-        ball_sets.append(verts)
-    overlap = 0
-    for i in range(len(ball_sets)):
-        for j in range(i + 1, len(ball_sets)):
-            overlap = max(overlap, len(ball_sets[i] & ball_sets[j]))
+    # Two balls overlap in exactly the vertices that list both.
+    holders = [[] for _ in range(n)]
+    for i, sub in enumerate(anchored.subtrees):
+        for v in {v for e in sub for v in e}:
+            holders[v].append(i)
+    shared = Counter(pair for hs in holders for pair in combinations(hs, 2))
+    overlap = max(shared.values(), default=0)
     add("ball_disjointness", overlap, 0, overlap == 0)
 
     total_c = sum(weights.c)
@@ -659,10 +636,38 @@ def _structural_checks(anchored, weights, profile_g, profile_t, line, worst_pc, 
     worst_gap, is_line = _line_displacement(anchored.tree, line)
     add("line_displacement", worst_gap, 1, worst_gap is not None and is_line)
 
-    # d_L(e, f) <= 6 d_target(e, f) + 2 bonus over matching pairs, worst
-    # gap computed in replay's contraction loop.
-    add("power_contraction", worst_pc, 0, worst_pc <= 0)
+    worst_pc, is_power = _power_contraction(line, target, m_line, bonus)
+    add("power_contraction", worst_pc, 0, is_power)
     return tuple(out)
+
+
+def _line_ecc(tree_ecc, edges):
+    """Eccentricity in L(T) of each edge ab of the tree T: edge f != ab
+    lies at d_L = min(d(a, x), d(b, x)) from ab, x the end of f away
+    from ab, so ecc_L(ab) = max(A, B) = max(ecc_T(a), ecc_T(b)) - 1,
+    with A and B the depths of a's and b's sides of T - ab."""
+    return [max(tree_ecc[a], tree_ecc[b]) - 1 for a, b in edges]
+
+
+def _power_contraction(line, target, m_line, bonus):
+    """Worst gap of d_L(e, f) <= 6 d_target(e, f) + 2 bonus within a
+    target component, and whether target is the contraction.
+
+    Certified by identity: target vertex i is line vertex m_line[i],
+    joined to j exactly when d_L <= 6, or 6 + bonus if i or j is the
+    anchor 0, so a shortest target path of length t spans at most
+    6 t + 2 bonus in L, and e = f gives gap 0.  One BFS of L capped at
+    6 + bonus per matching edge verifies that structure.
+    """
+    index = {li: i for i, li in enumerate(m_line)}
+    joins = set()
+    for i, li in enumerate(m_line):
+        dist, _, reached = _bfs(line, (li,), 6 + bonus)
+        for v in reached:
+            j = index.get(v, -1)
+            if j > i and dist[v] <= 6 + bonus * (i == 0):
+                joins.add((i, j))
+    return 0, target.n == len(m_line) and target.edge_list == tuple(sorted(joins))
 
 
 def _line_displacement(tree, line):
@@ -690,11 +695,13 @@ def _line_displacement(tree, line):
 
 
 def _num_json(x):
-    if x is None or isinstance(x, (int, float)) and not isinstance(x, bool):
-        return x
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
     return x
+
+
+def _check_json(c):
+    return {"name": c.name, "lhs": _num_json(c.lhs), "rhs": _num_json(c.rhs), "pass": c.passed}
 
 
 def trace_json(trace: ProofTrace) -> dict:
@@ -722,24 +729,8 @@ def trace_json(trace: ProofTrace) -> dict:
             "n_normalized": _num_json(trace.weights.n_normalized),
         },
         "values": {name: _num_json(v) for name, v in trace.values},
-        "checks": [
-            {
-                "name": c.name,
-                "lhs": _num_json(c.lhs),
-                "rhs": _num_json(c.rhs),
-                "pass": c.passed,
-            }
-            for c in trace.checks
-        ],
-        "structural": [
-            {
-                "name": c.name,
-                "lhs": _num_json(c.lhs),
-                "rhs": _num_json(c.rhs),
-                "pass": c.passed,
-            }
-            for c in trace.structural
-        ],
+        "checks": [_check_json(c) for c in trace.checks],
+        "structural": [_check_json(c) for c in trace.structural],
         "final_bound": _num_json(trace.final_bound),
         "overall_pass": trace.overall_pass,
         "notes": list(trace.notes),

@@ -30,6 +30,7 @@ from avec.graph import (
     build_graph,
     distances_from,
     edge_distance,
+    eccentricity_profile,
     line_graph,
 )
 from avec.io import format_edgelist
@@ -41,7 +42,16 @@ from avec.replay import (
     replay,
     trace_json,
 )
-from util import from_nx, line_displacement_oracle, matching_oracle, relabel
+from util import (
+    eccentricities_oracle,
+    from_nx,
+    line_displacement_oracle,
+    line_ecc_oracle,
+    matching_oracle,
+    power_contraction_oracle,
+    relabel,
+    to_nx,
+)
 
 REPLAY_MODULE = importlib.import_module("avec.replay")
 
@@ -522,9 +532,9 @@ class TestTraceJson:
 
 
 @st.composite
-def labelled_trees(draw, max_n=30):
+def labelled_trees(draw, min_n=1, max_n=30):
     """Random trees with the vertex labels shuffled."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     parents = [draw(st.integers(min_value=0, max_value=v - 1)) for v in range(1, n)]
     perm = draw(st.permutations(range(n)))
     return build_graph(n, [(perm[p], perm[v]) for v, p in enumerate(parents, 1)])
@@ -595,13 +605,142 @@ class TestLineDisplacement:
         assert REPLAY_MODULE._line_displacement(tree, build_graph(0, [])) == (None, True)
 
 
+def _patch_structural_checks(monkeypatch, edit):
+    """Route replay's call of `_structural_checks` through edit(args),
+    which may read or replace the bound arguments."""
+    real = REPLAY_MODULE._structural_checks
+    signature = inspect.signature(real)
+
+    def patched(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        edit(bound.arguments)
+        return real(*bound.args, **bound.kwargs)
+
+    monkeypatch.setattr(REPLAY_MODULE, "_structural_checks", patched)
+
+
+def _replay(g, variant):
+    anchor = smallest_max_degree_vertex(g) if variant == "maxdeg" else None
+    return replay(g, variant, anchor)
+
+
+_CONTRACTION_GRAPHS = {
+    "chain3_2": lambda: chain(ChainSpec(3, 2)).graph,
+    "chain3_10": lambda: chain(ChainSpec(3, 10)).graph,
+    "chain3_32": lambda: chain(ChainSpec(3, 32)).graph,
+    "chain4_4": lambda: chain(ChainSpec(4, 4)).graph,
+    "reiman4_chain3_4": lambda: chain(ChainSpec(3, 4, reiman(4))).graph,
+    "reiman2": lambda: reiman(2).graph,
+    "reiman3": lambda: reiman(3).graph,
+    "reiman4": lambda: reiman(4).graph,
+}
+
+
+class TestContractionIdentities:
+    """L(T) eccentricities and power_contraction by identity, against
+    the per-edge BFS and all-pairs oracles."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(labelled_trees(min_n=3))
+    def test_line_ecc_identity_on_trees(self, tree):
+        ecc = eccentricity_profile(tree).ecc
+        assert REPLAY_MODULE._line_ecc(ecc, tree.edge_list) == line_ecc_oracle(
+            tree, tree.edge_list
+        )
+
+    @pytest.mark.parametrize("variant", ["girth6", "maxdeg"])
+    @pytest.mark.parametrize("name", sorted(_CONTRACTION_GRAPHS))
+    def test_replay_values_match_oracles(self, monkeypatch, name, variant):
+        seen = {}
+        _patch_structural_checks(monkeypatch, seen.update)
+        tr = _replay(_CONTRACTION_GRAPHS[name](), variant)
+        assert tr.overall_pass
+        vals = dict(tr.values)
+        cbar = tr.weights.cbar
+        line_ecc = line_ecc_oracle(tr.tree.tree, tr.matching.edges)
+        assert vals["avec_cbar_line"] == Fraction(
+            sum(w * e for w, e in zip(cbar, line_ecc)), tr.n
+        )
+        target = seen["target"]
+        assert nx.is_connected(to_nx(target))
+        target_ecc = eccentricities_oracle(target)
+        assert vals["avec_cbar_target"] == Fraction(
+            sum(w * e for w, e in zip(cbar, target_ecc)), tr.n
+        )
+        check = _structural(tr, "power_contraction")
+        assert check.passed
+        assert check.lhs == power_contraction_oracle(
+            seen["line"], target, seen["m_line"], seen["bonus"]
+        )
+
+    @pytest.mark.parametrize("variant", ["girth6", "maxdeg"])
+    def test_far_target_edge_fails(self, monkeypatch, variant):
+        # Join e_1 to a matching edge beyond its join radius.
+        def add_far_edge(args):
+            m_line, target = args["m_line"], args["target"]
+            dist = distances_from(args["line"], (m_line[0],)).dist
+            j = next(j for j, li in enumerate(m_line) if dist[li] > 6 + args["bonus"])
+            args["target"] = build_graph(target.n, target.edge_list + ((0, j),))
+
+        _patch_structural_checks(monkeypatch, add_far_edge)
+        tr = _replay(chain(ChainSpec(3, 10)).graph, variant)
+        assert not _structural(tr, "power_contraction").passed
+        assert not tr.overall_pass
+        assert all(c.passed for c in tr.structural if c.name != "power_contraction")
+        assert all(c.passed for c in tr.checks)
+
+    @pytest.mark.parametrize(
+        "bonus, n, edges, sound",
+        [
+            (1, 3, [(0, 1)], True),
+            (1, 3, [(0, 1), (1, 2)], False),
+            (1, 3, [], False),
+            (1, 2, [(0, 1)], False),
+            (0, 3, [], True),
+            (0, 3, [(0, 1)], False),
+        ],
+    )
+    def test_join_radii_on_a_path(self, bonus, n, edges, sound):
+        # Line vertices 0, 7 and 14 of a path, 7 apart in a row: only the
+        # anchor 0, with bonus 1, joins at 7.
+        line = build_graph(15, [(v, v + 1) for v in range(14)])
+        target = build_graph(n, edges)
+        assert REPLAY_MODULE._power_contraction(line, target, [0, 7, 14], bonus) == (0, sound)
+
+
+@pytest.mark.parametrize("shared", [1, 3])
+def test_ball_overlap_is_the_largest_pairwise_intersection(monkeypatch, shared):
+    # Copy part of ball 0 into balls 1 and 2; ball 2 gets more.
+    balls = []
+
+    def overlap_balls(args):
+        subs = [set(s) for s in args["anchored"].subtrees]
+        extra = sorted(subs[0])
+        subs[1] |= set(extra[:1])
+        subs[2] |= set(extra[:shared])
+        balls.extend({v for e in s for v in e} for s in subs)
+        args["anchored"] = dataclasses.replace(
+            args["anchored"], subtrees=tuple(map(frozenset, subs))
+        )
+
+    _patch_structural_checks(monkeypatch, overlap_balls)
+    tr = replay(chain(ChainSpec(3, 10)).graph, "girth6")
+    check = _structural(tr, "ball_disjointness")
+    expected = max(len(a & b) for i, a in enumerate(balls) for b in balls[i + 1:])
+    assert expected > 0
+    assert check.lhs == expected and not check.passed
+    assert all(c.passed for c in tr.structural if c.name != "ball_disjointness")
+
+
 class TestBfsBudget:
     """BFS runs in a replay of chain(3,32), by cap.
 
     Capped: one ball per matching edge (radius 2; the maxdeg anchor 3),
-    one tree check per matching vertex (cap 5; maxdeg 6) and
-    power_graph's radius-6 balls, one per vertex of L(T).  Full runs
-    stay within 3k + 25.
+    one tree check per matching vertex (cap 5; maxdeg 6),
+    power_graph's radius-6 balls, one per vertex of L(T), and k + 1
+    runs of L(T) capped at 6 + bonus: e_1's join row and one
+    power_contraction row per matching edge.  Full runs stay within
+    k + 25: the matching's k rows and a constant number besides.
     """
 
     @staticmethod
@@ -625,11 +764,13 @@ class TestBfsBudget:
     def test_girth6_replay_below_one_bfs_per_vertex(self, monkeypatch):
         n, k, caps = self._caps(monkeypatch, "girth6")
         assert k > 1
-        assert caps[None] <= 3 * k + 25
-        assert caps == Counter({None: caps[None], 2: k, 5: 2 * k, 6: n - 1})
+        assert caps[None] <= k + 25
+        assert caps == Counter({None: caps[None], 2: k, 5: 2 * k, 6: n - 1 + k + 1})
 
     def test_maxdeg_replay_capped_construction(self, monkeypatch):
         n, k, caps = self._caps(monkeypatch, "maxdeg")
         assert k > 1
-        assert caps[None] <= 3 * k + 25
-        assert caps == Counter({None: caps[None], 3: 1, 2: k - 1, 6: 2 * k + n - 1})
+        assert caps[None] <= k + 25
+        assert caps == Counter(
+            {None: caps[None], 3: 1, 2: k - 1, 6: 2 * k + n - 1, 7: k + 1}
+        )

@@ -1,8 +1,11 @@
 """Byte-identity gate for replay: pinned SHA-256 digests of the trace
-JSON and of the CLI stdout, for both variants on small inputs.
+JSON and of the CLI stdout, for both variants on small inputs and on
+chain(3,32) and chain(4,16), whose 31 and 15 matching edges give many
+target components and contraction pairs.
 
 A change that is meant to keep replay's outputs identical must leave
-every digest here as it is.  Record new digests only for a change that
+every digest here as it is.  The CLI's `--trace` file must hold the
+pinned trace JSON plus a newline.  Record new digests only for a change that
 alters the trace format or a check on purpose, and say so.
 """
 
@@ -23,7 +26,9 @@ INPUTS = {
     "chain3_4": lambda: chain(ChainSpec(3, 4)),
     "chain3_6": lambda: chain(ChainSpec(3, 6)),
     "chain3_10": lambda: chain(ChainSpec(3, 10)),
+    "chain3_32": lambda: chain(ChainSpec(3, 32)),
     "chain4_2": lambda: chain(ChainSpec(4, 2)),
+    "chain4_16": lambda: chain(ChainSpec(4, 16)),
     "chain5_2": lambda: chain(ChainSpec(5, 2)),
     "reiman4_chain3_2": lambda: chain(ChainSpec(3, 2, reiman(4))),
     "reiman4_chain3_4": lambda: chain(ChainSpec(3, 4, reiman(4))),
@@ -38,6 +43,22 @@ DIGESTS = {
     ("chain3_10", "maxdeg"): (
         "5c7ba435d6f7d0573f9e1b1c76933ae840782da1a76ded8335c1f345e6344ea1",
         "287e7591902000abc2b1f4f0973a787cadd17e63e0b751dd0236240e0805041e",
+    ),
+    ("chain3_32", "girth6"): (
+        "6ffcc209b18b342f9002a94b2abc297417db118ac5bf8d796dc61f4e4f4c4050",
+        "3399e15b4d28006971a3ae2eed56a8ed6f1ed33afd656079531d67a4370b12b2",
+    ),
+    ("chain3_32", "maxdeg"): (
+        "e147d65dba60135b62a8ad8416dad12287b119d0c6e8522fc5cf559baae91d42",
+        "f8880868c3591b8308270e37ad2dda4808a816a9f2a4fcecff392f5da4f4c51f",
+    ),
+    ("chain4_16", "girth6"): (
+        "d6795ae750e32942cf0c682041b50d2b8ee1b4f2806828cebc2186e3b27fecdc",
+        "ba7b684ecd4273b4614774d5be88eaa7953a5467b54d15815d2779d8011f6267",
+    ),
+    ("chain4_16", "maxdeg"): (
+        "eba9fdc835c811bb83ad111d852a7671f8fcba91b57e40464a258074fa58cf0b",
+        "60110b80905e114667df9963e1d1e9fefa6379f3762636e2c4a4a7e7b3102857",
     ),
     ("chain3_2", "girth6"): (
         "81b29b3dfddec2eba1bb10dd05fcd93d4be45b2988e13399a6db3067b6a694f4",
@@ -127,10 +148,12 @@ def digests(name, variant, tmp_path, capsys):
     trace = json.dumps(trace_json(replay(g, variant, anchor)), indent=2)
     path = tmp_path / f"{name}.el"
     path.write_text(format_edgelist(g), encoding="ascii")
+    traced = tmp_path / f"{name}.json"
     capsys.readouterr()
-    code = cli.main(["replay", str(path), "--variant", variant])
+    code = cli.main(["replay", str(path), "--variant", variant, "--trace", str(traced)])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
+    assert traced.read_text(encoding="ascii") == trace + "\n"
     return _sha(trace), _sha(captured.out)
 
 

@@ -147,6 +147,31 @@ def line_displacement_oracle(tree, line):
     return worst
 
 
+def line_ecc_oracle(tree, edges):
+    """Eccentricity in L(tree) of each given tree edge, by one full BFS
+    of the line graph per edge, over networkx."""
+    L = nx.line_graph(to_nx(tree))
+    return [
+        max(nx.single_source_shortest_path_length(L, tuple(sorted(e))).values())
+        for e in edges
+    ]
+
+
+def power_contraction_oracle(line, target, m_line, bonus):
+    """max(0, d_L(e, f) - 6 d_target(e, f) - 2 bonus) over pairs of
+    target vertices in one component, where target vertex i is line
+    vertex m_line[i].  The all-pairs scan, over networkx distances."""
+    dl = dict(nx.all_pairs_shortest_path_length(to_nx(line)))
+    dt = dict(nx.all_pairs_shortest_path_length(to_nx(target)))
+    worst = 0
+    for i in range(target.n):
+        for j in range(i + 1, target.n):
+            if j in dt[i]:
+                gap = dl[m_line[i]][m_line[j]] - 6 * dt[i][j] - 2 * bonus
+                worst = max(worst, gap)
+    return worst
+
+
 def matching_oracle(g, variant, anchor=None):
     """The scattered matching by the rules as `build_matching` words them.
 
