@@ -35,17 +35,21 @@ eccentricity_profile.  line_displacement and power_contraction are
 certified by identity plus a structure check.
 
 The construction searches only as far as its checks read.  Growing the
-matching takes one full BFS per chosen edge; the first row gives the
-distance to e_1, and the others, folded by min, the distance to
-V(M - e_1).  Each ball is a BFS capped at its radius.  The tree check
-requires d(x, V(M)) <= 5 + bonus for every x, so a BFS on T from each
-matching vertex capped at that limit reaches every vertex that hangs
-at its graph distance; one it misses hangs too deep.
+matching takes one full BFS per chosen edge, for its row of pairwise
+distances, and folds each row by min into one slack array, slack(v) =
+min(d(v, e_1) - bonus, d(v, V(M - e_1))), but only as far as slack 5:
+an edge is uncovered while both ends have slack >= 5, and the next
+pick is the smallest edge at slack exactly 5, popped from a heap that
+drops stale candidates.  Each ball is a BFS capped at its radius.  The
+tree check requires d(x, V(M)) <= 5 + bonus for every x, so a BFS on T
+from each matching vertex capped at that limit reaches every vertex
+that hangs at its graph distance; one it misses hangs too deep.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 
 from . import bounds as _bounds
@@ -155,38 +159,9 @@ def _validate_replay_input(g, variant, anchor):
             )
 
 
-def _edge_dists(g, dist):
-    # d(e, S) per edge of g, from the vertex distances `dist` to S.
-    return [min(dist[a], dist[b]) for a, b in g.edge_list]
-
-
-def _edge_dist_vector(g, edges):
-    # d(e, {edges}) per edge of g: min endpoint distance to the vertex set.
-    return _edge_dists(g, distances_from(g, {v for e in edges for v in e}).dist)
-
-
 def _bonus(variant):
     # The maxdeg anchor edge e_1 gets one more unit on every radius.
     return 1 if variant == VARIANT_MAXDEG else 0
-
-
-def _next_edge(g, d1, near, bonus):
-    # Smallest uncovered edge, d(e, e_1) >= 5 + bonus and
-    # d(e, M - e_1) >= 5, that meets one bound with equality; None once
-    # every edge is covered.  `near` is d(., V(M - e_1)), None while
-    # M = {e_1}.
-    d2 = [None] * g.m if near is None else _edge_dists(g, near)
-    uncovered = False
-    for e, a, b in zip(g.edge_list, d1, d2):
-        if a >= 5 + bonus and (b is None or b >= 5):
-            if a == 5 + bonus or b == 5:
-                return e
-            uncovered = True
-    if uncovered:
-        raise ConstructionInvariantViolated(
-            "uncovered edges remain but none meets a distance bound with equality"
-        )
-    return None
 
 
 def build_matching(g, variant, anchor=None) -> Matching:
@@ -209,28 +184,44 @@ def build_matching(g, variant, anchor=None) -> Matching:
         chosen = [g.edge_list[0]]
     else:
         chosen = [min((min(anchor, w), max(anchor, w)) for w in g.adjacency[anchor])]
-    # One BFS per chosen edge: its row gives the lower triangle of the
-    # symmetric pairwise table.  The first row gives d(., e_1); the
-    # others, folded by min, give d(., V(M - e_1)).
+    # slack[v] = min(d(v, e_1) - bonus, d(v, V(M - e_1))), and an edge's
+    # slack is the smaller of its ends'.  An edge is uncovered while its
+    # slack is >= 5; the next pick is the smallest edge at exactly 5.
+    # Slack never grows, and slack above 5 is only ever compared with 5,
+    # so it may stay stale: 6 stands for anything above 5, and a fold
+    # reads a row only up to slack 5.  An edge enters the heap when one
+    # of its ends reaches 5 and is dropped when popped below 5;
+    # edge_list is sorted, so tuple order is edge order.  One full BFS
+    # per chosen edge still gives its row of the pairwise table.
+    slack = [6] * g.n
+    heap = []
     rows = []
-    d1 = near = None
     while True:
-        dist = distances_from(g, chosen[-1]).dist
+        dist, _, reached = _bfs(g, chosen[-1])
+        if len(reached) < g.n:
+            raise DisconnectedGraph(
+                f"vertex {dist.index(None)} is unreachable from {chosen[-1]}"
+            )
         rows.append([min(dist[a], dist[b]) for a, b in chosen])
-        if d1 is None:
-            if None in dist:
-                raise DisconnectedGraph(
-                    f"vertex {dist.index(None)} is unreachable from {chosen[0]}"
-                )
-            d1 = _edge_dists(g, dist)
-        elif near is None:
-            near = dist
-        else:
-            near = [a if a < b else b for a, b in zip(near, dist)]
-        nxt = _next_edge(g, d1, near, bonus)
-        if nxt is None:
+        offset = bonus if len(rows) == 1 else 0
+        for v in reached:
+            s = dist[v] - offset
+            if s > 5:
+                break
+            if s < slack[v]:
+                slack[v] = s
+                if s == 5:
+                    for w in g.adjacency[v]:
+                        heappush(heap, (v, w) if v < w else (w, v))
+        while heap and min(slack[heap[0][0]], slack[heap[0][1]]) != 5:
+            heappop(heap)
+        if not heap:
             break
-        chosen.append(nxt)
+        chosen.append(heappop(heap))
+    if any(slack[a] >= 5 and slack[b] >= 5 for a, b in g.edge_list):
+        raise ConstructionInvariantViolated(
+            "uncovered edges remain but none meets a distance bound with equality"
+        )
 
     k = len(chosen)
     pairwise = tuple(
@@ -252,14 +243,16 @@ def _assert_matching(g, edges, pairwise, bonus):
                     f"matching edges {edges[i]} and {edges[j]} at distance "
                     f"{pairwise[i][j]} < {need}"
                 )
-    d1 = _edge_dist_vector(g, edges[:1])
-    d2 = _edge_dist_vector(g, edges[1:]) if k > 1 else [None] * g.m
-    for a, b in zip(d1, d2):
-        if a > 4 + bonus and (b is None or b > 4):
-            raise ConstructionInvariantViolated(
-                f"an edge escapes both coverage radii ({4 + bonus} around the "
-                "anchor, 4 around the rest)"
-            )
+    # Coverage: every edge has slack <= 4.
+    slack = [d - bonus for d in distances_from(g, edges[0]).dist]
+    if k > 1:
+        rest = distances_from(g, {v for e in edges[1:] for v in e}).dist
+        slack = [min(s, d) for s, d in zip(slack, rest)]
+    if any(slack[a] > 4 and slack[b] > 4 for a, b in g.edge_list):
+        raise ConstructionInvariantViolated(
+            f"an edge escapes both coverage radii ({4 + bonus} around the "
+            "anchor, 4 around the rest)"
+        )
 
 
 def build_tree(g, matching: Matching) -> AnchoredTree:

@@ -197,13 +197,19 @@ class TestAnchorBonus:
     gap to the rest to 6; girth6 has no bonus."""
 
     def test_coverage_radius(self, chain32):
-        g = chain32.graph
-        f = (1, 7)
+        # The 4 x 4 hexagonal torus is cubic with girth 6, so both
+        # variants start at its first edge, and every edge lies within
+        # 5 of it.
+        g = from_nx(nx.hexagonal_lattice_graph(4, 4, periodic=True))
+        f = g.edge_list[0]
         d1 = [edge_distance(g, e, f) for e in g.edge_list]
         assert max(d1) == 5
         first_at_5 = g.edge_list[d1.index(5)]
-        assert REPLAY_MODULE._next_edge(g, d1, None, 1) is None
-        assert REPLAY_MODULE._next_edge(g, d1, None, 0) == first_at_5
+        assert build_matching(g, "maxdeg", f[0]).edges == (f,)
+        assert build_matching(g, "girth6").edges[:2] == (f, first_at_5)
+        g = chain32.graph
+        f = (1, 7)
+        assert max(edge_distance(g, e, f) for e in g.edge_list) == 5
         REPLAY_MODULE._assert_matching(g, [f], ((0,),), 1)
         with pytest.raises(ConstructionInvariantViolated, match=r"\(4 around the anchor"):
             REPLAY_MODULE._assert_matching(g, [f], ((0,),), 0)
@@ -223,11 +229,25 @@ def _matching_cases():
             yield f"chain{d}_{ell}", chain(ChainSpec(d, ell)).graph
     for q, ell in ((3, 2), (4, 4), (5, 2)):
         yield f"reiman{q}_chain3_{ell}", chain(ChainSpec(3, ell, reiman(q))).graph
-    for seed, (d, ell) in enumerate(((3, 6), (4, 4), (5, 4))):
-        g = chain(ChainSpec(d, ell)).graph
-        perm = list(range(g.n))
-        random.Random(seed).shuffle(perm)
-        yield f"relabelled_chain{d}_{ell}", relabel(g, perm)
+    # Relabelling reorders edge_list, which decides the order in which
+    # build_matching's heap pops its candidates.
+    bases = (
+        ("chain3_6", chain(ChainSpec(3, 6)).graph),
+        ("chain4_4", chain(ChainSpec(4, 4)).graph),
+        ("chain5_4", chain(ChainSpec(5, 4)).graph),
+        ("reiman4_chain3_4", chain(ChainSpec(3, 4, reiman(4))).graph),
+    )
+    for seed, (name, g) in enumerate(bases[:3]):
+        yield f"relabelled_{name}", _shuffled(g, seed)
+    for name, g in bases:
+        for seed in range(3, 7):
+            yield f"relabelled_{name}_seed{seed}", _shuffled(g, seed)
+
+
+def _shuffled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(g, perm)
 
 
 MATCHING_CASES = dict(_matching_cases())
