@@ -2,8 +2,9 @@
 
 Every bound that is a rational function of (n, delta) is evaluated as an
 exact `Fraction`; the two maximum-degree bounds involve a square root
-and are evaluated in double precision with a documented 1e-9 tolerance
-applied on the bound side only.  Exact quantities are never rounded.
+and are evaluated in double precision.  `at_most` decides every check:
+exactly on rationals, with 1e-9 of slack once a float is involved.
+Exact quantities are never rounded.
 """
 
 import math
@@ -30,8 +31,17 @@ BOUND_LOWER = "lower_T32"
 
 UPPER_BOUNDS = (BOUND_PATH, BOUND_EQ1, BOUND_G6, BOUND_C4C5, BOUND_G6_MAX, BOUND_C4C5_MAX)
 
-#: Comparison tolerance for sqrt-valued bounds, applied to the bound side.
+#: Slack that `at_most` adds to its right-hand side when a float is involved.
 FLOAT_TOL = 1e-9
+
+
+def at_most(x, y) -> bool:
+    """x <= y, exactly when both sides are rational (int or Fraction);
+    when either is a float, x <= y + FLOAT_TOL."""
+    if isinstance(x, float) or isinstance(y, float):
+        return x <= y + FLOAT_TOL
+    return x <= y
+
 
 _CONSTANT_NOTE = (
     "girth6_T31 and c4c5_T33 use the additive constant +8; "
@@ -198,7 +208,7 @@ def audit_balls(g) -> AuditRecord:
         items.append(
             AuditItem("vertex_ball3_c4c5", (v,), size, sc.Delta_circ, size - sc.Delta_circ)
         )
-    passed = all(item.margin >= -FLOAT_TOL for item in items)
+    passed = all(at_most(0, item.margin) for item in items)
     return AuditRecord(
         delta=delta,
         max_degree=Delta,
@@ -279,8 +289,7 @@ def analyze(g, chain_params=None) -> BoundReport:
                 slack = avec - value
             else:
                 slack = value - avec
-            bad = slack < -FLOAT_TOL if isinstance(slack, float) else slack < 0
-            if bad:
+            if not at_most(0, slack):
                 violations.append(name)
         entries.append(BoundEntry(name=name, value=value, applicable=applicable, slack=slack))
 

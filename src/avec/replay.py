@@ -13,8 +13,8 @@ The pipeline mirrors the derivation it certifies:
 4. contract: compare weighted average eccentricities across T, the
    line graph L of T, and the 6th-power contraction restricted to M;
 5. check every intermediate inequality and the final closed-form
-   bound, exactly where the quantities are rational and with a 1e-9
-   tolerance on the bound side where a square root is involved.
+   bound with `bounds.at_most`: exactly on rationals, with 1e-9 of
+   slack where a square root makes a side a float.
 
 A failing inequality is recorded (overall_pass = False), never hidden;
 a malformed construction raises ConstructionInvariantViolated.
@@ -41,9 +41,9 @@ min(d(v, e_1) - bonus, d(v, V(M - e_1))), but only as far as slack 5:
 an edge is uncovered while both ends have slack >= 5, and the next
 pick is the smallest edge at slack exactly 5, popped from a heap that
 drops stale candidates.  Each ball is a BFS capped at its radius.  The
-tree check requires d(x, V(M)) <= 5 + bonus for every x, so a BFS on T
-from each matching vertex capped at that limit reaches every vertex
-that hangs at its graph distance; one it misses hangs too deep.
+tree check runs no search: every vertex must hang at its graph
+distance d(x, V(M)) under its matching vertex, and one O(n) pass over T
+shows this by a local identity (`_assert_tree`).
 """
 
 from collections import Counter
@@ -354,28 +354,30 @@ def _assert_tree(g, matching, anchored, dM):
             raise ConstructionInvariantViolated(
                 f"vertex {x} at distance {dM[x]} > {limit} from V(M)"
             )
-    # Every dM is now at most limit, so a BFS from each matching vertex
-    # capped there reaches every vertex that keeps its distance; one it
-    # misses hangs too deep.
-    hanging = {v: [] for e in matching.edges for v in e}
-    for x, w in enumerate(anchored.assignment):
-        if w not in hanging:
+    # d_T(x, a(x)) = dM[x] for every x, from one local rule: a matching
+    # vertex hangs under itself, and any other x has a tree neighbour p
+    # with a(p) = a(x) and dM[p] = dM[x] - 1.  By induction on dM, such
+    # steps lead from x in dM[x] steps to a matching vertex that hangs
+    # under itself, hence to a(x), which is therefore a matching vertex:
+    # d_T <= dM.  T is a subgraph of G, so d_T >= d_G(x, a(x)) >= dM.
+    # (Without that, the steps still form a path, the only one in a
+    # tree, so d_T = dM all the same.)
+    assignment = anchored.assignment
+    for x, w in enumerate(assignment):
+        if dM[x] == 0 and w != x:
             raise ConstructionInvariantViolated(
-                f"vertex {x} is assigned to {w}, which is not a matching vertex"
+                f"matching vertex {x} is assigned to {w}, not to itself"
             )
-        hanging[w].append(x)
-    for w, xs in hanging.items():
-        dist, _, _ = _bfs(tree, (w,), limit)
-        for x in xs:
-            if dist[x] != dM[x]:
-                shown = f"above {limit}" if dist[x] is None else dist[x]
-                raise ConstructionInvariantViolated(
-                    f"vertex {x}: tree distance {shown} to its matching vertex "
-                    f"{w} differs from graph distance {dM[x]} to V(M)"
-                )
+        if dM[x] > 0 and not any(
+            assignment[p] == w and dM[p] == dM[x] - 1 for p in tree.adjacency[x]
+        ):
+            raise ConstructionInvariantViolated(
+                f"vertex {x} is assigned to {w}, but no tree neighbour at "
+                f"distance {dM[x] - 1} from V(M) is"
+            )
     for e, sub in zip(matching.edges, anchored.subtrees):
         for x in sorted({v for f in sub for v in f}):
-            if anchored.assignment[x] not in e:
+            if assignment[x] not in e:
                 raise ConstructionInvariantViolated(
                     f"vertex {x} in the ball tree of {e} is assigned outside that edge"
                 )
@@ -395,7 +397,7 @@ def compute_weights(g, matching: Matching, anchored: AnchoredTree, constants) ->
     maxdeg = matching.variant == VARIANT_MAXDEG
     for i, w in enumerate(cbar):
         if maxdeg and i == 0:
-            if w < constants.Delta_star - _bounds.FLOAT_TOL:
+            if not _bounds.at_most(constants.Delta_star, w):
                 raise LemmaBoundViolated(
                     f"cbar(e_1) = {w} below Delta_star = {constants.Delta_star}"
                 )
@@ -413,16 +415,10 @@ def compute_weights(g, matching: Matching, anchored: AnchoredTree, constants) ->
     else:
         cprime = tuple(Fraction(w, ds) for w in cbar)
         n_normalized = Fraction(n, ds)
-    for i, w in enumerate(cprime):
-        if w < 1 - _bounds.FLOAT_TOL:
-            raise LemmaBoundViolated(f"cprime({matching.edges[i]}) = {w} below 1")
+    # The floors above keep every cprime at least 1: cbar / delta_star,
+    # and the anchor's (cbar - Delta_star + delta_star) / delta_star is
+    # at least 1 - 1e-9 / delta_star.
     return WeightSystem(c=tuple(c), cbar=cbar, cprime=cprime, n_normalized=n_normalized)
-
-
-def _le(lhs, rhs):
-    if isinstance(lhs, float) or isinstance(rhs, float):
-        return lhs <= rhs + _bounds.FLOAT_TOL
-    return lhs <= rhs
 
 
 def replay(g, variant, anchor=None) -> ProofTrace:
@@ -475,7 +471,7 @@ def replay(g, variant, anchor=None) -> ProofTrace:
     checks = []
 
     def check(name, lhs, rhs, passed=None):
-        ok = _le(lhs, rhs) if passed is None else passed
+        ok = _bounds.at_most(lhs, rhs) if passed is None else passed
         checks.append(CheckResult(name=name, lhs=lhs, rhs=rhs, passed=ok))
 
     check("spanning_tree_domination", avec_g, avec_t)
@@ -495,7 +491,7 @@ def replay(g, variant, anchor=None) -> ProofTrace:
             "anchor_edge_weight_lower",
             weights.cbar[0],
             constants.Delta_star,
-            passed=weights.cbar[0] >= constants.Delta_star - _bounds.FLOAT_TOL,
+            passed=_bounds.at_most(constants.Delta_star, weights.cbar[0]),
         )
     else:
         low = min(weights.cbar)
@@ -617,11 +613,9 @@ def _structural_checks(anchored, weights, profile_g, profile_t, line, target, m_
     acc = 0
     for w in weights.cprime:
         acc = acc + w
-    if isinstance(acc, float) or isinstance(weights.n_normalized, float):
-        ok = abs(acc - weights.n_normalized) <= _bounds.FLOAT_TOL
-    else:
-        ok = acc == weights.n_normalized
-    add("weight_total_cprime", acc, weights.n_normalized, ok)
+    nn = weights.n_normalized
+    ok = _bounds.at_most(acc, nn) and _bounds.at_most(nn, acc)
+    add("weight_total_cprime", acc, nn, ok)
 
     worst = min(t - gg for t, gg in zip(profile_t.ecc, profile_g.ecc))
     add("tree_ecc_domination", worst, 0, worst >= 0)

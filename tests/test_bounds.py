@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from avec import bounds as B
 from avec.errors import (
@@ -13,9 +14,103 @@ from avec.errors import (
 )
 from avec.generators import ChainSpec, chain, classic, reiman
 from avec.graph import build_graph, eccentricity_profile
-from util import from_nx
+from util import (
+    below_float_floor_oracle,
+    from_nx,
+    le_oracle,
+    margin_ok_oracle,
+    totals_agree_oracle,
+    violated_oracle,
+)
 
 import networkx as nx
+
+
+RATIONALS = st.one_of(
+    st.integers(-1000, 1000),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**13),
+)
+FLOATS = st.floats(-1000, 1000)
+NUMBERS = st.one_of(RATIONALS, FLOATS)
+# Offsets on both sides of the 1e-9 tolerance, and one far inside it.
+OFFSETS = st.sampled_from(
+    tuple(Fraction(1, d) for d in (10**12, 2 * 10**9, 5 * 10**8, 10**6, 1)) + (0,)
+)
+
+
+@st.composite
+def pairs(draw, first=NUMBERS):
+    """(x, y): independent, or y = x + offset as a Fraction or a float."""
+    x = draw(first)
+    if draw(st.booleans()):
+        return x, draw(NUMBERS)
+    y = Fraction(x) + draw(st.sampled_from((1, -1))) * draw(OFFSETS)
+    return x, draw(st.sampled_from((y, float(y))))
+
+
+def off_boundary(x, y):
+    """A float pair's gap is not within 1e-11 of the tolerance, where
+    the old spellings' float rounding may decide differently."""
+    if not (isinstance(x, float) or isinstance(y, float)):
+        return True
+    return abs(abs(Fraction(y) - Fraction(x)) - Fraction(B.FLOAT_TOL)) > Fraction(1, 10**11)
+
+
+class TestAtMost:
+    def test_fractions_compare_exactly(self):
+        x = Fraction(1, 3)
+        y = x + Fraction(1, 10**12)
+        assert B.at_most(x, y) and not B.at_most(y, x)
+        assert B.at_most(x, x)
+
+    def test_ints_compare_exactly(self):
+        assert B.at_most(3, 3) and B.at_most(-4, 3) and not B.at_most(4, 3)
+
+    def test_floats_within_tolerance_pass(self):
+        assert B.at_most(1.0 + 5e-10, 1.0)
+        assert B.at_most(1.0, 1.0)
+        assert B.at_most(1.0, 1.0 + 5e-10)
+
+    def test_floats_beyond_tolerance_fail_one_way(self):
+        # The tolerance sits on the right-hand side only.
+        assert not B.at_most(1.0 + 2e-9, 1.0)
+        assert B.at_most(1.0, 1.0 + 2e-9)
+        assert B.at_most(1.0 - 2e-9, 1.0)
+
+    def test_fraction_and_float(self):
+        half = Fraction(1, 2)
+        assert B.at_most(half + Fraction(1, 10**10), 0.5)
+        assert not B.at_most(half + Fraction(1, 10**8), 0.5)
+        assert B.at_most(0.5 + 5e-10, half)
+        assert not B.at_most(0.5 + 2e-9, half)
+        # Fraction against float is exact before the tolerance is added.
+        assert B.at_most(Fraction(1, 3), 1 / 3)
+
+    def test_int_and_float(self):
+        assert B.at_most(3, 3.0 - 5e-10)
+        assert not B.at_most(3, 3.0 - 2e-9)
+        assert B.at_most(3.0 + 5e-10, 3)
+        assert not B.at_most(3.0 + 2e-9, 3)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pairs())
+    def test_matches_the_old_spellings(self, pair):
+        x, y = pair
+        assume(off_boundary(x, y))
+        assert B.at_most(x, y) == le_oracle(x, y)
+        assert (not B.at_most(0, y - x)) == violated_oracle(y - x)
+        assert (B.at_most(x, y) and B.at_most(y, x)) == totals_agree_oracle(x, y)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pairs(first=st.one_of(st.integers(-1000, 1000), FLOATS)))
+    def test_matches_the_old_float_floor_and_margin(self, pair):
+        # Audit margins are int or float; the weight floor is a float.
+        x, y = pair
+        assume(off_boundary(x, y))
+        if isinstance(x, float) or isinstance(y, float):
+            assert (not B.at_most(x, y)) == below_float_floor_oracle(y, x)
+        if isinstance(y - x, (int, float)):
+            assert B.at_most(0, y - x) == margin_ok_oracle(y - x)
 
 
 class TestStructuralConstants:

@@ -324,8 +324,8 @@ class TestTree:
     @pytest.mark.parametrize("beyond_cap", [False, True], ids=["within_cap", "beyond_cap"])
     def test_rehung_vertex_fails_distance_check(self, beyond_cap):
         # Move a tree leaf x under another graph neighbour y, so that it
-        # hangs deeper than its graph distance to V(M), once within the
-        # cap of 5 and once beyond it.
+        # hangs deeper than its graph distance to V(M), once at a depth
+        # of at most 5 and once deeper.
         g = chain(ChainSpec(3, 6)).graph
         m, t, dm = _anchored(g)
         tree = t.tree
@@ -346,7 +346,30 @@ class TestTree:
         edges = set(tree.edge_list) - {(min(x, parent), max(x, parent))}
         edges.add((min(x, y), max(x, y)))
         tampered = dataclasses.replace(t, tree=build_graph(g.n, edges))
-        match = "above 5" if beyond_cap else f"tree distance {depth} "
+        match = f"^vertex {x} is assigned to {t.assignment[x]}, but no tree neighbour "
+        with pytest.raises(ConstructionInvariantViolated, match=match):
+            REPLAY_MODULE._assert_tree(g, m, tampered, dm)
+
+    def test_sideways_vertex_fails_distance_check(self):
+        # Re-hang a leaf x under a vertex y at the same distance from
+        # V(M) under the same matching vertex, so x hangs one step too
+        # deep.  In a bipartite graph no such y is a neighbour of x, but
+        # the check reads only the tree and the assignment.
+        g = chain(ChainSpec(3, 6)).graph
+        m, t, dm = _anchored(g)
+        tree = t.tree
+        x, y = next(
+            (x, y)
+            for x in range(g.n)
+            if tree.degree(x) == 1 and dm[x] > 0
+            for y in range(g.n)
+            if y != x and dm[y] == dm[x] and t.assignment[y] == t.assignment[x]
+        )
+        (parent,) = tree.adjacency[x]
+        edges = set(tree.edge_list) - {(min(x, parent), max(x, parent))}
+        edges.add((min(x, y), max(x, y)))
+        tampered = dataclasses.replace(t, tree=build_graph(g.n, edges))
+        match = f"^vertex {x} is assigned to {t.assignment[x]}, but no tree neighbour "
         with pytest.raises(ConstructionInvariantViolated, match=match):
             REPLAY_MODULE._assert_tree(g, m, tampered, dm)
 
@@ -358,7 +381,22 @@ class TestTree:
         a, b = next(e for e in m.edges if assignment[x] in e)
         assignment[x] = b if assignment[x] == a else a
         tampered = dataclasses.replace(t, assignment=tuple(assignment))
-        with pytest.raises(ConstructionInvariantViolated, match="tree distance 3 "):
+        match = f"^vertex {x} is assigned to {assignment[x]}, but no tree neighbour "
+        with pytest.raises(ConstructionInvariantViolated, match=match):
+            REPLAY_MODULE._assert_tree(g, m, tampered, dm)
+
+    def test_matching_vertex_hung_on_its_partner_rejected(self):
+        # Move matching vertex a, and everything that hangs under it, to
+        # its partner b.  Each of those vertices keeps a tree neighbour
+        # one step closer under the same matching vertex, so only the
+        # rule that a matching vertex hangs under itself catches it.
+        g = chain(ChainSpec(3, 6)).graph
+        m, t, dm = _anchored(g)
+        a, b = m.edges[1]
+        assignment = tuple(b if w == a else w for w in t.assignment)
+        tampered = dataclasses.replace(t, assignment=assignment)
+        match = f"^matching vertex {a} is assigned to {b}, not to itself"
+        with pytest.raises(ConstructionInvariantViolated, match=match):
             REPLAY_MODULE._assert_tree(g, m, tampered, dm)
 
     def test_non_matching_assignment_rejected(self, chain32):
@@ -409,6 +447,20 @@ class TestWeights:
         assert all(v >= 1 for v in w.cprime)
         assert w.n_normalized == Fraction(g.n, 14)
         assert sum(w.cprime, Fraction(0)) == w.n_normalized
+        # maxdeg: compute_weights checks only the cbar floors, which
+        # must keep every cprime, the anchor's float one too, at least 1.
+        for g in (chain34.graph, chain(ChainSpec(3, 4, reiman(4))).graph):
+            m = build_matching(g, "maxdeg", smallest_max_degree_vertex(g))
+            t = build_tree(g, m)
+            sc = structural_constants(3, g.max_degree())
+            w = compute_weights(g, m, t, sc)
+            assert sum(w.c) == sum(w.cbar) == g.n
+            assert w.cbar[0] >= sc.Delta_star
+            assert all(v >= 14 for v in w.cbar[1:])
+            assert all(v >= 1 for v in w.cprime)
+            assert isinstance(w.cprime[0], float)
+            assert w.n_normalized == (g.n - sc.Delta_star + 14) / 14
+            assert math.isclose(sum(w.cprime), w.n_normalized, rel_tol=1e-12)
 
     def test_floor_violation_raises(self, chain34):
         g = chain34.graph
@@ -756,7 +808,6 @@ class TestBfsBudget:
     """BFS runs in a replay of chain(3,32), by cap.
 
     Capped: one ball per matching edge (radius 2; the maxdeg anchor 3),
-    one tree check per matching vertex (cap 5; maxdeg 6),
     power_graph's radius-6 balls, one per vertex of L(T), and k + 1
     runs of L(T) capped at 6 + bonus: e_1's join row and one
     power_contraction row per matching edge.  Full runs stay within
@@ -785,12 +836,10 @@ class TestBfsBudget:
         n, k, caps = self._caps(monkeypatch, "girth6")
         assert k > 1
         assert caps[None] <= k + 25
-        assert caps == Counter({None: caps[None], 2: k, 5: 2 * k, 6: n - 1 + k + 1})
+        assert caps == Counter({None: caps[None], 2: k, 6: n - 1 + k + 1})
 
     def test_maxdeg_replay_capped_construction(self, monkeypatch):
         n, k, caps = self._caps(monkeypatch, "maxdeg")
         assert k > 1
         assert caps[None] <= k + 25
-        assert caps == Counter(
-            {None: caps[None], 3: 1, 2: k - 1, 6: 2 * k + n - 1, 7: k + 1}
-        )
+        assert caps == Counter({None: caps[None], 3: 1, 2: k - 1, 6: n - 1, 7: k + 1})

@@ -207,6 +207,41 @@ def matching_oracle(g, variant, anchor=None):
     return tuple(chosen)
 
 
+# The float-tolerant comparisons that `bounds.at_most` replaced, each as
+# its call site spelled it, on the kinds of value that site saw.
+ORACLE_TOL = 1e-9
+
+
+def le_oracle(lhs, rhs):
+    """replay's default check rule: lhs <= rhs."""
+    if isinstance(lhs, float) or isinstance(rhs, float):
+        return lhs <= rhs + ORACLE_TOL
+    return lhs <= rhs
+
+
+def violated_oracle(slack):
+    """analyze: a bound is violated when its slack is negative."""
+    return slack < -ORACLE_TOL if isinstance(slack, float) else slack < 0
+
+
+def margin_ok_oracle(margin):
+    """audit_balls: an int or float margin size - bound passes."""
+    return margin >= -ORACLE_TOL
+
+
+def below_float_floor_oracle(w, floor):
+    """compute_weights and anchor_edge_weight_lower: cbar(e_1) = w
+    against the float Delta_star."""
+    return w < floor - ORACLE_TOL
+
+
+def totals_agree_oracle(x, y):
+    """weight_total_cprime: the cprime total against n_normalized."""
+    if isinstance(x, float) or isinstance(y, float):
+        return abs(x - y) <= ORACLE_TOL
+    return x == y
+
+
 def relabel(g, perm):
     """Copy of g with vertex v renamed perm[v]."""
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list])
