@@ -176,6 +176,20 @@ def audit_balls(g) -> AuditRecord:
     maximum-degree vertex, |N<=3(v)| is checked against Delta_star
     and/or Delta_circ.  Margins (size - bound) are reported raw; a
     negative margin flips the global pass flag but never raises.
+
+    In the girth-6 class no edge ball is searched.  With
+    s(x) = sum(deg a - 1) over a in N(x), |N<=2({u,v})| = s(u) + s(v) + 2.
+    Proof: count the paths of length at most 2 that start at u or at v
+    and avoid the edge uv: the 2 of length 0, deg u - 1 + deg v - 1 to
+    the other neighbours, and deg a - 1 onward from each such neighbour
+    a.  s(u) counts deg v - 1 for its neighbour v, and s(v) counts
+    deg u - 1, so the total is s(u) + s(v) + 2.  A shortest path from
+    {u, v} avoids uv, so every vertex of the ball ends one of them.  Two
+    with one end, from the same start, hold a cycle of length at most
+    4; from u and from v, they join into a u-v walk of length at most 4
+    that avoids uv, which closes a cycle of length at most 5 with uv.
+    With no C3, C4 or C5 the ends are distinct.  Triangles make ends
+    coincide, so the (C4,C5)-free class keeps the search.
     """
     if not is_connected(g):
         raise DisconnectedGraph("ball audit needs a connected graph")
@@ -188,8 +202,13 @@ def audit_balls(g) -> AuditRecord:
     Delta = g.max_degree()
     sc = structural_constants(delta, Delta)
     items = []
-    for u, v in g.edge_list:
-        size = len(ball(g, (u, v), 2))
+    if scan.class_girth6:
+        degree = list(map(len, g.adjacency))
+        s = [sum(map(degree.__getitem__, nbrs)) - len(nbrs) for nbrs in g.adjacency]
+        sizes = (s[u] + s[v] + 2 for u, v in g.edge_list)
+    else:
+        sizes = (len(ball(g, e, 2)) for e in g.edge_list)
+    for (u, v), size in zip(g.edge_list, sizes):
         if scan.class_girth6:
             items.append(
                 AuditItem("edge_ball2_girth6", (u, v), size, sc.delta_star, size - sc.delta_star)

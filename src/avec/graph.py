@@ -10,6 +10,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 from .errors import (
     DisconnectedGraph,
@@ -210,6 +212,11 @@ class EccentricityProfile:
 #: vertex-transitive graphs such as `reiman(q)` it never does.
 _STALL_ROUNDS = 8
 
+#: Sources per bit-parallel search: one bit each of a Python int.  The
+#: search keeps two n-long lists of such ints, so its memory is about
+#: n·W/4 bytes; past 1024 bits the time per source barely falls.
+_BIT_WIDTH = 1024
+
 
 def eccentricity_profile(g):
     """Eccentricities of every vertex of a connected graph.
@@ -220,9 +227,21 @@ def eccentricity_profile(g):
     max(e - d, d) <= ecc(w) <= e + d, and w is resolved when its two
     bounds meet.  After vertex 0, sources alternate between the
     unresolved vertex with the largest upper bound and the one with the
-    smallest lower bound, ties going to the higher degree.  After
-    `_STALL_ROUNDS` rounds in a row that resolve only their own source,
-    each vertex left gets one plain BFS.
+    smallest lower bound, ties going to the higher degree.
+
+    After `_STALL_ROUNDS` rounds in a row that resolve only their own
+    source, bounding stops, and the vertices left are searched from, in
+    chunks of W = `_BIT_WIDTH` sources at once (`_bit_parallel_ecc`,
+    the bit-parallel BFS of Akiba, Iwata & Yoshida, "Fast exact
+    shortest-path distance queries on large networks by pruned landmark
+    labeling", SIGMOD 2013).  A chunk costs one pass over the graph per
+    round and takes as many rounds as its largest eccentricity, at most
+    U, the largest upper bound left; a plain BFS costs one pass per
+    vertex.  So with L vertices left the size rule is: bit-parallel
+    when U·ceil(L / W) < L, one plain BFS per vertex otherwise.  On
+    `reiman(q)` hundreds of vertices of eccentricity 3 are left and
+    bit-parallel wins; on long chains the few vertices left have large
+    bounds, and plain BFS does.
 
     Bounding never resolves the inner vertices of a tree, so a tree (a
     connected graph with n - 1 edges) takes the two-sweep identity
@@ -265,9 +284,15 @@ def eccentricity_profile(g):
             if not candidates:
                 break
             if stalled == _STALL_ROUNDS:
-                for v in candidates:
-                    dist, layer, _ = _bfs(g, (v,))
-                    ecc[v] = dist[layer[0]]
+                left = len(candidates)
+                chunks = -(-left // _BIT_WIDTH)
+                if max(upper[w] for w in candidates) * chunks < left:
+                    for i in range(0, left, _BIT_WIDTH):
+                        _bit_parallel_ecc(g, candidates[i : i + _BIT_WIDTH], ecc)
+                else:
+                    for v in candidates:
+                        dist, layer, _ = _bfs(g, (v,))
+                        ecc[v] = dist[layer[0]]
                 break
             if take_upper:
                 source = max(candidates, key=lambda w: (upper[w], len(adjacency[w])))
@@ -283,6 +308,41 @@ def eccentricity_profile(g):
         diameter=max(ecc),
         radius=min(ecc),
     )
+
+
+def _bit_parallel_ecc(g, sources, ecc):
+    """Set ecc[s] for each of the distinct `sources` of a connected graph.
+
+    Source i owns bit i.  After round d, reach[v] holds the bits of the
+    sources within distance d of v: round d ORs each vertex's set with
+    its neighbours' sets from round d - 1.  A source's eccentricity is
+    the first round whose AND over all vertices holds its bit.
+    """
+    adjacency = g.adjacency
+    reach = [0] * g.n
+    for i, s in enumerate(sources):
+        reach[s] = 1 << i
+    full = (1 << len(sources)) - 1
+    done = 0
+    d = 0
+    while True:
+        now = reduce(and_, reach)
+        new = now & ~done
+        while new:
+            low = new & -new
+            ecc[sources[low.bit_length() - 1]] = d
+            new ^= low
+        if now == full:
+            return
+        done = now
+        d += 1
+        last = reach
+        reach = []
+        for v, nbrs in enumerate(adjacency):
+            x = last[v]
+            for w in nbrs:
+                x |= last[w]
+            reach.append(x)
 
 
 def weighted_avec(g, weights):

@@ -7,6 +7,8 @@ repeated or reversed edge is rejected, not merged.  The header's n may
 be at most `MAX_ORDER`, checked before anything is allocated.
 """
 
+from math import isqrt
+
 from .errors import InvalidArgument, NotAscii
 from .graph import Graph, build_graph
 
@@ -88,27 +90,36 @@ def to_graph6(g: Graph) -> str:
     return "".join(map(chr, head + body))
 
 
+#: graph6 character -> its six bits, most significant first.
+_G6_BITS = {c + 63: format(c, "06b") for c in range(64)}
+
+
 def from_graph6(text: str) -> Graph:
-    """Decode one graph6 line; tolerates the ``>>graph6<<`` header."""
+    """Decode one graph6 line; tolerates the ``>>graph6<<`` header.
+
+    The body is read as one string of bits, and only its set bits are
+    visited: bit i is the pair (u, v), u < v, with i = v(v - 1)/2 + u,
+    so v = (1 + isqrt(1 + 8i)) // 2.
+    """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     if not s:
         raise InvalidArgument("empty graph6 input")
-    data = [ord(c) - 63 for c in s]
-    if any(b < 0 or b > 63 for b in data):
+    if min(s) < "?" or max(s) > "~":
         raise InvalidArgument("invalid graph6 character")
-    if data[0] < 63:
-        n = data[0]
-        body = data[1:]
-    elif len(data) >= 4 and data[1] < 63:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
-    elif len(data) >= 8:
+    head = [ord(c) - 63 for c in s[:8]]
+    if head[0] < 63:
+        n = head[0]
+        body = s[1:]
+    elif len(head) >= 4 and head[1] < 63:
+        n = (head[1] << 12) | (head[2] << 6) | head[3]
+        body = s[4:]
+    elif len(head) >= 8:
         n = 0
-        for b in data[2:8]:
+        for b in head[2:8]:
             n = (n << 6) | b
-        body = data[8:]
+        body = s[8:]
     else:
         raise InvalidArgument("truncated graph6 input")
     need = n * (n - 1) // 2
@@ -117,19 +128,15 @@ def from_graph6(text: str) -> Graph:
         raise InvalidArgument("graph6 body shorter than the n promised")
     if len(body) > words:
         raise InvalidArgument(f"graph6 body has {len(body) - words} bytes past the n promised")
-    if words and body[-1] & ((1 << (6 * words - need)) - 1):
+    if words and (ord(body[-1]) - 63) & ((1 << (6 * words - need)) - 1):
         raise InvalidArgument("graph6 padding bits are not zero")
-    bits = []
-    for word in body:
-        for s6 in (5, 4, 3, 2, 1, 0):
-            bits.append((word >> s6) & 1)
+    bits = body.translate(_G6_BITS)
     edges = []
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
+    i = bits.find("1")
+    while i >= 0:
+        v = (1 + isqrt(1 + 8 * i)) // 2
+        edges.append((i - v * (v - 1) // 2, v))
+        i = bits.find("1", i + 1)
     return build_graph(n, edges)
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,12 +14,14 @@ from avec.errors import (
     OutOfRange,
 )
 from avec.generators import ChainSpec, chain, classic, reiman
-from avec.graph import build_graph, eccentricity_profile
+from avec.graph import ball, build_graph, eccentricity_profile, forbidden_cycle_scan, line_graph
 from util import (
     below_float_floor_oracle,
     from_nx,
     le_oracle,
     margin_ok_oracle,
+    shuffle_labels,
+    thin,
     totals_agree_oracle,
     violated_oracle,
 )
@@ -254,6 +257,73 @@ class TestAuditBalls:
         assert doc["pass"] is True
         assert doc["items"][0]["check"] == "edge_ball2_girth6"
         assert doc["items"][0]["margin"] == 0
+
+
+def _thinned(q, seed):
+    g = reiman(q).graph
+    rng = random.Random(seed)
+    return shuffle_labels(thin(g, rng, rng.randrange(g.m // 4)), rng)
+
+
+EDGE_BALL_GRAPHS = {
+    **{f"thinned_reiman{q}_{seed}": (lambda q=q, seed=seed: _thinned(q, seed), True)
+       for q in (3, 4, 5, 7) for seed in range(3)},
+    **{f"chain3_{ell}": (lambda ell=ell: chain(ChainSpec(3, ell)).graph, True) for ell in (2, 4, 8)},
+    "line_reiman2": (lambda: line_graph(reiman(2).graph)[0], False),
+}
+
+
+@pytest.fixture
+def ball_calls(monkeypatch):
+    """Sources of every `ball` call the audit makes."""
+    calls = []
+
+    def counting(g, sources, k):
+        calls.append(tuple(sources))
+        return ball(g, sources, k)
+
+    monkeypatch.setattr(B, "ball", counting)
+    return calls
+
+
+class TestEdgeBallIdentity:
+    @pytest.mark.parametrize("name", sorted(EDGE_BALL_GRAPHS))
+    def test_sizes_match_ball(self, name, ball_calls):
+        build, girth6 = EDGE_BALL_GRAPHS[name]
+        g = build()
+        assert g.min_degree() >= 3
+        record = B.audit_balls(g)
+        assert record.girth_class is girth6 and record.c4c5_class
+        sizes = {i.subject: i.size for i in record.items if i.check == "edge_ball2_c4c5"}
+        assert sizes == {e: len(ball(g, e, 2)) for e in g.edge_list}
+        if girth6:
+            assert [i.size for i in record.items if i.check == "edge_ball2_girth6"] == [
+                sizes[e] for e in g.edge_list
+            ]
+        # Only the vertex balls search on a girth-6 graph; every edge
+        # ball searches once triangles are allowed.
+        top = g.max_degree()
+        vertex_calls = [(v,) for v in range(g.n) if g.degree(v) == top]
+        edge_calls = [] if girth6 else list(g.edge_list)
+        assert ball_calls == edge_calls + vertex_calls
+
+    def test_thinning_varies_the_sizes(self):
+        # The identity is tested on unequal degrees, not only on the
+        # regular reiman(q), where every edge ball is the whole graph.
+        g = _thinned(5, 0)
+        assert g.min_degree() == 3 and g.max_degree() == 6
+        record = B.audit_balls(g)
+        assert len({i.size for i in record.items if i.check == "edge_ball2_c4c5"}) > 3
+
+    def test_identity_fails_with_triangles(self):
+        # line_graph(reiman(2)) has minimum degree 4, triangles, no C4
+        # and no C5: the degree identity is wrong on every edge.
+        g = line_graph(reiman(2).graph)[0]
+        scan = forbidden_cycle_scan(g)
+        assert (g.min_degree(), scan.has_c3, scan.class_c4c5free) == (4, True, True)
+        s = [sum(g.degree(a) - 1 for a in g.adjacency[x]) for x in range(g.n)]
+        assert all(s[u] + s[v] + 2 != len(ball(g, (u, v), 2)) for u, v in g.edge_list)
+        assert g.m == 42
 
 
 class TestAnalyze:

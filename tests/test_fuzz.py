@@ -16,6 +16,8 @@ from avec import cli
 from avec.errors import AvecError
 from avec.io import MAX_ORDER, from_graph6, parse_edgelist, read_graph
 
+from util import from_graph6_oracle
+
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
 
 # Tokens near the edge-list grammar: small and negative ints, sizes past
@@ -65,14 +67,19 @@ G6_CHARS = st.characters(min_codepoint=0, max_codepoint=130)
 
 @st.composite
 def near_graph6(draw):
-    """A header for up to 62 vertices and a body near the length it needs."""
-    n = draw(st.integers(min_value=0, max_value=62))
+    """A header for up to 62 vertices, or up to 120 in the four-byte
+    form, and a body near the length it needs."""
+    n = draw(st.integers(min_value=0, max_value=120))
+    if n < 63 and draw(st.booleans()):
+        head = chr(n + 63)
+    else:
+        head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     words = -(-n * (n - 1) // 2 // 6)
     size = max(0, words + draw(st.integers(min_value=-1, max_value=1)))
     body = draw(st.text(st.characters(min_codepoint=63, max_codepoint=126),
                         min_size=size, max_size=size))
     prefix = draw(st.sampled_from(["", ">>graph6<<"]))
-    return prefix + chr(n + 63) + body
+    return prefix + head + body
 
 
 GRAPH6_TEXT = st.one_of(
@@ -96,6 +103,13 @@ def _only_avec_errors(fn, arg):
         pass
 
 
+def _outcome(fn, arg):
+    try:
+        return fn(arg)
+    except AvecError as exc:
+        return type(exc), str(exc)
+
+
 @pytest.fixture(scope="module")
 def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "g.txt"
@@ -111,6 +125,12 @@ class TestReaders:
     @given(GRAPH6_TEXT)
     def test_from_graph6(self, text):
         _only_avec_errors(from_graph6, text)
+
+    @FUZZ
+    @given(GRAPH6_TEXT)
+    def test_from_graph6_matches_oracle(self, text):
+        # The same graph, or the same error with the same message.
+        assert _outcome(from_graph6, text) == _outcome(from_graph6_oracle, text)
 
     @FUZZ
     @given(FILE_BYTES)

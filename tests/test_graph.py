@@ -32,11 +32,13 @@ from avec.graph import (
 )
 from util import (
     cycle_scan_oracle,
+    eccentricities_oracle,
     from_nx,
     girth_oracle,
     has_cycle_oracle,
     random_connected_graph,
     relabel,
+    shuffle_labels,
     to_nx,
 )
 
@@ -153,9 +155,10 @@ class TestEccentricity:
             eccentricity_profile(build_graph(3, [(0, 1)]))
 
     def test_bfs_runs(self, monkeypatch):
-        # Bounding resolves long thin graphs with a handful of BFS runs;
-        # on vertex-transitive graphs nothing prunes and each vertex
-        # gets exactly one.  Trees take the two-sweep identity: 3 runs.
+        # Bounding resolves long thin graphs with a handful of BFS runs.
+        # On vertex-transitive graphs nothing prunes: bounding stops
+        # after _STALL_ROUNDS runs and the bit-parallel search takes the
+        # rest.  Trees take the two-sweep identity: 3 runs.
         runs = []
         bfs = avec.graph._bfs
 
@@ -181,11 +184,114 @@ class TestEccentricity:
         for g in (reiman(7).graph, classic("cycle", 50)):
             runs.clear()
             eccentricity_profile(g)
-            assert sorted(runs) == [(v,) for v in range(g.n)]
+            assert len(runs) == len(set(runs)) == avec.graph._STALL_ROUNDS == 8
 
     def test_empty_raises(self):
         with pytest.raises(InvalidArgument):
             eccentricity_profile(build_graph(0, []))
+
+
+#: name -> (graph, BFS runs, bit-parallel chunk sizes), relabelled by a
+#: permutation seeded with the name.  Every graph here but Petersen and
+#: the 3-cube stalls bounding; 8 runs and one chunk of n - 8 is the
+#: bit-parallel side of the size rule.
+FALLBACK_GRAPHS = {
+    **{f"reiman{q}": (lambda q=q: reiman(q).graph, 8, [2 * (q * q + q + 1) - 8])
+       for q in (2, 3, 4, 5, 7, 8, 9)},
+    **{f"cycle{n}": (lambda n=n: classic("cycle", n), 8, [n - 8]) for n in (21, 50, 97)},
+    "petersen": (petersen, 10, []),
+    **{f"hypercube{d}": (lambda d=d: from_nx(nx.hypercube_graph(d)), 8, [2**d - 8])
+       for d in (4, 5, 6, 7)},
+    "hypercube3": (lambda: from_nx(nx.hypercube_graph(3)), 8, []),
+    **{f"circulant{n}_{'_'.join(map(str, o))}": (
+        lambda n=n, o=o: from_nx(nx.circulant_graph(n, o)), 8, [n - 8])
+       for n, o in ((30, (1, 4)), (61, (1, 5, 11)), (64, (1, 8)), (100, (1, 2, 7)))},
+    **{f"regular{d}_{n}": (
+        lambda d=d, n=n: from_nx(nx.random_regular_graph(d, n, seed=n)), None, None)
+       for d, n in ((3, 60), (4, 100), (5, 200), (3, 500))},
+}
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Record full BFS runs and bit-parallel chunk sizes."""
+    runs, chunks = [], []
+    bfs, kernel = avec.graph._bfs, avec.graph._bit_parallel_ecc
+
+    def counting_bfs(g, sources, cap=None):
+        runs.append(sources)
+        return bfs(g, sources, cap)
+
+    def counting_kernel(g, sources, ecc):
+        chunks.append(len(sources))
+        return kernel(g, sources, ecc)
+
+    monkeypatch.setattr(avec.graph, "_bfs", counting_bfs)
+    monkeypatch.setattr(avec.graph, "_bit_parallel_ecc", counting_kernel)
+    return runs, chunks
+
+
+class TestBitParallelFallback:
+    @staticmethod
+    def check(g):
+        p = eccentricity_profile(g)
+        assert p.ecc == eccentricities_oracle(g)
+        expect = nx.eccentricity(to_nx(g))
+        assert p.ecc == tuple(expect[v] for v in range(g.n))
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_GRAPHS))
+    def test_families_match_oracle_and_networkx(self, name, searches):
+        build, runs, chunks = FALLBACK_GRAPHS[name]
+        self.check(shuffle_labels(build(), random.Random(name)))
+        # Random regular graphs depend on networkx's generator, so only
+        # their values are pinned, not how they were found.
+        if runs is not None:
+            assert (len(searches[0]), searches[1]) == (runs, chunks)
+
+    # reiman(5), shuffled, leaves 54 vertices after bounding, with the
+    # largest upper bound 5; cycle(50) leaves 42, with the largest at
+    # least 21.  Narrowing the chunk moves both across the size rule.
+    @pytest.mark.parametrize(
+        "name, width, runs, chunks",
+        [
+            ("reiman5", 53, 8, [53, 1]),
+            ("reiman5", 54, 8, [54]),
+            ("reiman5", 55, 8, [54]),
+            ("reiman5", 6, 8, [6] * 9),
+            ("reiman5", 5, 62, []),
+            ("cycle50", 42, 8, [42]),
+            ("cycle50", 41, 50, []),
+        ],
+    )
+    def test_chunk_width_and_size_rule(self, name, width, runs, chunks, searches, monkeypatch):
+        monkeypatch.setattr(avec.graph, "_BIT_WIDTH", width)
+        build = FALLBACK_GRAPHS[name][0]
+        self.check(shuffle_labels(build(), random.Random(name)))
+        assert (len(searches[0]), searches[1]) == (runs, chunks)
+
+    def test_plain_side_at_full_width(self, searches):
+        # 12 vertices left with bounds of at least 12: one BFS each.
+        # One more cycle vertex puts the rule on the bit-parallel side.
+        self.check(shuffle_labels(classic("cycle", 20), random.Random("cycle20")))
+        assert (len(searches[0]), searches[1]) == (20, [])
+        # chain(5, ell) leaves 2 vertices, with a largest upper bound of
+        # 7 at ell = 2 and 43 at ell = 8.
+        for ell in (2, 8):
+            g = chain(ChainSpec(5, ell)).graph
+            del searches[0][:]
+            p = eccentricity_profile(g)
+            assert p.ecc == eccentricities_oracle(g)
+            assert (len(searches[0]), searches[1]) == (22, [])
+
+    def test_more_sources_than_width(self, searches):
+        # reiman(23) leaves 1098 vertices: two chunks at W = 1024.  Every
+        # vertex of reiman(q) has eccentricity 3; networkx checks four.
+        g = shuffle_labels(reiman(23).graph, random.Random("reiman23"))
+        p = eccentricity_profile(g)
+        assert (len(searches[0]), searches[1]) == (8, [1024, 74])
+        assert p.ecc == (3,) * g.n
+        G = to_nx(g)
+        assert all(nx.eccentricity(G, v) == 3 for v in (0, 1023, 1024, g.n - 1))
 
 
 class TestWeightedAvec:

@@ -90,8 +90,8 @@ def relabelled(draw, base):
 # Connected inputs for the bounded eccentricity profile: random graphs and
 # trees, where bounding resolves most vertices, and vertex-transitive
 # families (cycles, hypercubes, Petersen, reiman), where it stalls and
-# the plain-BFS fallback runs.  Labels are shuffled because the order in
-# which sources are taken depends on them.
+# the bit-parallel or plain-BFS fallback runs.  Labels are shuffled
+# because the order in which sources are taken depends on them.
 PROFILE_GRAPHS = relabelled(
     st.one_of(
         connected_graphs(max_n=30),

@@ -13,7 +13,7 @@ from collections import deque
 
 import networkx as nx
 
-from avec.errors import DisconnectedGraph
+from avec.errors import DisconnectedGraph, InvalidArgument
 from avec.graph import CycleScan, build_graph
 
 
@@ -127,6 +127,52 @@ def eccentricities_oracle(g):
             raise DisconnectedGraph(f"vertex {s} reaches only {reached} of {g.n} vertices")
         ecc.append(last)
     return tuple(ecc)
+
+
+def from_graph6_oracle(text):
+    """graph6 decoding by one list entry per vertex pair, Theta(n^2),
+    with the library's checks and messages in the library's order."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    if not s:
+        raise InvalidArgument("empty graph6 input")
+    data = [ord(c) - 63 for c in s]
+    if any(b < 0 or b > 63 for b in data):
+        raise InvalidArgument("invalid graph6 character")
+    if data[0] < 63:
+        n = data[0]
+        body = data[1:]
+    elif len(data) >= 4 and data[1] < 63:
+        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        body = data[4:]
+    elif len(data) >= 8:
+        n = 0
+        for b in data[2:8]:
+            n = (n << 6) | b
+        body = data[8:]
+    else:
+        raise InvalidArgument("truncated graph6 input")
+    need = n * (n - 1) // 2
+    words = -(-need // 6)
+    if len(body) < words:
+        raise InvalidArgument("graph6 body shorter than the n promised")
+    if len(body) > words:
+        raise InvalidArgument(f"graph6 body has {len(body) - words} bytes past the n promised")
+    if words and body[-1] & ((1 << (6 * words - need)) - 1):
+        raise InvalidArgument("graph6 padding bits are not zero")
+    bits = []
+    for word in body:
+        for s6 in (5, 4, 3, 2, 1, 0):
+            bits.append((word >> s6) & 1)
+    edges = []
+    i = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bits[i]:
+                edges.append((u, v))
+            i += 1
+    return build_graph(n, edges)
 
 
 def line_displacement_oracle(tree, line):
@@ -247,6 +293,13 @@ def relabel(g, perm):
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list])
 
 
+def shuffle_labels(g, rng):
+    """Copy of g under a random relabelling drawn from rng."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
 def random_connected_graph(rng, n, extra_edges=0):
     """Random tree by random parents, plus extra random chords."""
     edges = {(rng.randrange(v), v) for v in range(1, n)}
@@ -256,6 +309,23 @@ def random_connected_graph(rng, n, extra_edges=0):
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return build_graph(n, edges)
+
+
+def thin(g, rng, deletions):
+    """Copy of g without up to `deletions` edges, tried in random order;
+    an edge goes only if both its ends keep degree at least 3."""
+    degree = [len(a) for a in g.adjacency]
+    edges = list(g.edge_list)
+    rng.shuffle(edges)
+    dropped = set()
+    for u, v in edges:
+        if len(dropped) == deletions:
+            break
+        if degree[u] > 3 and degree[v] > 3:
+            degree[u] -= 1
+            degree[v] -= 1
+            dropped.add((u, v))
+    return build_graph(g.n, [e for e in g.edge_list if e not in dropped])
 
 
 def random_tree(rng, n):
