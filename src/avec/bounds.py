@@ -18,7 +18,13 @@ from .errors import (
     NotApplicable,
     OutOfRange,
 )
-from .graph import ball, eccentricity_profile, forbidden_cycle_scan, is_connected
+from .graph import (
+    _walk2_counts,
+    ball,
+    eccentricity_profile,
+    forbidden_cycle_scan,
+    is_connected,
+)
 
 #: Bound identifiers used in reports, CSV columns, and the CLI.
 BOUND_PATH = "path_T11"
@@ -203,8 +209,7 @@ def audit_balls(g) -> AuditRecord:
     sc = structural_constants(delta, Delta)
     items = []
     if scan.class_girth6:
-        degree = list(map(len, g.adjacency))
-        s = [sum(map(degree.__getitem__, nbrs)) - len(nbrs) for nbrs in g.adjacency]
+        s = _walk2_counts(g.adjacency)
         sizes = (s[u] + s[v] + 2 for u, v in g.edge_list)
     else:
         sizes = (len(ball(g, e, 2)) for e in g.edge_list)

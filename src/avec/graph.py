@@ -314,9 +314,9 @@ def _bit_parallel_ecc(g, sources, ecc):
     """Set ecc[s] for each of the distinct `sources` of a connected graph.
 
     Source i owns bit i.  After round d, reach[v] holds the bits of the
-    sources within distance d of v: round d ORs each vertex's set with
-    its neighbours' sets from round d - 1.  A source's eccentricity is
-    the first round whose AND over all vertices holds its bit.
+    sources within distance d of v (`_ball_round`).  A source's
+    eccentricity is the first round whose AND over all vertices holds
+    its bit.
     """
     adjacency = g.adjacency
     reach = [0] * g.n
@@ -336,13 +336,25 @@ def _bit_parallel_ecc(g, sources, ecc):
             return
         done = now
         d += 1
-        last = reach
-        reach = []
-        for v, nbrs in enumerate(adjacency):
-            x = last[v]
-            for w in nbrs:
-                x |= last[w]
-            reach.append(x)
+        reach = _ball_round(adjacency, reach)
+
+
+def _ball_round(adjacency, reach):
+    """One round of the bit-parallel BFS: reach[v] | OR of reach[w] over
+    w in N(v), for each vertex v.
+
+    If reach[v] holds the bits of the sources within distance d of v,
+    the result holds those within distance d + 1.  Started from
+    reach[v] = 1 << v, round r gives the radius-r ball of every vertex
+    as a bitset: the ball of v holds w iff the ball of w holds v.
+    """
+    out = []
+    for v, nbrs in enumerate(adjacency):
+        x = reach[v]
+        for w in nbrs:
+            x |= reach[w]
+        out.append(x)
+    return out
 
 
 def weighted_avec(g, weights):
@@ -372,17 +384,48 @@ def weighted_avec(g, weights):
 def girth(g):
     """Length of a shortest cycle, or `INFINITE_GIRTH` for a forest.
 
-    One BFS per root r, read layer by layer: an edge inside layer d
-    closes a walk through r of length 2d + 1, and a vertex with two
-    neighbours in layer d - 1 closes one of length 2d.  Each such walk
-    contains a cycle no longer than it, and a shortest cycle through r
-    shows up this way, so the minimum over all roots is exact.  Layers
-    beyond (best - 1) // 2 cannot improve the best found so far.  An
-    uncapped BFS whose component has degree sum 2 (size - 1) has found
-    a tree, so no vertex of that component needs to be a root.
+    Under the size rule of `forbidden_cycle_scan`, the bit table answers
+    girth 3, 4 and 5 from the scan's flags, and girth 6 from one more
+    round, B3 = the radius-3 balls.  Given girth >= 6, a C6 passes
+    through a iff |B3(a) - B2(a)| < sum(s(x) - deg a + 1) over x in
+    N(a), where s(x) = sum(deg y - 1) over y in N(x).  Proof: the sum
+    counts the paths a-x-y-z with y != a and z != x.  With no cycle
+    shorter than 6, each such z is at distance exactly 3, since a
+    shorter a-z path would close a cycle of length at most 5 with it.
+    So the ends are exactly B3(a) - B2(a).  Two of the paths with one
+    end z start with different x, or x-y-z-y'-x would be a C4, and
+    with different y, or a-x-y-x'-a would be; so they form a C6
+    a-x-y-z-y'-x'-a.  Conversely, the vertex opposite a on a C6 through
+    a is at distance 3 from a, and the C6 gives two paths to it.  The
+    extra round costs one more n^2/8 bytes and 2m ORs of n-bit ints.
+
+    Girth 7 or more, and every graph on the other side of the size
+    rule, takes the layered search: one BFS per root r, read layer by
+    layer.  An edge inside layer d closes a walk through r of length
+    2d + 1, and a vertex with two neighbours in layer d - 1 closes one
+    of length 2d.  Each such walk contains a cycle no longer than it,
+    and a shortest cycle through r shows up this way, so the minimum
+    over all roots is exact.  Layers beyond (best - 1) // 2 cannot
+    improve the best found so far.  An uncapped BFS whose component has
+    degree sum 2 (size - 1) has found a tree, so no vertex of that
+    component needs to be a root.
     """
-    best = INFINITE_GIRTH
     adjacency = g.adjacency
+    if _uses_bit_table(g):
+        table = _table_scan(g)
+        if table is None:
+            return 3
+        has_c4, has_c5, b2, s = table
+        if has_c4:
+            return 4
+        if has_c5:
+            return 5
+        b3 = _ball_round(adjacency, b2)
+        for a, nbrs in enumerate(adjacency):
+            paths = sum(map(s.__getitem__, nbrs)) - len(nbrs) * (len(nbrs) - 1)
+            if (b3[a] & ~b2[a]).bit_count() < paths:
+                return 6
+    best = INFINITE_GIRTH
     in_tree = set()
     for r in range(g.n):
         if r in in_tree:
@@ -426,9 +469,50 @@ class CycleScan:
 def forbidden_cycle_scan(g):
     """Detect C3, C4 and C5 subgraphs, exactly, on any simple graph.
 
-    One pass over the roots a, each reading one local table: far(a),
-    the vertices other than a at the end of a walk a-x-b, so x is in
-    N(a) and b in N(x).  The middles of b are N(a) & N(b).
+    Two exact methods; a size rule picks one from n and m alone.
+
+    **Size rule.**  The bit table is used when n^2 <= 256 m, the walk-2
+    pass otherwise.  A round of the table is n bitsets of n bits,
+    n^2/8 bytes, so the rule caps it at 32 bytes per edge, less than
+    the graph itself keeps per edge (an `edge_list` tuple and two
+    adjacency entries).  It also makes a bitset at most 2·dbar machine
+    words, for the mean degree dbar = 2m/n, so a round's 2m ORs cost
+    at most 4m·dbar <= 2·sum deg(v)^2 word operations in C: no more than
+    twice the walk-2 pass's set insertions, without its C5 pre-check.
+    Every reiman(q) up to q = 63 takes the table (reiman(49): n = 4902,
+    n^2 = 24.0e6 <= 256 m = 31.4e6), and so do chains of a few hundred
+    vertices; chain(3, 1024), with n = 14336 and 25 MB per round, and
+    every chain(3, ell) with ell >= 28 keep the walk-2 pass.
+
+    **Bit table** (`_table_scan`).  B1 and B2 are the radius-1 and
+    radius-2 balls of every vertex as int bitsets, two rounds of the
+    bit-parallel BFS (`_ball_round`).  N(v) is B1(v) without v.
+
+    - C3 holds iff N(u) & N(v) is nonempty for some edge uv: a common
+      neighbour closes a triangle.
+    - With no C3, S2(a) = B2(a) & ~B1(a), the vertices at distance
+      exactly 2, is far(a) below: an end of a walk a-x-b with b != a is
+      not a neighbour of a, or a-x-b-a would be a triangle.  So C4
+      holds iff |S2(a)| < sum(deg x - 1) over x in N(a), as below.
+    - With no C3, C5 holds iff S2(b) & S2(c) is nonempty for some edge
+      bc.  Proof: a common vertex a gives paths a-x-b and a-y-c.  Then
+      x != c and y != b, as a is not adjacent to b or c, and x != y, or
+      x-b-c would be a triangle; a is at distance 2 from b and c and
+      adjacent to x and y.  So a-x-b-c-y-a is a C5.  Conversely, on a
+      C5 a-x-b-c-y-a with no C3, a is at distance exactly 2 from b
+      (via x; an edge ab would close a-x-b-a) and likewise from c.
+
+    A graph with a triangle then takes the walk-2 pass for C4 and C5,
+    because its C5 test allows triangles.  Cost: four lists of n-bit
+    ints, n^2/2 bytes, and O(m·n/64) word operations.  In-process on a
+    2-core machine under Python 3.11 that is 1.1 ms on reiman(16),
+    4 ms on reiman(25) and 47 ms on reiman(49), against 27 ms, 170 ms
+    and about 10 s for the walk-2 pass.
+
+    **Walk-2 pass.**  One pass over the roots a, each reading one local
+    table: far(a), the vertices other than a at the end of a walk
+    a-x-b, so x is in N(a) and b in N(x).  The middles of b are
+    N(a) & N(b).
 
     - C3 at a: far(a) meets N(a).  b in N(a) with a middle x closes
       a-x-b-a on three distinct vertices.
@@ -443,15 +527,18 @@ def forbidden_cycle_scan(g):
 
     Every C3, C4 and C5 shows up this way at each of its vertices, so
     each flag is exact, with or without the other cycles present.  The
-    pass stops once all three flags are set.
-
-    Cost: building far(a) and the C3/C4 tests take sum deg(x) over
-    N(a) set insertions per root, O(sum_v deg(v)^2) in all, in C.  The
-    C5 test first checks each b in far(a) for a neighbour in far(a),
-    sum deg(b) set lookups in C, O(n·Delta^3) in all; only a root that
-    has an edge inside far(a) runs the Python loop over its middles.
-    On a graph of girth 6 no root does.  Memory is O(Delta^2) per root.
+    pass stops once all three flags are set.  Building far(a) and the
+    C3/C4 tests take sum deg(x) over N(a) set insertions per root,
+    O(sum_v deg(v)^2) in all, in C.  The C5 test first checks each b in
+    far(a) for a neighbour in far(a), sum deg(b) set lookups in C,
+    O(n·Delta^3) in all; only a root that has an edge inside far(a)
+    runs the Python loop over its middles.  Memory is O(Delta^2) per
+    root.
     """
+    if _uses_bit_table(g):
+        table = _table_scan(g)
+        if table is not None:
+            return CycleScan(has_c3=False, has_c4=table[0], has_c5=table[1])
     adjacency = g.adjacency
     nbrs_of = adjacency.__getitem__
     has_c3 = has_c4 = has_c5 = False
@@ -465,6 +552,36 @@ def forbidden_cycle_scan(g):
         if has_c3 and has_c4 and has_c5:
             break
     return CycleScan(has_c3=has_c3, has_c4=has_c4, has_c5=has_c5)
+
+
+def _uses_bit_table(g):
+    # The size rule of `forbidden_cycle_scan` and `girth`.
+    return g.n * g.n <= 256 * g.m
+
+
+def _table_scan(g):
+    """(has_c4, has_c5, B2, s) of a graph with no C3, or None if it has
+    one, by the bit table of `forbidden_cycle_scan`.  B2 lists the
+    radius-2 balls as bitsets, and s is `_walk2_counts`."""
+    adjacency = g.adjacency
+    edges = g.edge_list
+    bit = [1 << v for v in range(g.n)]
+    b1 = _ball_round(adjacency, bit)
+    nbr = list(map(int.__xor__, b1, bit))
+    if any(nbr[u] & nbr[v] for u, v in edges):
+        return None
+    b2 = _ball_round(adjacency, b1)
+    s2 = [x & ~y for x, y in zip(b2, b1)]
+    s = _walk2_counts(adjacency)
+    has_c4 = any(x.bit_count() < c for x, c in zip(s2, s))
+    has_c5 = any(s2[u] & s2[v] for u, v in edges)
+    return has_c4, has_c5, b2, s
+
+
+def _walk2_counts(adjacency):
+    """s(x) = sum(deg a - 1) over a in N(x): the walks x-a-b with b != x."""
+    degree = list(map(len, adjacency))
+    return [sum(map(degree.__getitem__, nbrs)) - len(nbrs) for nbrs in adjacency]
 
 
 def _c5_at(adjacency, nbrs, far):

@@ -7,6 +7,7 @@ repeated or reversed edge is rejected, not merged.  The header's n may
 be at most `MAX_ORDER`, checked before anything is allocated.
 """
 
+from binascii import b2a_base64
 from math import isqrt
 
 from .errors import InvalidArgument, NotAscii
@@ -63,7 +64,14 @@ def parse_edgelist(text: str) -> Graph:
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode as a graph6 line (without the optional ``>>graph6<<`` header)."""
+    """Encode as a graph6 line (without the optional ``>>graph6<<`` header).
+
+    Bit i of the body is the pair (u, v), u < v, with i = v(v - 1)/2 + u,
+    most significant first.  Only the edges' bits are set, in a byte
+    buffer; base64 then cuts the bits into 6-bit words, and each
+    base64 digit d is replaced by chr(d + 63).  So the cost is O(m)
+    in Python and O(n^2) in C.
+    """
     n = g.n
     if n <= 62:
         head = [n + 63]
@@ -74,20 +82,20 @@ def to_graph6(g: Graph) -> str:
         head.extend(((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0))
     else:
         raise InvalidArgument(f"graph too large for graph6: n={n}")
-    adj = set(g.edge_list)
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if (u, v) in adj else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for i in range(0, len(bits), 6):
-        word = 0
-        for b in bits[i : i + 6]:
-            word = (word << 1) | b
-        body.append(word + 63)
-    return "".join(map(chr, head + body))
+    need = n * (n - 1) // 2
+    bits = bytearray(-(-need // 8))
+    for u, v in g.edge_list:
+        i = v * (v - 1) // 2 + u
+        bits[i >> 3] |= 128 >> (i & 7)
+    body = b2a_base64(bits, newline=False)[: -(-need // 6)]
+    return "".join(map(chr, head)) + body.decode("ascii").translate(_B64_TO_G6)
+
+
+#: base64 digit -> the graph6 character of the same six bits.
+_B64_TO_G6 = str.maketrans(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    "".join(chr(c + 63) for c in range(64)),
+)
 
 
 #: graph6 character -> its six bits, most significant first.

@@ -1,4 +1,5 @@
-"""Hostile-input fuzzing of the graph readers and of `avec analyze`.
+"""Hostile-input fuzzing of the graph readers and of `avec analyze`,
+and a differential test of the graph6 writer.
 
 Whatever the input, the readers may only raise `AvecError` subclasses,
 and the CLI may only exit 0 or 2, with a one-line diagnostic on 2.
@@ -14,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from avec import cli
 from avec.errors import AvecError
-from avec.io import MAX_ORDER, from_graph6, parse_edgelist, read_graph
+from avec.graph import build_graph
+from avec.io import MAX_ORDER, from_graph6, parse_edgelist, read_graph, to_graph6
 
-from util import from_graph6_oracle
+from util import from_graph6_oracle, to_graph6_oracle
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -151,3 +153,45 @@ class TestAnalyzeCli:
         if code == 2:
             assert err.getvalue().startswith("error:")
             assert len(err.getvalue().splitlines()) == 1
+
+
+# Orders where the graph6 header changes form (62 -> 63) and where the
+# body's padding takes each length it can: n(n - 1)/2 mod 6 is 0, 1, 3
+# or 4, so the padding is 0, 5, 3 or 2 bits (n = 4, 2, 3, 5).
+G6_ORDERS = (0, 1, 2, 3, 4, 5, 62, 63, 64)
+
+
+def _padding(n):
+    return -(n * (n - 1) // 2) % 6
+
+
+@st.composite
+def graphs(draw):
+    """A graph on one of `G6_ORDERS` or up to 80 vertices: random edges,
+    or the complement of random edges, so that dense bodies occur."""
+    n = draw(st.one_of(st.sampled_from(G6_ORDERS), st.integers(min_value=0, max_value=80)))
+    edges = set()
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = {(min(e), max(e)) for e in draw(st.lists(pairs, max_size=2 * n)) if e[0] != e[1]}
+    if draw(st.booleans()):
+        edges = {(u, v) for v in range(n) for u in range(v)} - edges
+    return build_graph(n, edges)
+
+
+class TestGraph6Writer:
+    def test_orders_cover_every_padding(self):
+        assert {_padding(n) for n in G6_ORDERS} == {_padding(n) for n in range(12)}
+
+    @pytest.mark.parametrize("n", G6_ORDERS)
+    def test_empty_and_complete(self, n):
+        for edges in ((), [(u, v) for v in range(n) for u in range(v)]):
+            g = build_graph(n, edges)
+            assert to_graph6(g) == to_graph6_oracle(g)
+
+    @FUZZ
+    @given(graphs())
+    def test_matches_oracle(self, g):
+        text = to_graph6(g)
+        assert text == to_graph6_oracle(g)
+        assert from_graph6(text) == g

@@ -17,6 +17,7 @@ from avec.generators import ChainSpec, chain, classic, reiman
 from avec.graph import (
     INFINITE_GIRTH,
     UNREACHABLE,
+    CycleScan,
     ball,
     build_graph,
     distances_from,
@@ -39,6 +40,7 @@ from util import (
     random_connected_graph,
     relabel,
     shuffle_labels,
+    thin,
     to_nx,
 )
 
@@ -322,6 +324,64 @@ class TestWeightedAvec:
             weighted_avec(g, [True, 1, 1])
 
 
+@pytest.fixture(params=["table", "walk2"])
+def scan_side(request, monkeypatch):
+    """Force one side of the size rule of `forbidden_cycle_scan` and
+    `girth`: the bit table, or the walk-2 pass and layered search."""
+    table = request.param == "table"
+    monkeypatch.setattr(avec.graph, "_uses_bit_table", lambda g: table)
+    return request.param
+
+
+def subdivided(g):
+    """g with every edge replaced by a path of length 2."""
+    edges = []
+    for i, (u, v) in enumerate(g.edge_list):
+        edges += [(u, g.n + i), (v, g.n + i)]
+    return build_graph(g.n + g.m, edges)
+
+
+def disjoint_union(*graphs):
+    edges, base = [], 0
+    for g in graphs:
+        edges += [(u + base, v + base) for u, v in g.edge_list]
+        base += g.n
+    return build_graph(base, edges)
+
+
+def _thinned_reiman(q):
+    g = reiman(q).graph
+    rng = random.Random(q)
+    return shuffle_labels(thin(g, rng, g.m // 3), rng)
+
+
+# Graphs of girth at least 6, with their girth.  The first group has a
+# C6, which the bit table finds by the radius-3 count; the second has
+# none, so girth goes on to the layered search.
+GIRTH6_GRAPHS = {
+    "heawood": (lambda: from_nx(nx.heawood_graph()), 6),
+    "pappus": (lambda: from_nx(nx.pappus_graph()), 6),
+    "desargues": (lambda: from_nx(nx.desargues_graph()), 6),
+    **{f"hexagonal_torus{a}x{b}": (
+        lambda a=a, b=b: from_nx(nx.hexagonal_lattice_graph(a, b, periodic=True)), 6)
+       for a, b in ((3, 4), (4, 6), (6, 6))},
+    **{f"thinned_reiman{q}": (lambda q=q: _thinned_reiman(q), 6) for q in (3, 4, 5, 7)},
+    **{f"chain({d},{ell})": (lambda d=d, ell=ell: chain(ChainSpec(d, ell)).graph, 6)
+       for d, ell in ((3, 2), (3, 4), (4, 2))},
+    "subdivided_k4": (lambda: subdivided(classic("complete", 4)), 6),
+    "heawood_and_mcgee": (lambda: disjoint_union(
+        from_nx(nx.LCF_graph(24, [12, 7, -7], 8)), from_nx(nx.heawood_graph())), 6),
+    "cycle6_with_trees": (lambda: build_graph(
+        12, [(i, (i + 1) % 6) for i in range(6)] + [(i, i + 6) for i in range(6)]), 6),
+    "mcgee": (lambda: from_nx(nx.LCF_graph(24, [12, 7, -7], 8)), 7),
+    "tutte_coxeter": (lambda: from_nx(nx.LCF_graph(30, [-13, -9, 7, -7, 9, 13], 5)), 8),
+    **{f"cycle{n}": (lambda n=n: classic("cycle", n), n) for n in (7, 8, 12)},
+    "subdivided_petersen": (lambda: subdivided(petersen()), 10),
+    "cycle8_and_tree": (lambda: disjoint_union(classic("cycle", 8), classic("path", 5)), 8),
+    "tree": (lambda: random_connected_graph(random.Random(3), 30), INFINITE_GIRTH),
+}
+
+
 class TestGirth:
     def test_frozen_values(self, reiman2):
         assert girth(classic("cycle", 5)) == 5
@@ -338,6 +398,22 @@ class TestGirth:
             g = random_connected_graph(rng, n, rng.randint(0, n))
             assert girth(g) == girth_oracle(g)
 
+    def test_both_sides_match_oracle(self, scan_side):
+        assert girth(build_graph(0, [])) == INFINITE_GIRTH
+        assert girth(from_nx(nx.hypercube_graph(3))) == 4
+        rng = random.Random(12)
+        for _ in range(60):
+            n = rng.randint(2, 16)
+            g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
+            assert girth(g) == girth_oracle(g), g.edge_list
+
+    @pytest.mark.parametrize("name", sorted(GIRTH6_GRAPHS))
+    def test_girth6_with_and_without_c6(self, name, scan_side):
+        build, want = GIRTH6_GRAPHS[name]
+        g = build()
+        assert girth(g) == want == girth_oracle(g)
+        assert girth(shuffle_labels(g, random.Random(name))) == want
+
     def test_large_graphs(self):
         # Past _LIST_LIMIT vertices, capped searches keep distances in a dict.
         g = chain(ChainSpec(3, 150)).graph
@@ -347,6 +423,21 @@ class TestGirth:
         tail = [(i, i + 1) for i in range(7, 2106)]
         assert girth(build_graph(2107, ring + tail)) == 7
         assert girth(classic("path", 2100)) == INFINITE_GIRTH
+
+    @pytest.mark.parametrize("name", ["heawood", "hexagonal_torus6x6", "thinned_reiman5",
+                                      "chain(3,4)", "cycle6_with_trees"])
+    def test_c6_found_without_search(self, name, monkeypatch):
+        # These graphs are on the bit-table side, where a C6 needs no
+        # BFS; the hexagonal torus and the chain have vertices at
+        # distance 4, so the count must leave out the radius-2 ball.
+        def refuse(*args):
+            raise AssertionError("girth ran a BFS")
+
+        g = GIRTH6_GRAPHS[name][0]()
+        assert avec.graph._uses_bit_table(g)
+        monkeypatch.setattr(avec.graph, "_bfs", refuse)
+        assert girth(g) == 6
+        assert girth(shuffle_labels(reiman(9).graph, random.Random(9))) == 6
 
 
 class TestForbiddenCycleScan:
@@ -445,6 +536,105 @@ class TestForbiddenCycleScan:
         random.Random(g.m).shuffle(perm)
         assert forbidden_cycle_scan(g) == want
         assert forbidden_cycle_scan(relabel(g, perm)) == want
+
+
+# Named graphs with their (C3, C4, C5) flags: every combination of the
+# triangle-free flags, and graphs with triangles.
+SCAN_GRAPHS = {
+    "reiman(2)": (lambda: reiman(2).graph, (False, False, False)),
+    "heawood": (lambda: from_nx(nx.heawood_graph()), (False, False, False)),
+    "cycle6": (lambda: classic("cycle", 6), (False, False, False)),
+    "cube3": (lambda: from_nx(nx.hypercube_graph(3)), (False, True, False)),
+    "k33": (lambda: from_nx(nx.complete_bipartite_graph(3, 3)), (False, True, False)),
+    "grid4x4": (lambda: from_nx(nx.grid_2d_graph(4, 4)), (False, True, False)),
+    "petersen": (petersen, (False, False, True)),
+    "dodecahedron": (lambda: from_nx(nx.dodecahedral_graph()), (False, False, True)),
+    "cycle5": (lambda: classic("cycle", 5), (False, False, True)),
+    "grotzsch": (lambda: from_nx(nx.mycielski_graph(4)), (False, True, True)),
+    "wagner": (lambda: from_nx(nx.circulant_graph(8, [1, 4])), (False, True, True)),
+    "k4": (lambda: classic("complete", 4), (True, True, False)),
+    "k5": (lambda: classic("complete", 5), (True, True, True)),
+    **{f"wheel({k})": (lambda k=k: from_nx(nx.wheel_graph(k)), (True, True, k > 4))
+       for k in (4, 5, 6, 7)},
+    "windmill(4)": (lambda: build_graph(9, [(0, i) for i in range(1, 9)]
+                                        + [(i, i + 1) for i in range(1, 9, 2)]),
+                    (True, False, False)),
+    "book(4)": (lambda: build_graph(6, [(0, 1)] + [(e, i) for i in range(2, 6) for e in (0, 1)]),
+                (True, True, False)),
+    "line_graph(reiman(2))": (lambda: line_graph(reiman(2).graph)[0], (True, False, False)),
+}
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """Record the graphs that reach the bit table."""
+    calls = []
+    table_scan = avec.graph._table_scan
+
+    def recording(g):
+        calls.append(g.n)
+        return table_scan(g)
+
+    monkeypatch.setattr(avec.graph, "_table_scan", recording)
+    return calls
+
+
+class TestBitTableScan:
+    @pytest.mark.parametrize("name", sorted(SCAN_GRAPHS))
+    def test_named_graphs_match_oracles(self, name, scan_side):
+        build, flags = SCAN_GRAPHS[name]
+        g = build()
+        want = CycleScan(*flags)
+        assert cycle_scan_oracle(g) == want
+        if g.n <= 12:
+            assert tuple(has_cycle_oracle(g, k) for k in (3, 4, 5)) == flags
+        assert forbidden_cycle_scan(g) == want
+        assert forbidden_cycle_scan(shuffle_labels(g, random.Random(name))) == want
+
+    def test_random_triangle_free_all_combinations(self, scan_side):
+        # Triangles are removed greedily, so every graph tests the
+        # table's own C4 and C5 identities on the table side.
+        rng = random.Random(63)
+        seen = set()
+        for _ in range(150):
+            n = rng.randint(4, 30)
+            g = build_graph(n, [rng.sample(range(n), 2) for _ in range(int(n * n / 4 * rng.random()))])
+            nbrs = [set(a) for a in g.adjacency]
+            for u, v in g.edge_list:
+                if nbrs[u] & nbrs[v]:
+                    nbrs[u].discard(v)
+                    nbrs[v].discard(u)
+            g = build_graph(n, [(u, v) for u in range(n) for v in nbrs[u] if u < v])
+            want = cycle_scan_oracle(g)
+            assert not want.has_c3
+            seen.add((want.has_c4, want.has_c5))
+            assert forbidden_cycle_scan(g) == want, g.edge_list
+        assert len(seen) == 4
+
+    def test_random_any_density_match_brute_oracle(self, scan_side):
+        rng = random.Random(64)
+        for _ in range(120):
+            n = rng.randint(1, 9)
+            p = rng.random()
+            g = build_graph(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+            ])
+            want = tuple(has_cycle_oracle(g, k) for k in (3, 4, 5))
+            s = forbidden_cycle_scan(g)
+            assert (s.has_c3, s.has_c4, s.has_c5) == want, g.edge_list
+
+    @pytest.mark.parametrize("make, table", [
+        *(pytest.param(lambda q=q: reiman(q).graph, True, id=f"reiman({q})")
+          for q in (2, 3, 4, 5, 7, 8, 9)),
+        *(pytest.param(lambda d=d, ell=ell: chain(ChainSpec(d, ell)).graph, False,
+                       id=f"chain({d},{ell})")
+          for d, ell in ((3, 128), (5, 48), (3, 1024))),
+    ])
+    def test_size_rule_side(self, make, table, table_calls):
+        g = make()
+        scan = forbidden_cycle_scan(g)
+        assert scan.class_girth6
+        assert table_calls == ([g.n] if table else [])
 
 
 class TestBall:

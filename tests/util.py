@@ -129,6 +129,34 @@ def eccentricities_oracle(g):
     return tuple(ecc)
 
 
+def to_graph6_oracle(g):
+    """graph6 encoding by one list entry per vertex pair, Theta(n^2)."""
+    n = g.n
+    if n <= 62:
+        head = [n + 63]
+    elif n <= 258047:
+        head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    elif n <= 68719476735:
+        head = [126, 126]
+        head.extend(((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0))
+    else:
+        raise InvalidArgument(f"graph too large for graph6: n={n}")
+    adj = set(g.edge_list)
+    bits = []
+    for v in range(1, n):
+        for u in range(v):
+            bits.append(1 if (u, v) in adj else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    body = []
+    for i in range(0, len(bits), 6):
+        word = 0
+        for b in bits[i : i + 6]:
+            word = (word << 1) | b
+        body.append(word + 63)
+    return "".join(map(chr, head + body))
+
+
 def from_graph6_oracle(text):
     """graph6 decoding by one list entry per vertex pair, Theta(n^2),
     with the library's checks and messages in the library's order."""
