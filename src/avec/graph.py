@@ -504,8 +504,8 @@ def forbidden_cycle_scan(g):
 
     A graph with a triangle then takes the walk-2 pass for C4 and C5,
     because its C5 test allows triangles.  Cost: four lists of n-bit
-    ints, n^2/2 bytes, and O(m·n/64) word operations.  In-process on a
-    2-core machine under Python 3.11 that is 1.1 ms on reiman(16),
+    ints, about n^2/2 bytes, and O(m·n/64) word operations.  In-process
+    on a 2-core machine under Python 3.11 that is 1.1 ms on reiman(16),
     4 ms on reiman(25) and 47 ms on reiman(49), against 27 ms, 170 ms
     and about 10 s for the walk-2 pass.
 
