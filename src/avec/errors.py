@@ -33,10 +33,6 @@ class NotPrimePower(AvecError, ValueError):
     """The requested field order is not a prime power."""
 
 
-class DivisionByZero(AvecError, ZeroDivisionError):
-    """Multiplicative inverse of the zero field element."""
-
-
 class InvalidChainSpec(InvalidArgument):
     """A chain description violates its validity rules."""
 

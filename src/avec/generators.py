@@ -51,9 +51,7 @@ def reiman(q: int) -> LabeledGraph:
             f"reiman({q}) has {order} vertices, more than MAX_ORDER={MAX_ORDER}"
         )
     fld = make_field(q)
-    elems = fld.elements()
-    add = [[int(a + b) for b in elems] for a in elems]
-    mul = [[int(a * b) for b in elems] for a in elems]
+    add, mul = fld.add, fld.mul
     triples = _normalized_triples(q)
     npts = len(triples)
     edges = []
@@ -95,7 +93,7 @@ class ChainSpec:
 
 def _distance3_vertex(g: Graph, source: int):
     # Smallest-index vertex at distance exactly 3 from source, if any.
-    dist = distances_from(g, (source,)).dist
+    dist = distances_from(g, (source,))
     hits = [v for v, d in enumerate(dist) if d == 3]
     return min(hits) if hits else None
 

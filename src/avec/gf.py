@@ -1,52 +1,34 @@
-"""Arithmetic in GF(p^k) for small prime powers.
+"""Addition and multiplication tables of GF(p^k) for small prime powers.
 
-Elements are coefficient vectors over GF(p), little-endian (index i is
-the coefficient of x^i), reduced modulo a canonical irreducible monic
-modulus.  The modulus is the lexicographically smallest monic
-irreducible of degree k when candidates are ordered by ascending
+Element i is the polynomial over GF(p) whose little-endian coefficients
+(index s is the coefficient of x^s) are the base-p digits of i, reduced
+modulo a canonical irreducible monic modulus; so 0 and 1 are the
+field's zero and one.  The modulus is the lexicographically smallest
+monic irreducible of degree k when candidates are ordered by ascending
 coefficient tuple, i.e. by the integer value sum(a_i * p^i).  For k = 1
 the modulus is x and arithmetic is plain mod p.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 
-from .errors import DivisionByZero, InvalidArgument, NotPrimePower
+from .errors import InvalidArgument, NotPrimePower, OutOfRange
+from .io import MAX_ORDER
 
 
-def _poly_mod(num, den, p):
-    # Remainder of num by monic den over GF(p); both little-endian lists.
+def _divides(den, num, p):
+    # Whether monic den divides num over GF(p); both little-endian.
     num = list(num)
-    dd = len(den) - 1
-    while len(num) - 1 >= dd and len(num) > 0:
-        lead = num[-1]
-        if lead == 0:
-            num.pop()
-            continue
-        shift = len(num) - 1 - dd
-        for i, c in enumerate(den):
+    while len(num) >= len(den):
+        lead = num.pop()
+        shift = len(num) - len(den) + 1
+        for i, c in enumerate(den[:-1]):
             num[shift + i] = (num[shift + i] - lead * c) % p
-        while num and num[-1] == 0:
-            num.pop()
-    return num
-
-
-def _is_irreducible(poly, p):
-    # Trial division by every monic polynomial of degree 1..deg/2.
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for t in range(p**d):
-            den = _digits(t, p, d) + [1]
-            if not _poly_mod(poly, den, p):
-                return False
-    return True
+    return not any(num)
 
 
 def _digits(t, p, k):
-    out = []
-    for _ in range(k):
-        out.append(t % p)
-        t //= p
-    return out
+    return [t // p**s % p for s in range(k)]
 
 
 def find_irreducible(p: int, k: int) -> tuple:
@@ -62,134 +44,77 @@ def find_irreducible(p: int, k: int) -> tuple:
         return (0, 1)
     for t in range(p**k):
         cand = _digits(t, p, k) + [1]
-        if _is_irreducible(cand, p):
+        # Trial division by every monic polynomial of degree 1..k/2.
+        if not any(
+            _divides(_digits(u, p, d) + [1], cand, p)
+            for d in range(1, k // 2 + 1)
+            for u in range(p**d)
+        ):
             return tuple(cand)
     raise AssertionError(f"no irreducible of degree {k} over GF({p})")
 
 
 def _factor_prime_power(q):
-    if q < 2:
-        raise NotPrimePower(f"{q} is not a prime power")
-    p = None
-    for d in range(2, q + 1):
-        if d * d > q:
-            p = q if p is None else p
-            break
-        if q % d == 0:
-            p = d
-            break
-    k = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    if rest != 1:
-        raise NotPrimePower(f"{q} is not a prime power")
-    return p, k
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of GF(p^k): canonical coefficient tuple plus its field."""
-
-    field: "FiniteField"
-    coeffs: tuple
-
-    def __add__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field,
-            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        f = self.field
-        prod = [0] * (2 * f.k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] += a * b
-        rem = _poly_mod([c % f.p for c in prod], list(f.modulus), f.p)
-        rem += [0] * (f.k - len(rem))
-        return FieldElement(f, tuple(rem))
-
-    def inverse(self):
-        if not any(self.coeffs):
-            raise DivisionByZero("zero has no multiplicative inverse")
-        # a^(q-2) = a^(-1) in GF(q)*
-        result = self.field.one()
-        base = self
-        e = self.field.q - 2
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __int__(self):
-        p = self.field.p
-        val = 0
-        for c in reversed(self.coeffs):
-            val = val * p + c
-        return val
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise InvalidArgument("operands belong to different fields")
-
-    def __repr__(self):
-        return f"FieldElement({int(self)} in GF({self.field.q}))"
+    if q >= 2:
+        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+        k = 1
+        while p**k < q:
+            k += 1
+        if p**k == q:
+            return p, k
+    raise NotPrimePower(f"{q} is not a prime power")
 
 
 @dataclass(frozen=True)
 class FiniteField:
-    """GF(p^k) with its canonical modulus.
+    """GF(p^k) as two q x q tables of element indices.
 
-    Construct through `make_field`; arithmetic lives on the elements.
+    `add[i][j]` and `mul[i][j]` are the indices of the sum and the
+    product of elements i and j.  Construct through `make_field`.
     """
 
     p: int
     k: int
     q: int
     modulus: tuple
-
-    def element(self, coeffs) -> FieldElement:
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.k:
-            raise InvalidArgument(f"expected {self.k} coefficients, got {len(coeffs)}")
-        return FieldElement(self, coeffs)
-
-    def from_int(self, value: int) -> FieldElement:
-        if not (0 <= value < self.q):
-            raise InvalidArgument(f"element index {value} outside 0..{self.q - 1}")
-        return FieldElement(self, tuple(_digits(value, self.p, self.k)))
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.k)
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.k - 1))
-
-    def elements(self):
-        """All q elements in ascending integer order."""
-        return [self.from_int(i) for i in range(self.q)]
+    add: tuple
+    mul: tuple
 
 
 def make_field(q: int) -> FiniteField:
-    """Field with q elements; q must be a prime power >= 2."""
+    """Field with q elements; q must be a prime power >= 2.
+
+    Refuses, before building any table, a q whose `reiman(q)` would have
+    more than `io.MAX_ORDER` vertices.
+    """
     p, k = _factor_prime_power(q)
-    return FiniteField(p=p, k=k, q=q, modulus=find_irreducible(p, k))
+    order = 2 * (q * q + q + 1)
+    if order > MAX_ORDER:
+        raise OutOfRange(
+            f"GF({q}) serves reiman({q}), which has {order} vertices,"
+            f" more than MAX_ORDER={MAX_ORDER}"
+        )
+    modulus = find_irreducible(p, k)
+    # Digit 0 of i + j is (i + j) mod p, and the digits above it are
+    # those of (i // p) + (j // p), an earlier row.
+    add = [range(q)]
+    for i in range(1, q):
+        up = add[i // p]
+        add.append([(i + j) % p + p * up[j // p] for j in range(q)])
+    # x * e shifts e's digits up one place; its top digit t comes back
+    # as t * (x^k mod modulus), which is -modulus without its x^k term.
+    top = q // p
+    xk = sum((-c) % p * p**s for s, c in enumerate(modulus[:-1]))
+    carry = [0]
+    for _ in range(p - 1):
+        carry.append(add[carry[-1]][xk])
+    times_x = [add[p * (e % top)][carry[e // top]] for e in range(q)]
+    # i * j is (i - 1) * j + j when digit 0 of i is nonzero, and
+    # x * ((i // p) * j) when it is zero.
+    mul = [[0] * q]
+    for i in range(1, q):
+        if i % p:
+            mul.append([add[a][j] for j, a in enumerate(mul[i - 1])])
+        else:
+            mul.append([times_x[a] for a in mul[i // p]])
+    return FiniteField(p, k, q, modulus, tuple(map(tuple, add)), tuple(map(tuple, mul)))

@@ -107,18 +107,6 @@ def build_graph(n, edges):
     return Graph(n, adjacency, edge_list)
 
 
-@dataclass(frozen=True)
-class DistanceVector:
-    """BFS distances from a set of source vertices.
-
-    dist[v] is the length of a shortest path from the nearest source,
-    or `UNREACHABLE`.
-    """
-
-    sources: frozenset
-    dist: tuple
-
-
 #: Graph size above which a capped BFS keeps distances in a dict.  Up
 #: to here, allocating an n-long list costs a few microseconds, less
 #: than a dict spends on each dense ball of `reiman(q)`; beyond it the
@@ -178,10 +166,13 @@ def _source_set(g, sources):
 
 
 def distances_from(g, sources):
-    """Multi-source BFS distances from `sources` (nonempty vertex set)."""
-    src = _source_set(g, sources)
-    dist, _, _ = _bfs(g, src)
-    return DistanceVector(frozenset(src), tuple(dist))
+    """Multi-source BFS distances from `sources` (nonempty vertex set).
+
+    Entry v is the length of a shortest path from the nearest source to
+    v, or `UNREACHABLE`.
+    """
+    dist, _, _ = _bfs(g, _source_set(g, sources))
+    return tuple(dist)
 
 
 def is_connected(g):
@@ -608,25 +599,6 @@ def ball(g, sources, k):
         raise InvalidArgument(f"radius must be nonnegative, got {k}")
     _, _, reached = _bfs(g, _source_set(g, sources), k)
     return frozenset(reached)
-
-
-def _require_edge(g, e):
-    u, v = e
-    if not g.has_edge(u, v):
-        raise InvalidEdge(f"({u}, {v}) is not an edge of the graph")
-    return (u, v) if u < v else (v, u)
-
-
-def edge_distance(g, e, f):
-    """Distance between two edges: min over endpoint pairs.
-
-    Returns `UNREACHABLE` if the edges lie in different components.
-    """
-    e = _require_edge(g, e)
-    f = _require_edge(g, f)
-    dist = distances_from(g, e).dist
-    vals = [dist[x] for x in f if dist[x] is not UNREACHABLE]
-    return min(vals) if vals else UNREACHABLE
 
 
 def line_graph(g):

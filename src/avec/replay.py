@@ -244,9 +244,9 @@ def _assert_matching(g, edges, pairwise, bonus):
                     f"{pairwise[i][j]} < {need}"
                 )
     # Coverage: every edge has slack <= 4.
-    slack = [d - bonus for d in distances_from(g, edges[0]).dist]
+    slack = [d - bonus for d in distances_from(g, edges[0])]
     if k > 1:
-        rest = distances_from(g, {v for e in edges[1:] for v in e}).dist
+        rest = distances_from(g, {v for e in edges[1:] for v in e})
         slack = [min(s, d) for s, d in zip(slack, rest)]
     if any(slack[a] > 4 and slack[b] > 4 for a, b in g.edge_list):
         raise ConstructionInvariantViolated(
@@ -305,7 +305,7 @@ def build_tree(g, matching: Matching) -> AnchoredTree:
         tree_edges.add(connectors[i])
 
     mverts = [v for e in matching.edges for v in e]
-    dM = distances_from(g, mverts).dist
+    dM = distances_from(g, mverts)
     in_tree = [o != -1 for o in owner]
     pending = sorted(
         (d, v) for v, d in enumerate(dM) if d is not None and not in_tree[v]
@@ -342,7 +342,7 @@ def _assert_tree(g, matching, anchored, dM):
         raise ConstructionInvariantViolated(
             f"tree has {tree.m} edges, expected {n - 1}"
         )
-    reach = distances_from(tree, (0,)).dist
+    reach = distances_from(tree, (0,))
     if any(d is None for d in reach):
         raise ConstructionInvariantViolated("tree is not spanning")
     for i, e in enumerate(matching.edges):

@@ -185,14 +185,14 @@ def test_criterion_4_replay_girth6():
             # matching invariants, exhaustively re-derived
             k = len(tr.matching.edges)
             for i in range(k):
-                dist = distances_from(g, tr.matching.edges[i]).dist
+                dist = distances_from(g, tr.matching.edges[i])
                 for j in range(k):
                     a, b = tr.matching.edges[j]
                     assert min(dist[a], dist[b]) == tr.matching.pairwise[i][j]
                     if i != j:
                         assert tr.matching.pairwise[i][j] >= 5
             mverts = {v for e in tr.matching.edges for v in e}
-            dist = distances_from(g, mverts).dist
+            dist = distances_from(g, mverts)
             for u, v in g.edge_list:
                 assert min(dist[u], dist[v]) <= 4
             balls = [ball(g, e, 2) for e in tr.matching.edges]
@@ -278,21 +278,23 @@ def test_criterion_8c_field_axioms():
     def body():
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27):
             f = make_field(q)
-            els = f.elements()
-            zero, one = f.zero(), f.one()
-            assert len({int(e) for e in els}) == q
+            add, mul = f.add, f.mul
+            els = range(q)
+            assert len(add) == len(mul) == q
             for a in els:
-                assert a + zero == a and a * one == a
-                assert a + (-a) == zero
+                assert set(add[a]) | set(mul[a]) <= set(els)
+                assert add[a][0] == a and mul[a][1] == a
+                # inverses: a row holding the identity
+                assert 0 in add[a]
                 if a:
-                    assert a * a.inverse() == one
+                    assert 1 in mul[a]
                 for b in els:
-                    assert a + b == b + a
-                    assert a * b == b * a
+                    assert add[a][b] == add[b][a]
+                    assert mul[a][b] == mul[b][a]
                     for c in els:
-                        assert (a + b) + c == a + (b + c)
-                        assert (a * b) * c == a * (b * c)
-                        assert a * (b + c) == a * b + a * c
+                        assert add[add[a][b]][c] == add[a][add[b][c]]
+                        assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
     _verdict("8c", "field axioms exhaustive", body)
 

@@ -105,8 +105,8 @@ class TestChain:
     def test_distance3_witnesses(self, chain32):
         g = chain32.graph
         d = chain32.designated
-        assert distances_from(g, (d["v1"],)).dist[d["u_star"]] == 3
-        assert distances_from(g, (d["u2"],)).dist[d["v_star"]] == 3
+        assert distances_from(g, (d["v1"],))[d["u_star"]] == 3
+        assert distances_from(g, (d["u2"],))[d["v_star"]] == 3
 
     def test_custom_head_default_equivalence(self):
         # the default head is the full incidence graph with its first edge

@@ -2,8 +2,12 @@ import itertools
 
 import pytest
 
-from avec.errors import DivisionByZero, InvalidArgument, NotPrimePower
-from avec.gf import FieldElement, find_irreducible, make_field
+import avec.generators
+import avec.gf
+from avec import cli
+from avec.errors import NotPrimePower, OutOfRange
+from avec.gf import find_irreducible, make_field
+from avec.io import MAX_ORDER
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)
 
@@ -16,6 +20,25 @@ def poly_mul_mod(a, b, p):
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def poly_rem(a, modulus, p):
+    # Remainder of a by the monic modulus, by long division.
+    out = list(a)
+    deg = len(modulus) - 1
+    for top in range(len(out) - 1, deg - 1, -1):
+        lead = out[top]
+        for s, c in enumerate(modulus):
+            out[top - deg + s] = (out[top - deg + s] - lead * c) % p
+    return out[:deg]
+
+
+def to_poly(i, f):
+    return [i // f.p**s % f.p for s in range(f.k)]
+
+
+def from_poly(coeffs, f):
+    return sum(c * f.p**s for s, c in enumerate(coeffs))
 
 
 def monic_polys(p, deg):
@@ -57,91 +80,110 @@ class TestIrreducible:
 
 
 class TestArithmetic:
+    """The tables against polynomial arithmetic done here: element i has
+    the base-p digits of i as little-endian coefficients."""
+
     def test_gf4_frozen(self):
         f = make_field(4)
-        x = f.from_int(2)
-        assert int(x * x) == 3  # x^2 = x + 1
-        assert int(x * x * x) == 1
-        assert int(x + x) == 0  # characteristic 2
+        x = 2
+        assert f.mul[x][x] == 3  # x^2 = x + 1
+        assert f.mul[f.mul[x][x]][x] == 1
+        assert f.add[x][x] == 0  # characteristic 2
 
     def test_gf5_frozen(self):
         f = make_field(5)
-        assert int(f.from_int(2).inverse()) == 3
-        assert int(f.from_int(4) + f.from_int(3)) == 2
-        assert int(-f.from_int(1)) == 4
+        assert f.mul[2][3] == 1  # 2^-1 = 3
+        assert f.add[4][3] == 2
+        assert f.add[1][4] == 0  # -1 = 4
+
+    def test_operators(self):
+        # GF(9) = GF(3)[x]/(x^2 + 1); 5 = 2 + x, 7 = 1 + 2x, 6 = 2x, 4 = 1 + x
+        f = make_field(9)
+        assert f.add[5][7] == 0  # so -5 = 7
+        assert f.mul[5][7] == 6
+        assert f.mul[5][4] == 1  # so 5^-1 = 4
 
     def test_int_round_trip(self):
+        # 0 and 1 are the identities, and x = element p satisfies the modulus
         for q in (2, 3, 4, 5, 8, 9, 16, 25, 27):
             f = make_field(q)
-            for t in range(q):
-                assert int(f.from_int(t)) == t
-            els = f.elements()
-            assert [int(e) for e in els] == list(range(q))
+            assert f.add[0] == tuple(range(q)) and f.mul[1] == tuple(range(q))
+            if f.k > 1:
+                power = 1
+                for _ in range(f.k):
+                    power = f.mul[power][f.p]
+                lower = sum((-c) % f.p * f.p**s for s, c in enumerate(f.modulus[:-1]))
+                assert power == lower
+
+    def test_add_is_digitwise(self):
+        for q in PRIME_POWERS:
+            f = make_field(q)
+            for i in range(q):
+                for j in range(q):
+                    digits = [(a + b) % f.p for a, b in zip(to_poly(i, f), to_poly(j, f))]
+                    assert f.add[i][j] == from_poly(digits, f)
+
+    def test_mul_is_polynomial_product(self):
+        for q in PRIME_POWERS:
+            f = make_field(q)
+            for i in range(q):
+                for j in range(q):
+                    prod = poly_mul_mod(to_poly(i, f), to_poly(j, f), f.p)
+                    rem = poly_rem(prod, f.modulus, f.p)
+                    assert f.mul[i][j] == from_poly(rem, f)
 
     def test_axioms_sampled_fields(self):
         for q in (4, 8, 9):
             f = make_field(q)
-            els = f.elements()
-            zero, one = f.zero(), f.one()
+            add, mul = f.add, f.mul
+            els = range(q)
             for a in els:
-                assert a + zero == a and a * one == a
-                assert a + (-a) == zero
-                assert a * zero == zero
+                assert add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
+                assert 0 in add[a]
                 if a:
-                    assert a * a.inverse() == one
+                    assert 1 in mul[a]
             for a, b, c in itertools.product(els, repeat=3):
-                assert (a + b) + c == a + (b + c)
-                assert (a * b) * c == a * (b * c)
-                assert a * (b + c) == a * b + a * c
+                assert add[add[a][b]][c] == add[a][add[b][c]]
+                assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
             for a, b in itertools.product(els, repeat=2):
-                assert a + b == b + a and a * b == b * a
-                assert a - b == a + (-b)
+                assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
 
     def test_nonzero_products_nonzero(self):
         # no zero divisors
         for q in (4, 9, 8):
-            f = make_field(q)
-            els = f.elements()
-            for a in els[1:]:
-                for b in els[1:]:
-                    assert bool(a * b)
+            mul = make_field(q).mul
+            for a in range(1, q):
+                assert 0 not in mul[a][1:]
 
-    def test_zero_inverse_raises(self):
-        f = make_field(7)
-        with pytest.raises(DivisionByZero):
-            f.zero().inverse()
 
-    def test_cross_field_mix_raises(self):
-        a = make_field(4).one()
-        b = make_field(8).one()
-        with pytest.raises(InvalidArgument):
-            a + b
-        with pytest.raises(InvalidArgument):
-            a * b
+class TestOrderBound:
+    def test_largest_field_is_built(self):
+        # 2(q^2 + q + 1) passes MAX_ORDER between q = 723 and q = 724
+        assert 2 * (723 * 723 + 723 + 1) <= MAX_ORDER < 2 * (724 * 724 + 724 + 1)
+        f = make_field(719)
+        assert len(f.mul) == 719 and f.mul[718][718] == 1
 
-    def test_element_validation(self):
-        f = make_field(4)
-        with pytest.raises(InvalidArgument):
-            f.element((1,))
-        assert f.element((1, 2)) == f.element((1, 0))  # coefficients reduce mod p
-        with pytest.raises(InvalidArgument):
-            f.from_int(4)
-        with pytest.raises(InvalidArgument):
-            f.from_int(-1)
+    @pytest.mark.parametrize("q", [727, 729, 10**6 + 3])
+    def test_refused_before_any_table(self, q, monkeypatch):
+        def no_modulus(p, k):
+            raise AssertionError("field built")
 
-    def test_operators(self):
-        # GF(9) = GF(3)[x]/(x^2 + 1); 5 = 2 + x and 7 = 1 + 2x
-        f = make_field(9)
-        a, b = f.from_int(5), f.from_int(7)
-        assert a + b == f.element((0, 0))
-        assert a * b == f.element((0, 2))
-        assert -a == f.element((1, 2))
-        assert a.inverse() == f.element((1, 1))
-        assert a * a.inverse() == f.one()
+        monkeypatch.setattr(avec.gf, "find_irreducible", no_modulus)
+        with pytest.raises(OutOfRange, match="MAX_ORDER"):
+            make_field(q)
 
-    def test_repr_and_value_semantics(self):
-        f = make_field(4)
-        a = f.from_int(3)
-        assert isinstance(a, FieldElement)
-        assert a == f.element((1, 1))
-        assert repr(a)
+    def test_follows_max_order(self, monkeypatch):
+        # reiman(2) has 14 vertices and reiman(3) has 26
+        monkeypatch.setattr(avec.gf, "MAX_ORDER", 14)
+        assert make_field(2).q == 2
+        with pytest.raises(OutOfRange, match=r"reiman\(3\), which has 26 vertices"):
+            make_field(3)
+        with pytest.raises(NotPrimePower):
+            make_field(6)
+
+    def test_cli_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(avec.gf, "MAX_ORDER", 14)
+        monkeypatch.setattr(avec.generators, "MAX_ORDER", 26)
+        assert cli.main(["gen", "reiman", "--q", "3"]) == 2
+        assert "MAX_ORDER=14" in capsys.readouterr().err

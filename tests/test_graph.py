@@ -22,7 +22,6 @@ from avec.graph import (
     build_graph,
     distances_from,
     eccentricity_profile,
-    edge_distance,
     forbidden_cycle_scan,
     girth,
     induced_subgraph,
@@ -98,21 +97,21 @@ class TestDistances:
             G = to_nx(g)
             s = rng.randrange(n)
             expect = nx.single_source_shortest_path_length(G, s)
-            got = distances_from(g, (s,)).dist
+            got = distances_from(g, (s,))
             assert list(got) == [expect[v] for v in range(n)]
 
     def test_multi_source_is_min_over_sources(self):
         rng = random.Random(8)
         g = random_connected_graph(rng, 15, 6)
         sources = (0, 7, 12)
-        singles = [distances_from(g, (s,)).dist for s in sources]
-        multi = distances_from(g, sources).dist
+        singles = [distances_from(g, (s,)) for s in sources]
+        multi = distances_from(g, sources)
         for v in range(g.n):
             assert multi[v] == min(d[v] for d in singles)
 
     def test_unreachable_sentinel(self):
         g = build_graph(4, [(0, 1)])
-        d = distances_from(g, (0,)).dist
+        d = distances_from(g, (0,))
         assert d == (0, 1, UNREACHABLE, UNREACHABLE)
         assert d[2] is None
 
@@ -679,23 +678,6 @@ class TestBall:
             ball(g, (9,), 1)
 
 
-class TestEdgeDistance:
-    def test_path_edges(self):
-        g = classic("path", 5)
-        assert edge_distance(g, (0, 1), (3, 4)) == 2
-        assert edge_distance(g, (0, 1), (1, 2)) == 0
-        assert edge_distance(g, (1, 0), (2, 1)) == 0
-
-    def test_requires_edges(self):
-        g = classic("path", 5)
-        with pytest.raises(InvalidEdge):
-            edge_distance(g, (0, 2), (3, 4))
-
-    def test_unreachable(self):
-        g = build_graph(4, [(0, 1), (2, 3)])
-        assert edge_distance(g, (0, 1), (2, 3)) is UNREACHABLE
-
-
 class TestDerivedGraphs:
     def test_line_graph_matches_networkx(self):
         rng = random.Random(14)
@@ -728,7 +710,7 @@ class TestDerivedGraphs:
             for k in (1, 2, 3):
                 pk = power_graph(g, k)
                 for u in range(n):
-                    du = distances_from(g, (u,)).dist
+                    du = distances_from(g, (u,))
                     for v in range(u + 1, n):
                         assert pk.has_edge(u, v) == (du[v] is not None and du[v] <= k)
 

@@ -142,7 +142,7 @@ class TestKernelDifferential:
         )
         G = to_nx(g)
         expect = nx.multi_source_dijkstra_path_length(G, sources)
-        assert distances_from(g, sources).dist == tuple(
+        assert distances_from(g, sources) == tuple(
             expect.get(v) for v in range(g.n)
         )
         for k in range(4):
@@ -169,16 +169,16 @@ class TestEccentricityProperties:
     def test_ecc_is_max_distance(self, g):
         p = eccentricity_profile(g)
         for v in range(g.n):
-            dist = distances_from(g, (v,)).dist
+            dist = distances_from(g, (v,))
             assert p.ecc[v] == max(dist)
 
     @COMMON
     @given(connected_graphs())
     def test_distance_symmetry(self, g):
         for u in range(min(g.n, 5)):
-            du = distances_from(g, (u,)).dist
+            du = distances_from(g, (u,))
             for v in range(g.n):
-                assert distances_from(g, (v,)).dist[u] == du[v]
+                assert distances_from(g, (v,))[u] == du[v]
 
     @COMMON
     @given(trees())
@@ -264,9 +264,10 @@ class TestFieldProperties:
         st.integers(min_value=0, max_value=10**6),
     )
     def test_sub_then_add_round_trips(self, q, a, b):
-        f = make_field(q)
-        x, y = f.from_int(a % q), f.from_int(b % q)
-        assert (x - y) + y == x
+        add = make_field(q).add
+        x, y = a % q, b % q
+        minus_y = add[y].index(0)
+        assert add[add[x][minus_y]][y] == x
 
     @COMMON
     @given(
@@ -275,23 +276,23 @@ class TestFieldProperties:
         st.integers(min_value=1, max_value=10**6),
     )
     def test_div_then_mul_round_trips(self, q, a, b):
-        f = make_field(q)
-        x = f.from_int(a % q)
-        y = f.from_int(1 + (b % (q - 1)))  # nonzero
-        assert (x * y.inverse()) * y == x
+        mul = make_field(q).mul
+        x = a % q
+        y = 1 + (b % (q - 1))  # nonzero
+        over_y = mul[y].index(1)
+        assert mul[mul[x][over_y]][y] == x
 
     @COMMON
     @given(st.sampled_from(PRIME_POWERS), st.integers(min_value=0, max_value=10**6))
     def test_frobenius_additivity(self, q, seed):
         # (a+b)^p = a^p + b^p in characteristic p
         f = make_field(q)
-        a = f.from_int(seed % q)
-        b = f.from_int((seed * 7 + 3) % q)
+        a, b = seed % q, (seed * 7 + 3) % q
 
         def pw(x, e):
-            out = f.one()
+            out = 1
             for _ in range(e):
-                out = out * x
+                out = f.mul[out][x]
             return out
 
-        assert pw(a + b, f.p) == pw(a, f.p) + pw(b, f.p)
+        assert pw(f.add[a][b], f.p) == f.add[pw(a, f.p)][pw(b, f.p)]

@@ -29,7 +29,6 @@ from avec.graph import (
     ball,
     build_graph,
     distances_from,
-    edge_distance,
     eccentricity_profile,
     line_graph,
 )
@@ -44,6 +43,7 @@ from avec.replay import (
 )
 from util import (
     eccentricities_oracle,
+    edge_distance_oracle,
     from_nx,
     line_displacement_oracle,
     line_ecc_oracle,
@@ -101,7 +101,7 @@ def _anchored(g):
     """girth6 matching, anchored tree and d(., V(M)) for tamper tests."""
     m = build_matching(g, "girth6")
     t = build_tree(g, m)
-    dm = distances_from(g, {v for e in m.edges for v in e}).dist
+    dm = distances_from(g, {v for e in m.edges for v in e})
     return m, t, dm
 
 
@@ -157,12 +157,13 @@ class TestMatching:
         g = chain(ChainSpec(3, 6)).graph
         m = build_matching(g, "girth6")
         assert len(m.edges) > 1
+        G = to_nx(g)
         for i in range(len(m.edges)):
             for j in range(i + 1, len(m.edges)):
                 assert m.pairwise[i][j] >= 5
-                assert edge_distance(g, m.edges[i], m.edges[j]) == m.pairwise[i][j]
+                assert edge_distance_oracle(G, m.edges[i], m.edges[j]) == m.pairwise[i][j]
         verts = {v for e in m.edges for v in e}
-        dist = distances_from(g, verts).dist
+        dist = distances_from(g, verts)
         for u, v in g.edge_list:
             assert min(dist[u], dist[v]) <= 4
 
@@ -183,9 +184,9 @@ class TestMatching:
             for i in range(1, j):
                 assert m.pairwise[i][j] >= 5
         # coverage: within 5 of the anchor edge or 4 of the rest
-        d1 = distances_from(g, m.edges[0]).dist
+        d1 = distances_from(g, m.edges[0])
         rest = {v for e in m.edges[1:] for v in e}
-        d2 = distances_from(g, rest).dist if rest else None
+        d2 = distances_from(g, rest) if rest else None
         for u, v in g.edge_list:
             a = min(d1[u], d1[v])
             b = min(d2[u], d2[v]) if d2 else None
@@ -202,14 +203,16 @@ class TestAnchorBonus:
         # 5 of it.
         g = from_nx(nx.hexagonal_lattice_graph(4, 4, periodic=True))
         f = g.edge_list[0]
-        d1 = [edge_distance(g, e, f) for e in g.edge_list]
+        G = to_nx(g)
+        d1 = [edge_distance_oracle(G, e, f) for e in g.edge_list]
         assert max(d1) == 5
         first_at_5 = g.edge_list[d1.index(5)]
         assert build_matching(g, "maxdeg", f[0]).edges == (f,)
         assert build_matching(g, "girth6").edges[:2] == (f, first_at_5)
         g = chain32.graph
         f = (1, 7)
-        assert max(edge_distance(g, e, f) for e in g.edge_list) == 5
+        G = to_nx(g)
+        assert max(edge_distance_oracle(G, e, f) for e in g.edge_list) == 5
         REPLAY_MODULE._assert_matching(g, [f], ((0,),), 1)
         with pytest.raises(ConstructionInvariantViolated, match=r"\(4 around the anchor"):
             REPLAY_MODULE._assert_matching(g, [f], ((0,),), 0)
@@ -270,7 +273,7 @@ class TestTree:
         assert tree.n == g.n and tree.m == g.n - 1
         assert set(tree.edge_list) <= set(g.edge_list)
         mverts = {v for e in m.edges for v in e}
-        dm = distances_from(g, mverts).dist
+        dm = distances_from(g, mverts)
         T = nx.Graph(list(tree.edge_list))
         T.add_nodes_from(range(tree.n))
         for x in range(g.n):
@@ -333,7 +336,7 @@ class TestTree:
             if tree.degree(x) != 1 or dm[x] == 0:
                 continue
             (parent,) = tree.adjacency[x]
-            dist = distances_from(tree, (t.assignment[x],)).dist
+            dist = distances_from(tree, (t.assignment[x],))
             for y in g.adjacency[x]:
                 depth = dist[y] + 1
                 if y != parent and depth > dm[x] and (depth > 5) == beyond_cap:
@@ -513,10 +516,11 @@ class TestReplayGirth6:
         assert tr.overall_pass
         m = tr.matching
         k = len(m.edges)
+        G = to_nx(g)
         for i in range(0, k, 29):
             for j in range(i + 1, k, 37):
                 assert m.pairwise[i][j] == m.pairwise[j][i]
-                assert m.pairwise[i][j] == edge_distance(g, m.edges[i], m.edges[j])
+                assert m.pairwise[i][j] == edge_distance_oracle(G, m.edges[i], m.edges[j])
 
 
 class TestReplayMaxdeg:
@@ -656,7 +660,7 @@ class TestLineDisplacement:
                 ids = [i for i, e in enumerate(tree.edge_list) if v in e]
                 edges.discard((ids[0], ids[1]))
             else:
-                dist = distances_from(line, (0,)).dist
+                dist = distances_from(line, (0,))
                 edges.add((0, dist.index(2)))
             bound.arguments["line"] = build_graph(line.n, edges)
             return real(*bound.args, **bound.kwargs)
@@ -750,7 +754,7 @@ class TestContractionIdentities:
         # Join e_1 to a matching edge beyond its join radius.
         def add_far_edge(args):
             m_line, target = args["m_line"], args["target"]
-            dist = distances_from(args["line"], (m_line[0],)).dist
+            dist = distances_from(args["line"], (m_line[0],))
             j = next(j for j, li in enumerate(m_line) if dist[li] > 6 + args["bonus"])
             args["target"] = build_graph(target.n, target.edge_list + ((0, j),))
 

@@ -30,6 +30,12 @@ def from_nx(G):
     return build_graph(len(nodes), [(index[u], index[v]) for u, v in G.edges])
 
 
+def edge_distance_oracle(G, e, f):
+    """Least distance between an end of edge e and an end of edge f in
+    the networkx graph G, which must join them."""
+    return min(nx.shortest_path_length(G, x, y) for x in e for y in f)
+
+
 def girth_oracle(g):
     """min over edges uv of d_{G-uv}(u, v) + 1, or +inf for a forest."""
     G = to_nx(g)
