@@ -1,7 +1,9 @@
 """Byte-identity gate for replay: pinned SHA-256 digests of the trace
-JSON and of the CLI stdout, for both variants on small inputs and on
+JSON and of the CLI stdout, for both variants on small inputs, on
 chain(3,32) and chain(4,16), whose 31 and 15 matching edges give many
-target components and contraction pairs.
+target components and contraction pairs, and on chain(3,160), whose
+2240 vertices lie above `graph._LIST_LIMIT`, so that its capped searches
+keep their distances in a dict.
 
 A change that is meant to keep replay's outputs identical must leave
 every digest here as it is.  The CLI's `--trace` file must hold the
@@ -27,6 +29,7 @@ INPUTS = {
     "chain3_6": lambda: chain(ChainSpec(3, 6)),
     "chain3_10": lambda: chain(ChainSpec(3, 10)),
     "chain3_32": lambda: chain(ChainSpec(3, 32)),
+    "chain3_160": lambda: chain(ChainSpec(3, 160)),
     "chain4_2": lambda: chain(ChainSpec(4, 2)),
     "chain4_16": lambda: chain(ChainSpec(4, 16)),
     "chain5_2": lambda: chain(ChainSpec(5, 2)),
@@ -51,6 +54,14 @@ DIGESTS = {
     ("chain3_32", "maxdeg"): (
         "e147d65dba60135b62a8ad8416dad12287b119d0c6e8522fc5cf559baae91d42",
         "f8880868c3591b8308270e37ad2dda4808a816a9f2a4fcecff392f5da4f4c51f",
+    ),
+    ("chain3_160", "girth6"): (
+        "b53810c0e33591a42766766541955bb079648678d9a2762d0186f1399a7fde6c",
+        "89e6a2350e117924b9ab0cb988465269407cf9b75cfd2b09cf1c80fd7adf8e02",
+    ),
+    ("chain3_160", "maxdeg"): (
+        "b93c463be645fb975f50d18c6d7aa953b24136d0cdf89069626010312d4ed212",
+        "f8e7ef9b8dde9ea0a94cf0e6f57e3d08a2d9d234690b8f444aa707ab0c783bb8",
     ),
     ("chain4_16", "girth6"): (
         "d6795ae750e32942cf0c682041b50d2b8ee1b4f2806828cebc2186e3b27fecdc",
