@@ -8,6 +8,7 @@ Exact quantities are never rounded.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +37,16 @@ BOUND_C4C5_MAX = "c4c5_maxdeg_T44"
 BOUND_LOWER = "lower_T32"
 
 UPPER_BOUNDS = (BOUND_PATH, BOUND_EQ1, BOUND_G6, BOUND_C4C5, BOUND_G6_MAX, BOUND_C4C5_MAX)
+
+#: The paper's two graph classes, girth >= 6 and (C4,C5)-free: `CycleScan`
+#: flag, bounds, audit items, and the constants bounding edge/vertex balls.
+_GraphClass = namedtuple("_GraphClass", "flag bound max_bound edge_item vertex_item low high")
+_CLASSES = (
+    _GraphClass("class_girth6", BOUND_G6, BOUND_G6_MAX, "edge_ball2_girth6",
+                "vertex_ball3_girth6", "delta_star", "Delta_star"),
+    _GraphClass("class_c4c5free", BOUND_C4C5, BOUND_C4C5_MAX, "edge_ball2_c4c5",
+                "vertex_ball3_c4c5", "delta_circ", "Delta_circ"),
+)
 
 #: Slack that `at_most` adds to its right-hand side when a float is involved.
 FLOAT_TOL = 1e-9
@@ -127,21 +138,16 @@ def upper_bound(name: str, n: int, delta: int, Delta: int | None = None):
         return path_avec(n)
     if name == BOUND_EQ1:
         return Fraction(9 * n, 4 * (delta + 1)) + Fraction(15, 4)
-    if name == BOUND_G6:
-        sc = structural_constants(delta)
-        return Fraction(9, 2) * _ceil_div(n, sc.delta_star) + 8
-    if name == BOUND_C4C5:
-        sc = structural_constants(delta)
-        return Fraction(9, 2) * _ceil_div(n, sc.delta_circ) + 8
-    if name in (BOUND_G6_MAX, BOUND_C4C5_MAX):
-        if Delta is None:
-            raise MissingParameter(f"{name} needs the maximum degree Delta")
-        sc = structural_constants(delta, Delta)
-        if name == BOUND_G6_MAX:
-            dd, ds = sc.delta_star, sc.Delta_star
-        else:
-            dd, ds = sc.delta_circ, sc.Delta_circ
-        return ((n - ds) / (2 * dd)) * ((9 * n + 3 * ds) / n) + 21
+    for cls in _CLASSES:
+        if name == cls.bound:
+            dd = getattr(structural_constants(delta), cls.low)
+            return Fraction(9, 2) * _ceil_div(n, dd) + 8
+        if name == cls.max_bound:
+            if Delta is None:
+                raise MissingParameter(f"{name} needs the maximum degree Delta")
+            sc = structural_constants(delta, Delta)
+            dd, ds = getattr(sc, cls.low), getattr(sc, cls.high)
+            return ((n - ds) / (2 * dd)) * ((9 * n + 3 * ds) / n) + 21
     raise InvalidArgument(f"unknown bound {name!r}")
 
 
@@ -207,6 +213,7 @@ def audit_balls(g) -> AuditRecord:
         raise NotApplicable("graph is neither girth-6 nor (C4,C5)-free")
     Delta = g.max_degree()
     sc = structural_constants(delta, Delta)
+    classes = [cls for cls in _CLASSES if getattr(scan, cls.flag)]
     items = []
     if scan.class_girth6:
         s = _walk2_counts(g.adjacency)
@@ -214,24 +221,16 @@ def audit_balls(g) -> AuditRecord:
     else:
         sizes = (len(ball(g, e, 2)) for e in g.edge_list)
     for (u, v), size in zip(g.edge_list, sizes):
-        if scan.class_girth6:
-            items.append(
-                AuditItem("edge_ball2_girth6", (u, v), size, sc.delta_star, size - sc.delta_star)
-            )
-        items.append(
-            AuditItem("edge_ball2_c4c5", (u, v), size, sc.delta_circ, size - sc.delta_circ)
-        )
+        for cls in classes:
+            bound = getattr(sc, cls.low)
+            items.append(AuditItem(cls.edge_item, (u, v), size, bound, size - bound))
     for v in range(g.n):
         if g.degree(v) != Delta:
             continue
         size = len(ball(g, (v,), 3))
-        if scan.class_girth6:
-            items.append(
-                AuditItem("vertex_ball3_girth6", (v,), size, sc.Delta_star, size - sc.Delta_star)
-            )
-        items.append(
-            AuditItem("vertex_ball3_c4c5", (v,), size, sc.Delta_circ, size - sc.Delta_circ)
-        )
+        for cls in classes:
+            bound = getattr(sc, cls.high)
+            items.append(AuditItem(cls.vertex_item, (v,), size, bound, size - bound))
     passed = all(at_most(0, item.margin) for item in items)
     return AuditRecord(
         delta=delta,
@@ -309,36 +308,18 @@ def analyze(g, chain_params=None) -> BoundReport:
     def push(name, value, applicable):
         slack = None
         if applicable and value is not None:
-            if name == BOUND_LOWER:
-                slack = avec - value
-            else:
-                slack = value - avec
+            slack = avec - value if name == BOUND_LOWER else value - avec
             if not at_most(0, slack):
                 violations.append(name)
         entries.append(BoundEntry(name=name, value=value, applicable=applicable, slack=slack))
 
     push(BOUND_PATH, upper_bound(BOUND_PATH, n, delta), True)
     push(BOUND_EQ1, upper_bound(BOUND_EQ1, n, delta), True)
-    push(
-        BOUND_G6,
-        upper_bound(BOUND_G6, n, delta) if theorem_ok else None,
-        theorem_ok and scan.class_girth6,
-    )
-    push(
-        BOUND_C4C5,
-        upper_bound(BOUND_C4C5, n, delta) if theorem_ok else None,
-        theorem_ok and scan.class_c4c5free,
-    )
-    push(
-        BOUND_G6_MAX,
-        upper_bound(BOUND_G6_MAX, n, delta, Delta) if theorem_ok else None,
-        theorem_ok and scan.class_girth6,
-    )
-    push(
-        BOUND_C4C5_MAX,
-        upper_bound(BOUND_C4C5_MAX, n, delta, Delta) if theorem_ok else None,
-        theorem_ok and scan.class_c4c5free,
-    )
+    for maxdeg in (False, True):
+        for cls in _CLASSES:
+            name = cls.max_bound if maxdeg else cls.bound
+            value = upper_bound(name, n, delta, Delta) if theorem_ok else None
+            push(name, value, theorem_ok and getattr(scan, cls.flag))
 
     family = None
     ell = None

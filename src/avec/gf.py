@@ -84,16 +84,17 @@ class FiniteField:
 def make_field(q: int) -> FiniteField:
     """Field with q elements; q must be a prime power >= 2.
 
-    Refuses, before building any table, a q whose `reiman(q)` would have
-    more than `io.MAX_ORDER` vertices.
+    Refuses a q > 1 whose `reiman(q)` would have more than `io.MAX_ORDER`
+    vertices before factoring q or building any table, so that a large q
+    costs no trial division.
     """
-    p, k = _factor_prime_power(q)
     order = 2 * (q * q + q + 1)
-    if order > MAX_ORDER:
+    if q > 1 and order > MAX_ORDER:
         raise OutOfRange(
-            f"GF({q}) serves reiman({q}), which has {order} vertices,"
+            f"a field of order {q} would serve reiman({q}), which has {order} vertices,"
             f" more than MAX_ORDER={MAX_ORDER}"
         )
+    p, k = _factor_prime_power(q)
     modulus = find_irreducible(p, k)
     # Digit 0 of i + j is (i + j) mod p, and the digits above it are
     # those of (i // p) + (j // p), an earlier row.

@@ -35,15 +35,16 @@ eccentricity_profile.  line_displacement and power_contraction are
 certified by identity plus a structure check.
 
 The construction searches only as far as its checks read.  Growing the
-matching takes one full BFS per chosen edge, for its row of pairwise
-distances, and folds each row by min into one slack array, slack(v) =
-min(d(v, e_1) - bonus, d(v, V(M - e_1))), but only as far as slack 5:
-an edge is uncovered while both ends have slack >= 5, and the next
-pick is the smallest edge at slack exactly 5, popped from a heap that
-drops stale candidates.  Each ball is a BFS capped at its radius.  The
-tree check runs no search: every vertex must hang at its graph
-distance d(x, V(M)) under its matching vertex, and one O(n) pass over T
-shows this by a local identity (`_assert_tree`).
+matching folds one BFS per chosen edge, capped at 5 + bonus for e_1
+and 5 for the rest, into one slack array, slack(v) = min(d(v, e_1) -
+bonus, d(v, V(M - e_1))): an edge is uncovered while both ends have
+slack >= 5, and the next pick is the smallest edge at slack exactly 5,
+popped from a heap that drops stale candidates.  The gap check's BFS
+runs stop one short of each gap, and only `trace_json` searches in
+full, for the pairwise distances it prints.  Each ball is a BFS capped
+at its radius.  The tree check runs no search: every vertex must hang
+at its graph distance d(x, V(M)) under its matching vertex, and one
+O(n) pass over T shows this by a local identity (`_assert_tree`).
 """
 
 from collections import Counter
@@ -70,6 +71,7 @@ from .graph import (
     eccentricity_profile,
     forbidden_cycle_scan,
     induced_subgraph,
+    is_connected,
     line_graph,
     power_graph,
     weighted_avec,
@@ -85,7 +87,6 @@ class Matching:
     variant: str
     edges: tuple
     anchor: int | None
-    pairwise: tuple
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ProofTrace:
+    graph: object
     variant: str
     n: int
     delta: int
@@ -157,6 +159,8 @@ def _validate_replay_input(g, variant, anchor):
             raise OutOfRange(
                 f"anchor degree {g.degree(anchor)} is not the maximum {g.max_degree()}"
             )
+    if not is_connected(g):
+        raise DisconnectedGraph("replay needs a connected graph")
 
 
 def _bonus(variant):
@@ -177,8 +181,6 @@ def build_matching(g, variant, anchor=None) -> Matching:
     maxdeg and 0 in girth6.
     """
     _validate_replay_input(g, variant, anchor)
-    if not g.edge_list:
-        raise InvalidArgument("graph has no edges")
     bonus = _bonus(variant)
     if anchor is None:
         chosen = [g.edge_list[0]]
@@ -188,26 +190,17 @@ def build_matching(g, variant, anchor=None) -> Matching:
     # slack is the smaller of its ends'.  An edge is uncovered while its
     # slack is >= 5; the next pick is the smallest edge at exactly 5.
     # Slack never grows, and slack above 5 is only ever compared with 5,
-    # so it may stay stale: 6 stands for anything above 5, and a fold
-    # reads a row only up to slack 5.  An edge enters the heap when one
-    # of its ends reaches 5 and is dropped when popped below 5;
-    # edge_list is sorted, so tuple order is edge order.  One full BFS
-    # per chosen edge still gives its row of the pairwise table.
+    # so it may stay stale: 6 stands for anything above 5, and each
+    # chosen edge's BFS is capped where its slack reaches 5.  An edge
+    # enters the heap when one of its ends reaches 5 and is dropped when
+    # popped below 5; edge_list is sorted, so tuple order is edge order.
     slack = [6] * g.n
     heap = []
-    rows = []
     while True:
-        dist, _, reached = _bfs(g, chosen[-1])
-        if len(reached) < g.n:
-            raise DisconnectedGraph(
-                f"vertex {dist.index(None)} is unreachable from {chosen[-1]}"
-            )
-        rows.append([min(dist[a], dist[b]) for a, b in chosen])
-        offset = bonus if len(rows) == 1 else 0
+        offset = bonus if len(chosen) == 1 else 0
+        dist, _, reached = _bfs(g, chosen[-1], 5 + offset)
         for v in reached:
             s = dist[v] - offset
-            if s > 5:
-                break
             if s < slack[v]:
                 slack[v] = s
                 if s == 5:
@@ -222,30 +215,29 @@ def build_matching(g, variant, anchor=None) -> Matching:
         raise ConstructionInvariantViolated(
             "uncovered edges remain but none meets a distance bound with equality"
         )
-
-    k = len(chosen)
-    pairwise = tuple(
-        tuple(rows[i] + [rows[j][i] for j in range(i + 1, k)]) for i in range(k)
-    )
-    _assert_matching(g, chosen, pairwise, bonus)
-    return Matching(
-        variant=variant, edges=tuple(chosen), anchor=anchor, pairwise=pairwise
-    )
+    _assert_matching(g, chosen, bonus)
+    return Matching(variant=variant, edges=tuple(chosen), anchor=anchor)
 
 
-def _assert_matching(g, edges, pairwise, bonus):
-    k = len(edges)
-    for i in range(k):
-        for j in range(i + 1, k):
-            need = 5 + bonus if i == 0 else 5
-            if pairwise[i][j] < need:
-                raise ConstructionInvariantViolated(
-                    f"matching edges {edges[i]} and {edges[j]} at distance "
-                    f"{pairwise[i][j]} < {need}"
-                )
+def _assert_matching(g, edges, bonus):
+    # Gap: a BFS from edge i capped one short of its gap must reach no
+    # later edge; the first pair (i, j) that it does is reported.
+    owners = [[] for _ in range(g.n)]
+    for j, e in enumerate(edges):
+        for v in e:
+            owners[v].append(j)
+    for i, e in enumerate(edges):
+        need = 5 + bonus if i == 0 else 5
+        dist, _, reached = _bfs(g, e, need - 1)
+        hits = [(j, dist[v]) for v in reached for j in owners[v] if j > i]
+        if hits:
+            j, d = min(hits)
+            raise ConstructionInvariantViolated(
+                f"matching edges {e} and {edges[j]} at distance {d} < {need}"
+            )
     # Coverage: every edge has slack <= 4.
     slack = [d - bonus for d in distances_from(g, edges[0])]
-    if k > 1:
+    if len(edges) > 1:
         rest = distances_from(g, {v for e in edges[1:] for v in e})
         slack = [min(s, d) for s, d in zip(slack, rest)]
     if any(slack[a] > 4 and slack[b] > 4 for a, b in g.edge_list):
@@ -477,9 +469,6 @@ def replay(g, variant, anchor=None) -> ProofTrace:
     check("spanning_tree_domination", avec_g, avec_t)
     if maxdeg:
         check("weight_concentration_shift", avec_t, avec_c_t + 6)
-    else:
-        check("weight_concentration_shift", abs(avec_c_t - avec_t), Fraction(5))
-    if maxdeg:
         rest = min(weights.cbar[1:]) if k > 1 else None
         check(
             "matching_edge_weight_lower",
@@ -494,6 +483,7 @@ def replay(g, variant, anchor=None) -> ProofTrace:
             passed=_bounds.at_most(constants.Delta_star, weights.cbar[0]),
         )
     else:
+        check("weight_concentration_shift", abs(avec_c_t - avec_t), Fraction(5))
         low = min(weights.cbar)
         check(
             "matching_edge_weight_lower",
@@ -575,6 +565,7 @@ def replay(g, variant, anchor=None) -> ProofTrace:
 
     overall = all(c.passed for c in checks) and all(c.passed for c in structural)
     return ProofTrace(
+        graph=g,
         variant=variant,
         n=n,
         delta=delta,
@@ -691,6 +682,15 @@ def _check_json(c):
     return {"name": c.name, "lhs": _num_json(c.lhs), "rhs": _num_json(c.rhs), "pass": c.passed}
 
 
+def _pairwise_distances(g, edges):
+    # One full BFS per matching edge, read up to the diagonal and mirrored.
+    rows = []
+    for e in edges:
+        dist = _bfs(g, e)[0]
+        rows.append([min(dist[a], dist[b]) for a, b in edges[: len(rows) + 1]])
+    return [row + [later[i] for later in rows[i + 1:]] for i, row in enumerate(rows)]
+
+
 def trace_json(trace: ProofTrace) -> dict:
     """JSON form of a trace: ordered checks plus the full certificate."""
     return {
@@ -702,7 +702,7 @@ def trace_json(trace: ProofTrace) -> dict:
             "size": len(trace.matching.edges),
             "edges": [list(e) for e in trace.matching.edges],
             "anchor": trace.matching.anchor,
-            "pairwise_distances": [list(r) for r in trace.matching.pairwise],
+            "pairwise_distances": _pairwise_distances(trace.graph, trace.matching.edges),
         },
         "tree": {
             "edges": [list(e) for e in trace.tree.tree.edge_list],

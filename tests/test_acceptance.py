@@ -34,8 +34,14 @@ from avec.graph import (
     girth,
     weighted_avec,
 )
-from avec.replay import replay
-from util import is_bipartite, random_connected_graph, random_tree
+from avec.replay import replay, trace_json
+from util import (
+    edge_distance_oracle,
+    is_bipartite,
+    random_connected_graph,
+    random_tree,
+    to_nx,
+)
 
 REIMAN_QS = (2, 3, 4, 5, 7, 8, 9)
 CHAIN_PARAMS = tuple(product((3, 4, 5), (2, 4, 6, 8, 10)))
@@ -184,13 +190,13 @@ def test_criterion_4_replay_girth6():
             assert all(c.passed for c in tr.checks)
             # matching invariants, exhaustively re-derived
             k = len(tr.matching.edges)
-            for i in range(k):
-                dist = distances_from(g, tr.matching.edges[i])
-                for j in range(k):
-                    a, b = tr.matching.edges[j]
-                    assert min(dist[a], dist[b]) == tr.matching.pairwise[i][j]
+            pairwise = trace_json(tr)["matching"]["pairwise_distances"]
+            G = to_nx(g)
+            for i, e in enumerate(tr.matching.edges):
+                for j, f in enumerate(tr.matching.edges):
+                    assert pairwise[i][j] == edge_distance_oracle(G, e, f)
                     if i != j:
-                        assert tr.matching.pairwise[i][j] >= 5
+                        assert pairwise[i][j] >= 5
             mverts = {v for e in tr.matching.edges for v in e}
             dist = distances_from(g, mverts)
             for u, v in g.edge_list:

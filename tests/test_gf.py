@@ -173,12 +173,27 @@ class TestOrderBound:
         with pytest.raises(OutOfRange, match="MAX_ORDER"):
             make_field(q)
 
+    @pytest.mark.parametrize("q", [10**14 + 31, 10**18 + 9])
+    def test_refused_before_factoring(self, q, monkeypatch):
+        # Trial division up to sqrt(q) would take up to 10^9 steps here.
+        def no_factoring(q):
+            raise AssertionError("q factored")
+
+        monkeypatch.setattr(avec.gf, "_factor_prime_power", no_factoring)
+        with pytest.raises(OutOfRange, match="MAX_ORDER"):
+            make_field(q)
+
     def test_follows_max_order(self, monkeypatch):
         # reiman(2) has 14 vertices and reiman(3) has 26
         monkeypatch.setattr(avec.gf, "MAX_ORDER", 14)
         assert make_field(2).q == 2
         with pytest.raises(OutOfRange, match=r"reiman\(3\), which has 26 vertices"):
             make_field(3)
+        # The order is tested first, so a non-prime-power above the
+        # bound is refused as too large; one within it as no prime power.
+        with pytest.raises(OutOfRange, match=r"reiman\(6\), which has 86 vertices"):
+            make_field(6)
+        monkeypatch.setattr(avec.gf, "MAX_ORDER", 86)
         with pytest.raises(NotPrimePower):
             make_field(6)
 

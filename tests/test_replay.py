@@ -155,13 +155,16 @@ class TestMatching:
 
     def test_scattering_and_coverage(self):
         g = chain(ChainSpec(3, 6)).graph
-        m = build_matching(g, "girth6")
+        tr = replay(g, "girth6")
+        m = tr.matching
+        assert m == build_matching(g, "girth6")
         assert len(m.edges) > 1
+        pairwise = trace_json(tr)["matching"]["pairwise_distances"]
         G = to_nx(g)
         for i in range(len(m.edges)):
             for j in range(i + 1, len(m.edges)):
-                assert m.pairwise[i][j] >= 5
-                assert edge_distance_oracle(G, m.edges[i], m.edges[j]) == m.pairwise[i][j]
+                assert pairwise[i][j] >= 5
+                assert edge_distance_oracle(G, m.edges[i], m.edges[j]) == pairwise[i][j]
         verts = {v for e in m.edges for v in e}
         dist = distances_from(g, verts)
         for u, v in g.edge_list:
@@ -171,7 +174,9 @@ class TestMatching:
         head = reiman(4)
         g = chain(ChainSpec(3, 4, head)).graph
         anchor = smallest_max_degree_vertex(g)
-        m = build_matching(g, "maxdeg", anchor)
+        tr = replay(g, "maxdeg", anchor)
+        m = tr.matching
+        assert m == build_matching(g, "maxdeg", anchor)
         assert m.anchor == anchor
         assert anchor in m.edges[0]
         # anchor edge is the smallest edge at the anchor
@@ -179,10 +184,15 @@ class TestMatching:
             (min(anchor, w), max(anchor, w)) for w in g.adjacency[anchor]
         )
         assert m.edges[0] == expected
+        assert len(m.edges) > 1
+        pairwise = trace_json(tr)["matching"]["pairwise_distances"]
+        G = to_nx(g)
         for j in range(1, len(m.edges)):
-            assert m.pairwise[0][j] >= 6
-            for i in range(1, j):
-                assert m.pairwise[i][j] >= 5
+            assert pairwise[0][j] >= 6
+            for i in range(j):
+                assert pairwise[i][j] == edge_distance_oracle(G, m.edges[i], m.edges[j])
+                assert pairwise[j][i] == pairwise[i][j]
+                assert pairwise[i][j] >= 5
         # coverage: within 5 of the anchor edge or 4 of the rest
         d1 = distances_from(g, m.edges[0])
         rest = {v for e in m.edges[1:] for v in e}
@@ -213,17 +223,40 @@ class TestAnchorBonus:
         f = (1, 7)
         G = to_nx(g)
         assert max(edge_distance_oracle(G, e, f) for e in g.edge_list) == 5
-        REPLAY_MODULE._assert_matching(g, [f], ((0,),), 1)
+        REPLAY_MODULE._assert_matching(g, [f], 1)
         with pytest.raises(ConstructionInvariantViolated, match=r"\(4 around the anchor"):
-            REPLAY_MODULE._assert_matching(g, [f], ((0,),), 0)
+            REPLAY_MODULE._assert_matching(g, [f], 0)
 
     def test_anchor_gap(self):
         g = chain(ChainSpec(3, 6)).graph
         m = build_matching(g, "girth6")
-        assert m.pairwise[0][1] == 5
-        REPLAY_MODULE._assert_matching(g, m.edges, m.pairwise, 0)
-        with pytest.raises(ConstructionInvariantViolated, match="at distance 5 < 6"):
-            REPLAY_MODULE._assert_matching(g, m.edges, m.pairwise, 1)
+        assert edge_distance_oracle(to_nx(g), m.edges[0], m.edges[1]) == 5
+        REPLAY_MODULE._assert_matching(g, m.edges, 0)
+        message = re.escape(f"matching edges {m.edges[0]} and {m.edges[1]} at distance 5 < 6")
+        with pytest.raises(ConstructionInvariantViolated, match=message):
+            REPLAY_MODULE._assert_matching(g, m.edges, 1)
+
+    @pytest.mark.parametrize("bonus", [0, 1])
+    def test_gap_reports_first_pair(self, bonus):
+        # Append to a real matching every edge within 2 of its second
+        # edge; the capped gap searches must name the same first (i, j)
+        # pair, and distance, as the networkx oracle over all pairs.
+        g = chain(ChainSpec(3, 6)).graph
+        m = build_matching(g, "girth6")
+        dist = distances_from(g, m.edges[1])
+        near = [f for f in g.edge_list if min(dist[f[0]], dist[f[1]]) in (1, 2)]
+        edges = list(m.edges) + near
+        G = to_nx(g)
+        i, j, d = next(
+            (i, j, d)
+            for i in range(len(edges))
+            for j in range(i + 1, len(edges))
+            if (d := edge_distance_oracle(G, edges[i], edges[j])) < 5 + bonus * (i == 0)
+        )
+        need = 5 + bonus * (i == 0)
+        message = re.escape(f"matching edges {edges[i]} and {edges[j]} at distance {d} < {need}")
+        with pytest.raises(ConstructionInvariantViolated, match=message):
+            REPLAY_MODULE._assert_matching(g, edges, bonus)
 
 
 def _matching_cases():
@@ -430,9 +463,7 @@ class TestTree:
     def test_overlapping_matching_rejected(self, chain32):
         g = chain32.graph
         e1, e2 = g.edge_list[0], g.edge_list[1]  # share vertex 0
-        fake = Matching(
-            variant="girth6", edges=(e1, e2), anchor=None, pairwise=((0, 0), (0, 0))
-        )
+        fake = Matching(variant="girth6", edges=(e1, e2), anchor=None)
         with pytest.raises(ConstructionInvariantViolated):
             build_tree(g, fake)
 
@@ -516,11 +547,12 @@ class TestReplayGirth6:
         assert tr.overall_pass
         m = tr.matching
         k = len(m.edges)
+        pairwise = trace_json(tr)["matching"]["pairwise_distances"]
         G = to_nx(g)
         for i in range(0, k, 29):
             for j in range(i + 1, k, 37):
-                assert m.pairwise[i][j] == m.pairwise[j][i]
-                assert m.pairwise[i][j] == edge_distance_oracle(G, m.edges[i], m.edges[j])
+                assert pairwise[i][j] == pairwise[j][i]
+                assert pairwise[i][j] == edge_distance_oracle(G, m.edges[i], m.edges[j])
 
 
 class TestReplayMaxdeg:
@@ -809,18 +841,24 @@ def test_ball_overlap_is_the_largest_pairwise_intersection(monkeypatch, shared):
 
 
 class TestBfsBudget:
-    """BFS runs in a replay of chain(3,32), by cap.
+    """BFS runs in a replay of chain(3,32) and chain(3,128), by cap.
 
-    Capped: one ball per matching edge (radius 2; the maxdeg anchor 3),
-    power_graph's radius-6 balls, one per vertex of L(T), and k + 1
-    runs of L(T) capped at 6 + bonus: e_1's join row and one
-    power_contraction row per matching edge.  Full runs stay within
-    k + 25: the matching's k rows and a constant number besides.
+    Capped: the matching's k searches (5; the maxdeg anchor 6), the gap
+    check's k (4; the maxdeg anchor 5), one ball per matching edge
+    (radius 2; the maxdeg anchor 3), power_graph's radius-6 balls, one
+    per vertex of L(T), and k + 1 runs of L(T) capped at 6 + bonus:
+    e_1's join row and one power_contraction row per matching edge.
+    Full runs are the same 22 on both chains, so they do not grow with
+    k: the connectivity test, the two coverage runs, the tree's
+    distances to V(M) and its spanning test, the target's component
+    search, and the eccentricity profiles.
     """
 
+    FULL_RUNS = 22
+
     @staticmethod
-    def _caps(monkeypatch, variant):
-        g = chain(ChainSpec(3, 32)).graph
+    def _caps(monkeypatch, variant, ell):
+        g = chain(ChainSpec(3, ell)).graph
         anchor = smallest_max_degree_vertex(g) if variant == "maxdeg" else None
         graph_module = importlib.import_module("avec.graph")
         real = graph_module._bfs
@@ -833,17 +871,24 @@ class TestBfsBudget:
         monkeypatch.setattr(graph_module, "_bfs", counting)
         monkeypatch.setattr(REPLAY_MODULE, "_bfs", counting)
         tr = replay(g, variant, anchor)
+        monkeypatch.undo()
         assert tr.overall_pass
         return g.n, len(tr.matching.edges), caps
 
     def test_girth6_replay_below_one_bfs_per_vertex(self, monkeypatch):
-        n, k, caps = self._caps(monkeypatch, "girth6")
-        assert k > 1
-        assert caps[None] <= k + 25
-        assert caps == Counter({None: caps[None], 2: k, 6: n - 1 + k + 1})
+        for ell in (32, 128):
+            n, k, caps = self._caps(monkeypatch, "girth6", ell)
+            assert k > 1
+            assert caps == Counter(
+                {None: self.FULL_RUNS, 5: k, 4: k, 2: k, 6: n - 1 + k + 1}
+            )
 
     def test_maxdeg_replay_capped_construction(self, monkeypatch):
-        n, k, caps = self._caps(monkeypatch, "maxdeg")
-        assert k > 1
-        assert caps[None] <= k + 25
-        assert caps == Counter({None: caps[None], 3: 1, 2: k - 1, 6: n - 1, 7: k + 1})
+        for ell in (32, 128):
+            n, k, caps = self._caps(monkeypatch, "maxdeg", ell)
+            assert k > 1
+            # e_1's matching search joins power_graph's n - 1 at cap 6,
+            # and e_1's gap check the other k - 1 matching searches at 5.
+            assert caps == Counter(
+                {None: self.FULL_RUNS, 6: n, 5: k, 4: k - 1, 3: 1, 2: k - 1, 7: k + 1}
+            )
