@@ -38,9 +38,10 @@ BOUND_LOWER = "lower_T32"
 
 UPPER_BOUNDS = (BOUND_PATH, BOUND_EQ1, BOUND_G6, BOUND_C4C5, BOUND_G6_MAX, BOUND_C4C5_MAX)
 
-#: The paper's two graph classes, girth >= 6 and (C4,C5)-free: `CycleScan`
-#: flag, bounds, audit items, and the constants bounding edge/vertex balls.
-_GraphClass = namedtuple("_GraphClass", "flag bound max_bound edge_item vertex_item low high")
+#: The paper's two graph classes, girth >= 6 and (C4,C5)-free.
+_GraphClass = namedtuple(
+    "_GraphClass", "flag bound max_bound edge_item vertex_item delta_const Delta_const"
+)
 _CLASSES = (
     _GraphClass("class_girth6", BOUND_G6, BOUND_G6_MAX, "edge_ball2_girth6",
                 "vertex_ball3_girth6", "delta_star", "Delta_star"),
@@ -140,13 +141,13 @@ def upper_bound(name: str, n: int, delta: int, Delta: int | None = None):
         return Fraction(9 * n, 4 * (delta + 1)) + Fraction(15, 4)
     for cls in _CLASSES:
         if name == cls.bound:
-            dd = getattr(structural_constants(delta), cls.low)
+            dd = getattr(structural_constants(delta), cls.delta_const)
             return Fraction(9, 2) * _ceil_div(n, dd) + 8
         if name == cls.max_bound:
             if Delta is None:
                 raise MissingParameter(f"{name} needs the maximum degree Delta")
             sc = structural_constants(delta, Delta)
-            dd, ds = getattr(sc, cls.low), getattr(sc, cls.high)
+            dd, ds = getattr(sc, cls.delta_const), getattr(sc, cls.Delta_const)
             return ((n - ds) / (2 * dd)) * ((9 * n + 3 * ds) / n) + 21
     raise InvalidArgument(f"unknown bound {name!r}")
 
@@ -222,14 +223,14 @@ def audit_balls(g) -> AuditRecord:
         sizes = (len(ball(g, e, 2)) for e in g.edge_list)
     for (u, v), size in zip(g.edge_list, sizes):
         for cls in classes:
-            bound = getattr(sc, cls.low)
+            bound = getattr(sc, cls.delta_const)
             items.append(AuditItem(cls.edge_item, (u, v), size, bound, size - bound))
     for v in range(g.n):
         if g.degree(v) != Delta:
             continue
         size = len(ball(g, (v,), 3))
         for cls in classes:
-            bound = getattr(sc, cls.high)
+            bound = getattr(sc, cls.Delta_const)
             items.append(AuditItem(cls.vertex_item, (v,), size, bound, size - bound))
     passed = all(at_most(0, item.margin) for item in items)
     return AuditRecord(

@@ -84,9 +84,8 @@ class FiniteField:
 def make_field(q: int) -> FiniteField:
     """Field with q elements; q must be a prime power >= 2.
 
-    Refuses a q > 1 whose `reiman(q)` would have more than `io.MAX_ORDER`
-    vertices before factoring q or building any table, so that a large q
-    costs no trial division.
+    Refuses a q > 1 whose `reiman(q)` would exceed `io.MAX_ORDER` vertices
+    before factoring q or building any table.
     """
     order = 2 * (q * q + q + 1)
     if q > 1 and order > MAX_ORDER:
