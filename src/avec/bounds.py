@@ -7,9 +7,9 @@ exactly on rationals, with 1e-9 of slack once a float is involved.
 Exact quantities are never rounded.
 """
 
+import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -67,21 +67,18 @@ _CONSTANT_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class StructuralConstants:
+class StructuralConstants(
+    namedtuple("StructuralConstants", "delta Delta delta_star delta_circ Delta_star Delta_circ")
+):
     """Neighbourhood-size constants for minimum degree delta (and Delta).
 
     delta_star bounds |N<=2(vw)| from below in girth-6 graphs,
     delta_circ does the same in (C4,C5)-free graphs; Delta_star and
-    Delta_circ bound |N<=3(v)| for a vertex v of degree Delta.
+    Delta_circ bound |N<=3(v)| for a vertex v of degree Delta.  The
+    two Delta constants are floats, None when Delta is not given.
     """
 
-    delta: int
-    Delta: int | None
-    delta_star: int
-    delta_circ: int
-    Delta_star: float | None
-    Delta_circ: float | None
+    __slots__ = ()
 
 
 def structural_constants(delta: int, Delta: int | None = None) -> StructuralConstants:
@@ -160,25 +157,18 @@ def sharpness_lower(n: int, delta: int) -> Fraction:
     return Fraction(9 * n, 2 * sc.delta_star) - 5
 
 
-@dataclass(frozen=True)
-class AuditItem:
+class AuditItem(namedtuple("AuditItem", "check subject size bound margin")):
     """One audited neighbourhood: observed size vs. its lower bound."""
 
-    check: str
-    subject: tuple
-    size: int
-    bound: object
-    margin: object
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AuditRecord:
-    delta: int
-    max_degree: int
-    girth_class: bool
-    c4c5_class: bool
-    items: tuple
-    passed: bool
+class AuditRecord(
+    namedtuple("AuditRecord", "delta max_degree girth_class c4c5_class items passed")
+):
+    """Every `AuditItem` of one graph and the global pass flag."""
+
+    __slots__ = ()
 
 
 def audit_balls(g) -> AuditRecord:
@@ -215,24 +205,30 @@ def audit_balls(g) -> AuditRecord:
     Delta = g.max_degree()
     sc = structural_constants(delta, Delta)
     classes = [cls for cls in _CLASSES if getattr(scan, cls.flag)]
-    items = []
     if scan.class_girth6:
         s = _walk2_counts(g.adjacency)
-        sizes = (s[u] + s[v] + 2 for u, v in g.edge_list)
+        edge_sizes = [s[u] + s[v] + 2 for u, v in g.edge_list]
     else:
-        sizes = (len(ball(g, e, 2)) for e in g.edge_list)
-    for (u, v), size in zip(g.edge_list, sizes):
+        edge_sizes = [len(ball(g, e, 2)) for e in g.edge_list]
+    hubs = [v for v in range(g.n) if g.degree(v) == Delta]
+    hub_sizes = [len(ball(g, (v,), 3)) for v in hubs]
+    items = []
+    for e, size in zip(g.edge_list, edge_sizes):
         for cls in classes:
             bound = getattr(sc, cls.delta_const)
-            items.append(AuditItem(cls.edge_item, (u, v), size, bound, size - bound))
-    for v in range(g.n):
-        if g.degree(v) != Delta:
-            continue
-        size = len(ball(g, (v,), 3))
+            items.append(AuditItem(cls.edge_item, e, size, bound, size - bound))
+    for v, size in zip(hubs, hub_sizes):
         for cls in classes:
             bound = getattr(sc, cls.Delta_const)
             items.append(AuditItem(cls.vertex_item, (v,), size, bound, size - bound))
-    passed = all(at_most(0, item.margin) for item in items)
+    # A class passes iff its least margin does, as at_most(0, y) is
+    # monotone in y; size - bound is monotone in size, floats included,
+    # so the least margin is the least size minus the bound.
+    passed = all(
+        at_most(0, min(min(edge_sizes) - getattr(sc, cls.delta_const),
+                       min(hub_sizes) - getattr(sc, cls.Delta_const)))
+        for cls in classes
+    )
     return AuditRecord(
         delta=delta,
         max_degree=Delta,
@@ -243,50 +239,75 @@ def audit_balls(g) -> AuditRecord:
     )
 
 
-def audit_json(record: AuditRecord) -> dict:
-    return {
-        "delta": record.delta,
-        "max_degree": record.max_degree,
-        "girth_class": record.girth_class,
-        "c4c5_class": record.c4c5_class,
-        "pass": record.passed,
-        "items": [
-            {
-                "check": it.check,
-                "subject": list(it.subject),
-                "size": it.size,
-                "bound": _num_json(it.bound),
-                "margin": _num_json(it.margin),
-            }
-            for it in record.items
-        ],
-    }
+#: Items per write of the audit document.
+_AUDIT_BATCH = 8192
 
 
-@dataclass(frozen=True)
-class BoundEntry:
-    name: str
-    value: object
-    applicable: bool
-    slack: object
+def _audit_item_text(check, size, bound, margin):
+    # An item of the audit document at depth 2 of json's indent=2, cut
+    # where its subject ints go.
+    return (
+        '\n    {\n      "check": ' + json.dumps(check) + ',\n      "subject": [\n        ',
+        '\n      ],\n      "size": ' + json.dumps(size)
+        + ',\n      "bound": ' + json.dumps(_num_json(bound))
+        + ',\n      "margin": ' + json.dumps(_num_json(margin)) + "\n    }",
+    )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+def write_audit_json(record: AuditRecord, fh) -> None:
+    """Write the audit document to fh: the text of `json.dumps(doc,
+    indent=2)` and a newline, with doc the record's flags and one
+    object per item, in batches of at most `_AUDIT_BATCH` items.
+
+    The record must be as `audit_balls` makes it: at least one item,
+    each with a nonempty subject, and one bound per check.  Since
+    margin = size - bound, (check, size) then fixes all of an item but
+    its subject, so each item is two cached pieces around its subject
+    ints.  The cache is keyed by (check, size), not by the numbers it
+    spells, because 42 == 42.0 would reuse the wrong text; every piece
+    is spelled by `json.dumps` itself.
+    """
+    head = json.dumps(
+        {
+            "delta": record.delta,
+            "max_degree": record.max_degree,
+            "girth_class": record.girth_class,
+            "c4c5_class": record.c4c5_class,
+            "pass": record.passed,
+        },
+        indent=2,
+    )
+    fh.write(head[:-2] + ',\n  "items": [')  # the head without its "\n}"
+    pieces = {}
+    items = record.items
+    for start in range(0, len(items), _AUDIT_BATCH):
+        texts = []
+        for check, subject, size, bound, margin in items[start:start + _AUDIT_BATCH]:
+            cut = pieces.get((check, size))
+            if cut is None:
+                cut = pieces[check, size] = _audit_item_text(check, size, bound, margin)
+            texts.append(cut[0] + ",\n        ".join(map(str, subject)) + cut[1])
+        fh.write(("," if start else "") + ",".join(texts))
+    fh.write("\n  ]\n}\n")
+
+
+class BoundEntry(namedtuple("BoundEntry", "name value applicable slack")):
+    """One bound's value at a graph and its slack against the graph's avec."""
+
+    __slots__ = ()
+
+
+class BoundReport(
+    namedtuple(
+        "BoundReport",
+        "n delta max_degree girth_class c4c5_class ex_total avec bounds violations"
+        " family ell notes",
+        defaults=(None, None, ()),
+    )
+):
     """All bound evaluations for one graph, against its exact avec."""
 
-    n: int
-    delta: int
-    max_degree: int
-    girth_class: bool
-    c4c5_class: bool
-    ex_total: int
-    avec: Fraction
-    bounds: tuple
-    violations: tuple
-    family: str | None = None
-    ell: int | None = None
-    notes: tuple = ()
+    __slots__ = ()
 
 
 def analyze(g, chain_params=None) -> BoundReport:

@@ -18,9 +18,9 @@ from .bounds import (
     CSV_HEADER,
     analyze,
     audit_balls,
-    audit_json,
     report_csv_row,
     report_json,
+    write_audit_json,
 )
 from .errors import (
     AvecError,
@@ -85,7 +85,7 @@ def _write_json(doc, fh):
 
 def _cmd_audit(args):
     record = audit_balls(read_graph(args.path))
-    _write_json(audit_json(record), sys.stdout)
+    write_audit_json(record, sys.stdout)
     return 0 if record.passed else 1
 
 
@@ -144,22 +144,20 @@ def _cmd_sweep(args):
     if not ells:
         raise InvalidArgument(f"no even ell >= 2 in {args.ell_range}")
     chain_order(ChainSpec(args.delta, ells[-1]))
-    rows = []
     ok = True
-    for ell in ells:
-        labeled = chain(ChainSpec(args.delta, ell))
-        report = analyze(labeled.graph, chain_params=(args.delta, ell))
-        rows.append(report_csv_row(report))
-        state = "pass" if not report.violations else "FAIL"
-        ok = ok and not report.violations
-        print(
-            f"chain delta={args.delta} ell={ell}:"
-            f" n={report.n} avec={report.ex_total}/{report.n} {state}"
-        )
+    # Opened before the first chain, so a bad path fails before any work.
     with open(args.csv, "w", encoding="ascii") as fh:
         fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        for ell in ells:
+            labeled = chain(ChainSpec(args.delta, ell))
+            report = analyze(labeled.graph, chain_params=(args.delta, ell))
+            fh.write(report_csv_row(report) + "\n")
+            state = "pass" if not report.violations else "FAIL"
+            ok = ok and not report.violations
+            print(
+                f"chain delta={args.delta} ell={ell}:"
+                f" n={report.n} avec={report.ex_total}/{report.n} {state}"
+            )
     print(f"wrote {args.csv}")
     return 0 if ok else 1
 

@@ -10,7 +10,7 @@ Both refuse, before building anything, a graph of more than
 `io.MAX_ORDER` vertices.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import InvalidArgument, InvalidChainSpec, NotPrimePower
 from .gf import make_field
@@ -18,14 +18,16 @@ from .graph import Graph, build_graph, distances_from, forbidden_cycle_scan
 from .io import MAX_ORDER
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledGraph:
-    """A graph together with vertex labels and named special vertices."""
+class LabeledGraph(namedtuple("LabeledGraph", "graph labels designated meta")):
+    """A graph together with vertex labels and named special vertices.
 
-    graph: Graph
-    labels: tuple
-    designated: dict
-    meta: dict = field(default_factory=dict)
+    It holds dicts, so it compares and hashes by identity.
+    """
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def _normalized_triples(q):
@@ -77,8 +79,7 @@ def reiman(q: int) -> LabeledGraph:
     return LabeledGraph(graph=g, labels=labels, designated={"u": u, "v": v}, meta=meta)
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(namedtuple("ChainSpec", "delta ell head", defaults=(None,))):
     """Parameters for `chain`: delta >= 3, even ell >= 2, optional head.
 
     The head, when given, replaces the first copy; it needs minimum
@@ -86,9 +87,7 @@ class ChainSpec:
     designated pair u, v.
     """
 
-    delta: int
-    ell: int
-    head: LabeledGraph | None = None
+    __slots__ = ()
 
 
 def _distance3_vertex(g: Graph, source: int):

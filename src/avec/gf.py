@@ -9,7 +9,7 @@ coefficient tuple, i.e. by the integer value sum(a_i * p^i).  For k = 1
 the modulus is x and arithmetic is plain mod p.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from .errors import InvalidArgument, NotPrimePower, OutOfRange
@@ -65,20 +65,14 @@ def _factor_prime_power(q):
     raise NotPrimePower(f"{q} is not a prime power")
 
 
-@dataclass(frozen=True)
-class FiniteField:
+class FiniteField(namedtuple("FiniteField", "p k q modulus add mul")):
     """GF(p^k) as two q x q tables of element indices.
 
     `add[i][j]` and `mul[i][j]` are the indices of the sum and the
     product of elements i and j.  Construct through `make_field`.
     """
 
-    p: int
-    k: int
-    q: int
-    modulus: tuple
-    add: tuple
-    mul: tuple
+    __slots__ = ()
 
 
 def make_field(q: int) -> FiniteField:

@@ -7,8 +7,7 @@ are reported with the `UNREACHABLE` sentinel, never a large number.
 """
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import reduce
 from operator import and_
@@ -182,19 +181,16 @@ def is_connected(g):
     return len(reached) == g.n
 
 
-@dataclass(frozen=True)
-class EccentricityProfile:
+class EccentricityProfile(
+    namedtuple("EccentricityProfile", "ecc ex_total avec diameter radius")
+):
     """Exact per-vertex eccentricities and their aggregates.
 
     avec is the exact rational EX(G)/n; ex_total is EX(G), the sum of
     all eccentricities.
     """
 
-    ecc: tuple
-    ex_total: int
-    avec: Fraction
-    diameter: int
-    radius: int
+    __slots__ = ()
 
 
 #: Rounds in a row that resolve no vertex but their own source, after
@@ -440,13 +436,10 @@ def girth(g):
     return best
 
 
-@dataclass(frozen=True)
-class CycleScan:
+class CycleScan(namedtuple("CycleScan", "has_c3 has_c4 has_c5")):
     """Presence flags for short cycles and the derived class flags."""
 
-    has_c3: bool
-    has_c4: bool
-    has_c5: bool
+    __slots__ = ()
 
     @property
     def class_girth6(self):

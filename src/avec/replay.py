@@ -47,8 +47,7 @@ at its graph distance d(x, V(M)) under its matching vertex, and one
 O(n) pass over T shows this by a local identity (`_assert_tree`).
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
@@ -80,64 +79,44 @@ from .graph import (
 VARIANT_GIRTH6 = "girth6"
 VARIANT_MAXDEG = "maxdeg"
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(namedtuple("Matching", "variant edges anchor")):
     """Scattered matching in growth order; edges[0] is the anchor."""
 
-    variant: str
-    edges: tuple
-    anchor: int | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AnchoredTree:
+class AnchoredTree(namedtuple("AnchoredTree", "tree assignment subtrees connectors radii")):
     """Spanning tree preserving distances to the matching vertices.
 
     assignment[x] is the matching vertex whose ball tree x hangs
     under; d_T(x, assignment[x]) = d_G(x, V(M)) for every x.
     """
 
-    tree: object
-    assignment: tuple
-    subtrees: tuple
-    connectors: tuple
-    radii: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(namedtuple("WeightSystem", "c cbar cprime n_normalized")):
     """c on vertices, cbar/cprime aligned with the matching edges."""
 
-    c: tuple
-    cbar: tuple
-    cprime: tuple
-    n_normalized: object
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    lhs: object
-    rhs: object
-    passed: bool
+class CheckResult(namedtuple("CheckResult", "name lhs rhs passed")):
+    """One named inequality lhs vs. rhs and whether it held."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProofTrace:
-    graph: object
-    variant: str
-    n: int
-    delta: int
-    max_degree: int
-    matching: Matching
-    tree: AnchoredTree
-    weights: WeightSystem
-    values: tuple
-    checks: tuple
-    structural: tuple
-    final_bound: object
-    overall_pass: bool
-    notes: tuple
+class ProofTrace(
+    namedtuple(
+        "ProofTrace",
+        "graph variant n delta max_degree matching tree weights values checks"
+        " structural final_bound overall_pass notes",
+    )
+):
+    """A replayed construction of one graph: every stage, check and value."""
+
+    __slots__ = ()
 
 
 def _validate_replay_input(g, variant, anchor):

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,6 +18,7 @@ from avec.errors import (
 from avec.generators import ChainSpec, chain, classic, reiman
 from avec.graph import ball, build_graph, eccentricity_profile, forbidden_cycle_scan, line_graph
 from util import (
+    audit_json_oracle,
     below_float_floor_oracle,
     from_nx,
     le_oracle,
@@ -253,10 +256,43 @@ class TestAuditBalls:
         assert all(i.margin < 0 for i in record.items)
 
     def test_audit_json(self, reiman2):
-        doc = B.audit_json(B.audit_balls(reiman2.graph))
+        record = B.audit_balls(reiman2.graph)
+        out = io.StringIO()
+        B.write_audit_json(record, out)
+        assert out.getvalue() == audit_json_oracle(record)
+        doc = json.loads(out.getvalue())
         assert doc["pass"] is True
         assert doc["items"][0]["check"] == "edge_ball2_girth6"
         assert doc["items"][0]["margin"] == 0
+
+    def test_one_negative_margin_fails(self, reiman2, monkeypatch):
+        # One vertex ball one short: only its girth-6 item goes negative.
+        def short_at_5(g, sources, k):
+            found = ball(g, sources, k)
+            return found - {0} if tuple(sources) == (5,) else found
+
+        monkeypatch.setattr(B, "ball", short_at_5)
+        record = B.audit_balls(reiman2.graph)
+        negative = [i for i in record.items if i.margin < 0]
+        assert [(i.check, i.subject) for i in negative] == [("vertex_ball3_girth6", (5,))]
+        assert len(record.items) == 70
+        assert record.passed is False
+
+    @pytest.mark.parametrize("excess, passed", [(B.FLOAT_TOL / 2, True), (2 * B.FLOAT_TOL, False)])
+    def test_float_margin_within_tolerance(self, reiman2, monkeypatch, excess, passed):
+        # Every vertex ball of reiman(2) has 14 vertices; Delta_star is
+        # moved to 14 + excess, so each vertex margin is about -excess.
+        real = B.structural_constants
+
+        def moved(delta, Delta=None):
+            return real(delta, Delta)._replace(Delta_star=14 + excess)
+
+        monkeypatch.setattr(B, "structural_constants", moved)
+        record = B.audit_balls(reiman2.graph)
+        margins = {i.margin for i in record.items if i.check == "vertex_ball3_girth6"}
+        assert len(margins) == 1 and isinstance(margins.pop(), float)
+        assert record.passed is passed
+        assert passed == all(margin_ok_oracle(i.margin) for i in record.items)
 
 
 def _thinned(q, seed):

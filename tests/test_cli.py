@@ -1,13 +1,15 @@
-import dataclasses
 import json
+import random
 
 import pytest
 
 from avec import cli
 from avec.bounds import analyze, audit_balls
 from avec.generators import ChainSpec, chain, reiman
+from avec.graph import line_graph
 from avec.io import MAX_ORDER, format_edgelist, parse_edgelist, read_graph
 from avec.replay import replay
+from util import audit_json_oracle, shuffle_labels, thin
 
 
 def run(argv):
@@ -119,9 +121,7 @@ class TestAnalyze:
         real = analyze
 
         def faulty(g, chain_params=None):
-            return dataclasses.replace(
-                real(g, chain_params), violations=("girth6_T31",)
-            )
+            return real(g, chain_params)._replace(violations=("girth6_T31",))
 
         monkeypatch.setattr(cli, "analyze", faulty)
         assert run(["analyze", str(path)]) == 1
@@ -149,9 +149,62 @@ class TestAudit:
         real = audit_balls
         monkeypatch.setattr(
             cli, "audit_balls",
-            lambda g: dataclasses.replace(real(g), passed=False),
+            lambda g: real(g)._replace(passed=False),
         )
         assert run(["audit", str(path)]) == 1
+
+
+def _thinned_reiman7():
+    rng = random.Random(7)
+    g = reiman(7).graph
+    return shuffle_labels(thin(g, rng, g.m // 5), rng)
+
+
+AUDIT_GRAPHS = {
+    # girth 6: edge balls by the degree identity
+    "chain3_4": lambda: chain(ChainSpec(3, 4)).graph,
+    # triangles: every edge ball is searched
+    "line_reiman2": lambda: line_graph(reiman(2).graph)[0],
+    # triangles and unequal edge balls
+    "thinned_line_reiman2": lambda: thin(line_graph(reiman(2).graph)[0], random.Random(0), 6),
+    # several degrees, float vertex bounds, labels out of order
+    "thinned_reiman7": _thinned_reiman7,
+}
+
+
+class TestAuditWriter:
+    """`avec audit` prints the bytes of one `json.dumps(doc, indent=2)`."""
+
+    @pytest.mark.parametrize("name", sorted(AUDIT_GRAPHS))
+    def test_matches_oracle(self, name, tmp_path, capsys):
+        g = AUDIT_GRAPHS[name]()
+        path = tmp_path / "g.txt"
+        path.write_text(format_edgelist(g))
+        assert run(["audit", str(path)]) == 0
+        assert capsys.readouterr().out == audit_json_oracle(audit_balls(read_graph(path)))
+
+    def test_cases_cover_what_they_claim(self):
+        record = audit_balls(AUDIT_GRAPHS["thinned_line_reiman2"]())
+        assert not record.girth_class
+        assert len({i.size for i in record.items if i.check.startswith("edge")}) > 1
+        g = _thinned_reiman7()
+        assert g.min_degree() < g.max_degree()
+        record = audit_balls(g)
+        assert record.girth_class
+        assert any(isinstance(i.bound, float) for i in record.items)
+
+    @pytest.mark.parametrize("count", [8192, 8193, 2 * 8192 + 1])
+    def test_batch_edges(self, count, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "g.txt"
+        path.write_text(format_edgelist(_thinned_reiman7()))
+        real = audit_balls(read_graph(path))
+        reps = -(-count // len(real.items))
+        record = real._replace(items=(real.items * reps)[:count])
+        monkeypatch.setattr(cli, "audit_balls", lambda g: record)
+        assert run(["audit", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out == audit_json_oracle(record)
+        assert len(json.loads(out)["items"]) == count
 
 
 class TestReplay:
@@ -205,7 +258,7 @@ class TestReplay:
         real = replay
         monkeypatch.setattr(
             cli, "replay",
-            lambda g, v, a=None: dataclasses.replace(real(g, v, a), overall_pass=False),
+            lambda g, v, a=None: real(g, v, a)._replace(overall_pass=False),
         )
         assert run(["replay", str(path), "--variant", "girth6"]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "overall: FAIL"
@@ -251,6 +304,15 @@ class TestSweep:
         assert captured.err.startswith("error:") and "MAX_ORDER" in captured.err
         assert len(captured.err.splitlines()) == 1
         assert not csv_path.exists()
+
+    def test_bad_csv_path_fails_before_any_row(self, tmp_path, capsys):
+        csv_path = tmp_path / "missing" / "s.csv"
+        assert run(["sweep", "--family", "chain", "--delta", "3",
+                    "--ell-range", "2..4", "--csv", str(csv_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and str(csv_path) in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_no_even_ell(self, tmp_path):
         assert run(["sweep", "--family", "chain", "--delta", "3",

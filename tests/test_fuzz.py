@@ -1,5 +1,5 @@
 """Hostile-input fuzzing of the graph readers and of `avec analyze`,
-and a differential test of the graph6 writer.
+and differential tests of the graph6 writer and of the audit writer.
 
 Whatever the input, the readers may only raise `AvecError` subclasses,
 and the CLI may only exit 0 or 2, with a one-line diagnostic on 2.
@@ -11,14 +11,22 @@ import contextlib
 import io as stdio
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from avec import cli
+from avec.bounds import audit_balls
 from avec.errors import AvecError
-from avec.graph import build_graph
-from avec.io import MAX_ORDER, from_graph6, parse_edgelist, read_graph, to_graph6
+from avec.generators import reiman
+from avec.graph import build_graph, forbidden_cycle_scan, is_connected, line_graph
+from avec.io import MAX_ORDER, format_edgelist, from_graph6, parse_edgelist, read_graph, to_graph6
 
-from util import from_graph6_oracle, to_graph6_oracle
+from util import (
+    audit_json_oracle,
+    from_graph6_oracle,
+    shuffle_labels,
+    thin,
+    to_graph6_oracle,
+)
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -195,3 +203,39 @@ class TestGraph6Writer:
         text = to_graph6(g)
         assert text == to_graph6_oracle(g)
         assert from_graph6(text) == g
+
+
+# Connected (C4,C5)-free graphs of minimum degree 3 or more; the line
+# graph of reiman(2) has triangles, the others girth 6.
+C4C5_FREE_BASES = (
+    reiman(2).graph, reiman(3).graph, reiman(4).graph, line_graph(reiman(2).graph)[0],
+)
+
+
+@st.composite
+def c4c5_free_graphs(draw):
+    """A base graph, thinned at random down to minimum degree 3 at most,
+    given up to three chords that keep it (C4,C5)-free, and relabelled."""
+    rng = draw(st.randoms(use_true_random=False))
+    g = draw(st.sampled_from(C4C5_FREE_BASES))
+    g = thin(g, rng, rng.randrange(g.m // 3))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        u, v = sorted(rng.sample(range(g.n), 2))
+        chorded = build_graph(g.n, set(g.edge_list) | {(u, v)})
+        if forbidden_cycle_scan(chorded).class_c4c5free:
+            g = chorded
+    assume(is_connected(g))
+    return shuffle_labels(g, rng)
+
+
+class TestAuditWriter:
+    @settings(FUZZ, max_examples=100)
+    @given(c4c5_free_graphs())
+    def test_cli_matches_oracle(self, fuzz_file, g):
+        fuzz_file.write_text(format_edgelist(g))
+        out = stdio.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["audit", str(fuzz_file)])
+        record = audit_balls(g)
+        assert code == (0 if record.passed else 1)
+        assert out.getvalue() == audit_json_oracle(record)

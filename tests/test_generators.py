@@ -179,6 +179,17 @@ class TestChain:
         with pytest.raises(InvalidChainSpec):
             chain(ChainSpec(3, 2, missing_keys))
 
+    def test_labeled_graph_compares_by_identity(self):
+        a, b = reiman(2), reiman(2)
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert a.graph == b.graph and a.labels == b.labels and a.meta == b.meta
+        assert len({a, b}) == 2
+        # A spec with a head is hashable, though the head holds dicts.
+        spec = ChainSpec(3, 2, a)
+        assert hash(spec) == hash(ChainSpec(3, 2, a))
+        assert spec != ChainSpec(3, 2, b)
+
     def test_meta(self, chain34):
         m = chain34.meta
         assert m["construction"] == "chain"

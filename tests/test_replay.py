@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import inspect
 import json
@@ -353,7 +352,7 @@ class TestTree:
         # Without its last edge the matching leaves vertices beyond 5.
         g = chain(ChainSpec(3, 6)).graph
         m = build_matching(g, "girth6")
-        short = dataclasses.replace(m, edges=m.edges[:-1])
+        short = m._replace(edges=m.edges[:-1])
         with pytest.raises(ConstructionInvariantViolated, match="> 5 from V"):
             build_tree(g, short)
 
@@ -381,7 +380,7 @@ class TestTree:
             pytest.fail("no leaf to re-hang")
         edges = set(tree.edge_list) - {(min(x, parent), max(x, parent))}
         edges.add((min(x, y), max(x, y)))
-        tampered = dataclasses.replace(t, tree=build_graph(g.n, edges))
+        tampered = t._replace(tree=build_graph(g.n, edges))
         match = f"^vertex {x} is assigned to {t.assignment[x]}, but no tree neighbour "
         with pytest.raises(ConstructionInvariantViolated, match=match):
             REPLAY_MODULE._assert_tree(g, m, tampered, dm)
@@ -404,7 +403,7 @@ class TestTree:
         (parent,) = tree.adjacency[x]
         edges = set(tree.edge_list) - {(min(x, parent), max(x, parent))}
         edges.add((min(x, y), max(x, y)))
-        tampered = dataclasses.replace(t, tree=build_graph(g.n, edges))
+        tampered = t._replace(tree=build_graph(g.n, edges))
         match = f"^vertex {x} is assigned to {t.assignment[x]}, but no tree neighbour "
         with pytest.raises(ConstructionInvariantViolated, match=match):
             REPLAY_MODULE._assert_tree(g, m, tampered, dm)
@@ -416,7 +415,7 @@ class TestTree:
         x = next(x for x in range(g.n) if dm[x] == 2)
         a, b = next(e for e in m.edges if assignment[x] in e)
         assignment[x] = b if assignment[x] == a else a
-        tampered = dataclasses.replace(t, assignment=tuple(assignment))
+        tampered = t._replace(assignment=tuple(assignment))
         match = f"^vertex {x} is assigned to {assignment[x]}, but no tree neighbour "
         with pytest.raises(ConstructionInvariantViolated, match=match):
             REPLAY_MODULE._assert_tree(g, m, tampered, dm)
@@ -430,7 +429,7 @@ class TestTree:
         m, t, dm = _anchored(g)
         a, b = m.edges[1]
         assignment = tuple(b if w == a else w for w in t.assignment)
-        tampered = dataclasses.replace(t, assignment=assignment)
+        tampered = t._replace(assignment=assignment)
         match = f"^matching vertex {a} is assigned to {b}, not to itself"
         with pytest.raises(ConstructionInvariantViolated, match=match):
             REPLAY_MODULE._assert_tree(g, m, tampered, dm)
@@ -441,7 +440,7 @@ class TestTree:
         x = next(x for x in range(g.n) if dm[x] > 0)
         assignment = list(t.assignment)
         assignment[x] = x
-        tampered = dataclasses.replace(t, assignment=tuple(assignment))
+        tampered = t._replace(assignment=tuple(assignment))
         with pytest.raises(
             ConstructionInvariantViolated, match=f"vertex {x} is assigned to {x}, "
         ):
@@ -455,7 +454,7 @@ class TestTree:
         m, t, dm = _anchored(g)
         subtrees = list(t.subtrees)
         subtrees[0] = subtrees[0] | subtrees[1]
-        tampered = dataclasses.replace(t, subtrees=tuple(subtrees))
+        tampered = t._replace(subtrees=tuple(subtrees))
         message = re.escape(f"ball tree of {m.edges[0]} is assigned outside")
         with pytest.raises(ConstructionInvariantViolated, match=message):
             REPLAY_MODULE._assert_tree(g, m, tampered, dm)
@@ -827,9 +826,7 @@ def test_ball_overlap_is_the_largest_pairwise_intersection(monkeypatch, shared):
         subs[1] |= set(extra[:1])
         subs[2] |= set(extra[:shared])
         balls.extend({v for e in s for v in e} for s in subs)
-        args["anchored"] = dataclasses.replace(
-            args["anchored"], subtrees=tuple(map(frozenset, subs))
-        )
+        args["anchored"] = args["anchored"]._replace(subtrees=tuple(map(frozenset, subs)))
 
     _patch_structural_checks(monkeypatch, overlap_balls)
     tr = replay(chain(ChainSpec(3, 10)).graph, "girth6")

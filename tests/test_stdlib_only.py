@@ -1,7 +1,9 @@
 """avec is stdlib-only: every absolute import in the package names a
-module of the standard library."""
+module of the standard library, and importing the CLI loads none of the
+costly ones that no avec command needs."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +43,21 @@ def test_reader_sees_every_import_form():
         "    import numpy as np\n"
     )
     assert sorted(absolute_imports(source)) == ["json", "networkx", "numpy", "os"]
+
+
+#: Modules whose import alone costs more than avec's own start-up work.
+HEAVY = ("dataclasses", "inspect", "typing")
+
+
+def test_cli_import_loads_no_heavy_module(tmp_path):
+    # -S: no site hook preloads anything; -E: no PYTHONPATH.  The path
+    # to the package is absolute and the working directory is empty.
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import avec.cli; "
+        f"print(sorted(set({HEAVY!r}) & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", code],
+        capture_output=True, text=True, cwd=tmp_path, check=True,
+    )
+    assert done.stdout == "[]\n"

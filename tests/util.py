@@ -8,8 +8,10 @@ networkx.
 """
 
 import itertools
+import json
 import math
 from collections import deque
+from fractions import Fraction
 
 import networkx as nx
 
@@ -133,6 +135,33 @@ def eccentricities_oracle(g):
             raise DisconnectedGraph(f"vertex {s} reaches only {reached} of {g.n} vertices")
         ecc.append(last)
     return tuple(ecc)
+
+
+def audit_json_oracle(record):
+    """The audit document as one dict, encoded whole by `json` with
+    indent=2, plus a newline: what `bounds.write_audit_json` replaced."""
+
+    def num(x):
+        return float(x) if isinstance(x, Fraction) else x
+
+    doc = {
+        "delta": record.delta,
+        "max_degree": record.max_degree,
+        "girth_class": record.girth_class,
+        "c4c5_class": record.c4c5_class,
+        "pass": record.passed,
+        "items": [
+            {
+                "check": it.check,
+                "subject": list(it.subject),
+                "size": it.size,
+                "bound": num(it.bound),
+                "margin": num(it.margin),
+            }
+            for it in record.items
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def to_graph6_oracle(g):
