@@ -239,8 +239,10 @@ def audit_balls(g) -> AuditRecord:
     )
 
 
-#: Items per write of the audit document.
-_AUDIT_BATCH = 8192
+#: Items per write of the audit document.  The writer holds one group
+#: of a few KB, and an unbuffered stdout (`python -u`, PYTHONUNBUFFERED)
+#: pays one system call per group, not per item.
+_ITEMS_PER_WRITE = 16
 
 
 def _audit_item_text(check, size, bound, margin):
@@ -257,7 +259,7 @@ def _audit_item_text(check, size, bound, margin):
 def write_audit_json(record: AuditRecord, fh) -> None:
     """Write the audit document to fh: the text of `json.dumps(doc,
     indent=2)` and a newline, with doc the record's flags and one
-    object per item, in batches of at most `_AUDIT_BATCH` items.
+    object per item, in writes of at most `_ITEMS_PER_WRITE` items.
 
     The record must be as `audit_balls` makes it: at least one item,
     each with a nonempty subject, and one bound per check.  Since
@@ -279,16 +281,19 @@ def write_audit_json(record: AuditRecord, fh) -> None:
     )
     fh.write(head[:-2] + ',\n  "items": [')  # the head without its "\n}"
     pieces = {}
-    items = record.items
-    for start in range(0, len(items), _AUDIT_BATCH):
-        texts = []
-        for check, subject, size, bound, margin in items[start:start + _AUDIT_BATCH]:
-            cut = pieces.get((check, size))
-            if cut is None:
-                cut = pieces[check, size] = _audit_item_text(check, size, bound, margin)
-            texts.append(cut[0] + ",\n        ".join(map(str, subject)) + cut[1])
-        fh.write(("," if start else "") + ",".join(texts))
-    fh.write("\n  ]\n}\n")
+    sep = ""
+    texts = []
+    for check, subject, size, bound, margin in record.items:
+        cut = pieces.get((check, size))
+        if cut is None:
+            cut = pieces[check, size] = _audit_item_text(check, size, bound, margin)
+        texts.append(sep + cut[0] + ",\n        ".join(map(str, subject)) + cut[1])
+        sep = ","
+        if len(texts) == _ITEMS_PER_WRITE:
+            fh.write("".join(texts))
+            texts.clear()
+    texts.append("\n  ]\n}\n")
+    fh.write("".join(texts))
 
 
 class BoundEntry(namedtuple("BoundEntry", "name value applicable slack")):

@@ -1,4 +1,4 @@
-"""Graph families: incidence constructions, chained copies, classics.
+"""Graph families: incidence constructions and chained copies.
 
 `reiman(q)` builds the point/line incidence graph of the projective
 plane over GF(q): a (q+1)-regular bipartite graph on 2(q^2+q+1)
@@ -202,20 +202,3 @@ def chain(spec: ChainSpec) -> LabeledGraph:
     return LabeledGraph(
         graph=g, labels=tuple(labels), designated=designated, meta=meta
     )
-
-
-def classic(kind: str, n: int) -> Graph:
-    """Reference families: path, cycle, star, complete."""
-    if n < 1:
-        raise InvalidArgument(f"order must be >= 1, got {n}")
-    if kind == "path":
-        return build_graph(n, [(i, i + 1) for i in range(n - 1)])
-    if kind == "cycle":
-        if n < 3:
-            raise InvalidArgument(f"cycle needs >= 3 vertices, got {n}")
-        return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if kind == "star":
-        return build_graph(n, [(0, i) for i in range(1, n)])
-    if kind == "complete":
-        return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    raise InvalidArgument(f"unknown family {kind!r}")

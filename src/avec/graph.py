@@ -7,10 +7,12 @@ are reported with the `UNREACHABLE` sentinel, never a large number.
 """
 
 import math
+from bisect import bisect_right
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import reduce
-from operator import and_
+from itertools import repeat
+from operator import and_, mul
 
 from .errors import (
     DisconnectedGraph,
@@ -40,7 +42,7 @@ class Graph:
     __slots__ = ("n", "adjacency", "edge_list")
 
     def __init__(self, n, adjacency, edge_list):
-        # Not for direct use; go through build_graph().
+        # Not for direct use outside this module; go through build_graph().
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "edge_list", edge_list)
@@ -351,21 +353,15 @@ def weighted_avec(g, weights):
     """
     if len(weights) != g.n:
         raise InvalidWeights(f"expected {g.n} weights, got {len(weights)}")
-    total = Fraction(0)
     for c in weights:
         if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
             raise InvalidWeights(f"weight {c!r} is not an exact rational")
         if c < 0:
             raise InvalidWeights(f"negative weight {c}")
-        total += c
+    total = sum(weights)
     if total == 0:
         raise InvalidWeights("total weight is zero")
-    profile = eccentricity_profile(g)
-    acc = Fraction(0)
-    for c, e in zip(weights, profile.ecc):
-        if c:
-            acc += c * e
-    return acc / total
+    return Fraction(sum(map(mul, weights, eccentricity_profile(g).ecc)), total)
 
 
 def girth(g):
@@ -615,15 +611,21 @@ def line_graph(g):
 
 
 def power_graph(g, k):
-    """k-th power: u ~ v iff 1 <= d(u, v) <= k."""
+    """k-th power: u ~ v iff 1 <= d(u, v) <= k.
+
+    Row s is the radius-k ball of s without s, from one capped BFS, and
+    its entries above s, taken in s order, are the canonical edge list;
+    the rows are symmetric because distance is.
+    """
     if k < 1:
         raise InvalidArgument(f"power must be >= 1, got {k}")
-    edges = []
+    adjacency = []
+    edge_list = []
     for s in range(g.n):
-        for v in ball(g, (s,), k):
-            if v > s:
-                edges.append((s, v))
-    return build_graph(g.n, edges)
+        row = sorted(_bfs(g, (s,), k)[2][1:])
+        adjacency.append(tuple(row))
+        edge_list += zip(repeat(s), row[bisect_right(row, s):])
+    return Graph(g.n, tuple(adjacency), tuple(edge_list))
 
 
 def induced_subgraph(g, vertices):

@@ -23,7 +23,7 @@ from avec.bounds import (
     structural_constants,
     upper_bound,
 )
-from avec.generators import ChainSpec, chain, classic, reiman
+from avec.generators import ChainSpec, chain, reiman
 from avec.gf import make_field
 from avec.graph import (
     ball,
@@ -36,6 +36,7 @@ from avec.graph import (
 )
 from avec.replay import replay, trace_json
 from util import (
+    classic,
     edge_distance_oracle,
     is_bipartite,
     random_connected_graph,

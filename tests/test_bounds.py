@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -15,17 +16,19 @@ from avec.errors import (
     NotApplicable,
     OutOfRange,
 )
-from avec.generators import ChainSpec, chain, classic, reiman
+from avec.generators import ChainSpec, chain, reiman
 from avec.graph import ball, build_graph, eccentricity_profile, forbidden_cycle_scan, line_graph
 from util import (
     audit_json_oracle,
     below_float_floor_oracle,
+    classic,
     from_nx,
     le_oracle,
     margin_ok_oracle,
     shuffle_labels,
     thin,
     totals_agree_oracle,
+    traced,
     violated_oracle,
 )
 
@@ -264,6 +267,27 @@ class TestAuditBalls:
         assert doc["pass"] is True
         assert doc["items"][0]["check"] == "edge_ball2_girth6"
         assert doc["items"][0]["margin"] == 0
+
+    def test_audit_json_writes_a_few_items_at_a_time(self):
+        # Allocation sizes do not depend on the machine: the writer holds
+        # a few items' text at a time, never the whole document.
+        record = B.audit_balls(reiman(16).graph)
+        assert len(record.items) == 10374
+
+        class Sink:
+            def __init__(self):
+                self.sha = hashlib.sha256()
+                self.longest = 0
+
+            def write(self, text):
+                self.sha.update(text.encode())
+                self.longest = max(self.longest, len(text))
+
+        sink = Sink()
+        _, _, peak = traced(B.write_audit_json, record, sink)
+        assert peak < 64 * 1024
+        assert sink.longest <= 4096
+        assert sink.sha.digest() == hashlib.sha256(audit_json_oracle(record).encode()).digest()
 
     def test_one_negative_margin_fails(self, reiman2, monkeypatch):
         # One vertex ball one short: only its girth-6 item goes negative.

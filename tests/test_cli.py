@@ -194,7 +194,7 @@ class TestAuditWriter:
         assert any(isinstance(i.bound, float) for i in record.items)
 
     @pytest.mark.parametrize("count", [8192, 8193, 2 * 8192 + 1])
-    def test_batch_edges(self, count, tmp_path, capsys, monkeypatch):
+    def test_long_item_lists_match_oracle(self, count, tmp_path, capsys, monkeypatch):
         path = tmp_path / "g.txt"
         path.write_text(format_edgelist(_thinned_reiman7()))
         real = audit_balls(read_graph(path))

@@ -2,7 +2,7 @@ import pytest
 
 import avec.generators
 from avec.errors import InvalidArgument, InvalidChainSpec, NotPrimePower
-from avec.generators import ChainSpec, LabeledGraph, chain, chain_order, classic, reiman
+from avec.generators import ChainSpec, LabeledGraph, chain, chain_order, reiman
 from avec.graph import (
     distances_from,
     eccentricity_profile,
@@ -10,7 +10,7 @@ from avec.graph import (
     girth,
 )
 from avec.io import MAX_ORDER
-from util import from_nx, is_bipartite
+from util import classic, from_nx, is_bipartite
 
 import networkx as nx
 
@@ -199,6 +199,8 @@ class TestChain:
 
 
 class TestClassic:
+    """`util.classic`, the reference families that other tests build on."""
+
     def test_path(self):
         g = classic("path", 4)
         assert g.edge_list == ((0, 1), (1, 2), (2, 3))

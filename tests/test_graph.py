@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import networkx as nx
 import pytest
@@ -13,7 +14,7 @@ from avec.errors import (
     InvalidVertex,
     InvalidWeights,
 )
-from avec.generators import ChainSpec, chain, classic, reiman
+from avec.generators import ChainSpec, chain, reiman
 from avec.graph import (
     INFINITE_GIRTH,
     UNREACHABLE,
@@ -30,22 +31,36 @@ from avec.graph import (
     power_graph,
     weighted_avec,
 )
+from avec.replay import VARIANT_GIRTH6, build_matching, build_tree
 from util import (
+    classic,
     cycle_scan_oracle,
     eccentricities_oracle,
     from_nx,
     girth_oracle,
     has_cycle_oracle,
+    power_graph_oracle,
     random_connected_graph,
+    random_tree,
     relabel,
     shuffle_labels,
     thin,
     to_nx,
+    traced,
 )
 
 
 def petersen():
     return from_nx(nx.petersen_graph())
+
+
+@cache
+def replay_line():
+    """L(T) for the girth6 replay tree T of chain(3,128): the graph that
+    `replay` raises to the 6th power."""
+    g = chain(ChainSpec(3, 128)).graph
+    tree = build_tree(g, build_matching(g, VARIANT_GIRTH6)).tree
+    return line_graph(tree)[0]
 
 
 class TestBuildGraph:
@@ -309,6 +324,15 @@ class TestWeightedAvec:
         g = classic("path", 2)
         assert weighted_avec(g, [Fraction(1, 2), Fraction(1, 2)]) == 1
 
+    def test_mixed_int_and_fraction_weights(self):
+        g = classic("path", 4)
+        weights = [1, Fraction(1, 3), 0, Fraction(5, 2)]
+        result = weighted_avec(g, weights)
+        # ecc of path(4) is (3, 2, 2, 3)
+        assert result == Fraction(3 + Fraction(2, 3) + Fraction(15, 2), 1 + Fraction(1, 3) + Fraction(5, 2))
+        assert type(result) is Fraction
+        assert type(weighted_avec(g, [1, 1, 1, 1])) is Fraction
+
     def test_validation(self):
         g = classic("path", 3)
         with pytest.raises(InvalidWeights):
@@ -321,6 +345,9 @@ class TestWeightedAvec:
             weighted_avec(g, [1.5, 1, 1])
         with pytest.raises(InvalidWeights):
             weighted_avec(g, [True, 1, 1])
+        for weights in ([Fraction(1, 2), False, 1], [Fraction(-1, 2), 1, 1], [Fraction(0), 0, 0]):
+            with pytest.raises(InvalidWeights):
+                weighted_avec(g, weights)
 
 
 @pytest.fixture(params=["table", "walk2"])
@@ -713,6 +740,54 @@ class TestDerivedGraphs:
                     du = distances_from(g, (u,))
                     for v in range(u + 1, n):
                         assert pk.has_edge(u, v) == (du[v] is not None and du[v] <= k)
+
+    @staticmethod
+    def check_power(g, k):
+        pk = power_graph(g, k)
+        oracle = power_graph_oracle(g, k)
+        rebuilt = build_graph(g.n, pk.edge_list)
+        # Tuples compare unequal to lists, so this also checks that the
+        # rows and the edge list are tuples, as build_graph makes them.
+        assert (pk.n, pk.adjacency, pk.edge_list) == (oracle.n, oracle.adjacency, oracle.edge_list)
+        assert (pk.adjacency, pk.edge_list) == (rebuilt.adjacency, rebuilt.edge_list)
+
+    def test_power_graph_matches_oracle_on_random_graphs(self):
+        rng = random.Random(16)
+        graphs = [build_graph(0, []), build_graph(1, []), build_graph(6, [])]
+        for _ in range(40):
+            n = rng.randint(1, 40)
+            p = rng.choice((0.03, 0.08, 0.2))
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            graphs.append(build_graph(n, edges))
+        assert any(not is_connected(g) for g in graphs[3:])
+        for g in graphs:
+            for k in range(1, 9):
+                self.check_power(g, k)
+
+    def test_power_graph_matches_oracle_on_line_graphs_of_trees(self):
+        rng = random.Random(17)
+        for _ in range(15):
+            line = line_graph(random_tree(rng, rng.randint(2, 40)))[0]
+            for k in range(1, 9):
+                self.check_power(line, k)
+
+    def test_power_graph_matches_oracle_on_replay_line_graph(self):
+        self.check_power(replay_line(), 6)
+
+    def test_power_graph_matches_networkx(self):
+        rng = random.Random(18)
+        graphs = [petersen(), random_tree(rng, 30), random_connected_graph(rng, 25, 10)]
+        for g in graphs:
+            for k in (1, 2, 3, 5):
+                assert power_graph(g, k) == from_nx(nx.power(to_nx(g), k))
+
+    def test_power_graph_peak_is_its_result(self):
+        # Allocation ratios do not depend on the machine: the rows are
+        # built in place, with no pair set or second copy of the graph.
+        line = replay_line()
+        pk, retained, peak = traced(power_graph, line, 6)
+        assert pk.m == 20751
+        assert peak <= 1.25 * retained
 
     def test_power_one_is_identity(self):
         g = petersen()

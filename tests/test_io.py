@@ -4,7 +4,6 @@ import networkx as nx
 import pytest
 
 from avec.errors import InvalidArgument, InvalidEdge, InvalidVertex
-from avec.generators import classic
 from avec import io
 from avec.io import (
     MAX_ORDER,
@@ -15,7 +14,7 @@ from avec.io import (
     to_graph6,
     write_graph,
 )
-from util import random_connected_graph, to_nx
+from util import classic, random_connected_graph, to_nx
 
 
 class TestEdgelist:

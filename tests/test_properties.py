@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from avec.bounds import path_avec
 from avec.errors import DisconnectedGraph
-from avec.generators import ChainSpec, chain, classic, reiman
+from avec.generators import ChainSpec, chain, reiman
 from avec.gf import make_field
 from avec.graph import (
     ball,
@@ -24,6 +24,7 @@ from avec.graph import (
 )
 from avec.io import format_edgelist, from_graph6, parse_edgelist, to_graph6
 from util import (
+    classic,
     eccentricities_oracle,
     from_nx,
     girth_oracle,

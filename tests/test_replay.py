@@ -22,7 +22,7 @@ from avec.errors import (
     NotGirthSix,
     OutOfRange,
 )
-from avec.generators import ChainSpec, chain, classic, reiman
+from avec.generators import ChainSpec, chain, reiman
 from avec.graph import (
     _LIST_LIMIT,
     ball,
@@ -41,6 +41,7 @@ from avec.replay import (
     trace_json,
 )
 from util import (
+    classic,
     eccentricities_oracle,
     edge_distance_oracle,
     from_nx,

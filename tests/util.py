@@ -10,13 +10,14 @@ networkx.
 import itertools
 import json
 import math
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
 import networkx as nx
 
 from avec.errors import DisconnectedGraph, InvalidArgument
-from avec.graph import CycleScan, build_graph
+from avec.graph import CycleScan, ball, build_graph
 
 
 def to_nx(g):
@@ -30,6 +31,23 @@ def from_nx(G):
     nodes = sorted(G.nodes)
     index = {v: i for i, v in enumerate(nodes)}
     return build_graph(len(nodes), [(index[u], index[v]) for u, v in G.edges])
+
+
+def classic(kind, n):
+    """Reference families: path, cycle, star, complete."""
+    if n < 1:
+        raise InvalidArgument(f"order must be >= 1, got {n}")
+    if kind == "path":
+        return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    if kind == "cycle":
+        if n < 3:
+            raise InvalidArgument(f"cycle needs >= 3 vertices, got {n}")
+        return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    if kind == "star":
+        return build_graph(n, [(0, i) for i in range(1, n)])
+    if kind == "complete":
+        return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    raise InvalidArgument(f"unknown family {kind!r}")
 
 
 def edge_distance_oracle(G, e, f):
@@ -162,6 +180,30 @@ def audit_json_oracle(record):
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def power_graph_oracle(g, k):
+    """k-th power by one `ball` per vertex and `build_graph` over the
+    pairs: what `graph.power_graph` replaced."""
+    edges = []
+    for s in range(g.n):
+        for v in ball(g, (s,), k):
+            if v > s:
+                edges.append((s, v))
+    return build_graph(g.n, edges)
+
+
+def traced(fn, *args):
+    """(fn(*args), retained, peak): the bytes that `tracemalloc` sees
+    the call keep and, at most, hold at once."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, end - start, peak - start
 
 
 def to_graph6_oracle(g):
