@@ -36,8 +36,6 @@ BOUND_G6_MAX = "girth6_maxdeg_T41"
 BOUND_C4C5_MAX = "c4c5_maxdeg_T44"
 BOUND_LOWER = "lower_T32"
 
-UPPER_BOUNDS = (BOUND_PATH, BOUND_EQ1, BOUND_G6, BOUND_C4C5, BOUND_G6_MAX, BOUND_C4C5_MAX)
-
 #: The paper's two graph classes, girth >= 6 and (C4,C5)-free.
 _GraphClass = namedtuple(
     "_GraphClass", "flag bound max_bound edge_item vertex_item delta_const Delta_const"

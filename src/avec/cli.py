@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import islice
 
 from .bounds import (
     CSV_HEADER,
@@ -75,14 +74,6 @@ def _cmd_analyze(args):
     return 0 if not report.violations else 1
 
 
-def _write_json(doc, fh):
-    # json.dumps(doc, indent=2) + newline, batched: no whole string, few writes.
-    chunks = json.JSONEncoder(indent=2).iterencode(doc)
-    while batch := "".join(islice(chunks, 8192)):
-        fh.write(batch)
-    fh.write("\n")
-
-
 def _cmd_audit(args):
     record = audit_balls(read_graph(args.path))
     write_audit_json(record, sys.stdout)
@@ -108,7 +99,8 @@ def _cmd_replay(args):
     trace = replay(g, args.variant, anchor)
     if args.trace:
         with open(args.trace, "w", encoding="ascii") as fh:
-            _write_json(trace_json(trace), fh)
+            json.dump(trace_json(trace), fh, indent=2)
+            fh.write("\n")
     head = (
         f"replay variant={trace.variant} n={trace.n} delta={trace.delta}"
         f" max_degree={trace.max_degree}"

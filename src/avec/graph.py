@@ -6,7 +6,6 @@ average eccentricities are `fractions.Fraction`.  Unreachable vertices
 are reported with the `UNREACHABLE` sentinel, never a large number.
 """
 
-import math
 from bisect import bisect_right
 from collections import defaultdict, namedtuple
 from fractions import Fraction
@@ -24,9 +23,6 @@ from .errors import (
 
 #: Sentinel distance for vertices not reachable from the source set.
 UNREACHABLE = None
-
-#: Girth value reported for forests (no cycle at all).
-INFINITE_GIRTH = math.inf
 
 
 class Graph:
@@ -125,9 +121,9 @@ def _bfs(g, sources, cap=None):
 
     Distances live in an n-long list, except in a capped search on a
     graph of more than `_LIST_LIMIT` vertices.  Such a search usually
-    reaches a small ball, and `ball` and `girth` run one per edge or per
-    vertex, so it uses a dict that reads missing keys as None: its cost
-    then grows with the ball, not with n.
+    reaches a small ball, and `ball` and `power_graph` run one per edge
+    or per vertex, so it uses a dict that reads missing keys as None:
+    its cost then grows with the ball, not with n.
     """
     adjacency = g.adjacency
     if cap is None or g.n <= _LIST_LIMIT:
@@ -364,74 +360,6 @@ def weighted_avec(g, weights):
     return Fraction(sum(map(mul, weights, eccentricity_profile(g).ecc)), total)
 
 
-def girth(g):
-    """Length of a shortest cycle, or `INFINITE_GIRTH` for a forest.
-
-    Under the size rule of `forbidden_cycle_scan`, the bit table answers
-    girth 3, 4 and 5 from the scan's flags, and girth 6 from one more
-    round, B3 = the radius-3 balls.  Given girth >= 6, a C6 passes
-    through a iff |B3(a) - B2(a)| < sum(s(x) - deg a + 1) over x in
-    N(a), where s(x) = sum(deg y - 1) over y in N(x).  Proof: the sum
-    counts the paths a-x-y-z with y != a and z != x.  With no cycle
-    shorter than 6, each such z is at distance exactly 3, since a
-    shorter a-z path would close a cycle of length at most 5 with it.
-    So the ends are exactly B3(a) - B2(a).  Two of the paths with one
-    end z start with different x, or x-y-z-y'-x would be a C4, and
-    with different y, or a-x-y-x'-a would be; so they form a C6
-    a-x-y-z-y'-x'-a.  Conversely, the vertex opposite a on a C6 through
-    a is at distance 3 from a, and the C6 gives two paths to it.  The
-    extra round costs one more n^2/8 bytes and 2m ORs of n-bit ints.
-
-    Girth 7 or more, and every graph on the other side of the size
-    rule, takes the layered search: one BFS per root r, read layer by
-    layer.  An edge inside layer d closes a walk through r of length
-    2d + 1, and a vertex with two neighbours in layer d - 1 closes one
-    of length 2d.  Each such walk contains a cycle no longer than it,
-    and a shortest cycle through r shows up this way, so the minimum
-    over all roots is exact.  Layers beyond (best - 1) // 2 cannot
-    improve the best found so far.  An uncapped BFS whose component has
-    degree sum 2 (size - 1) has found a tree, so no vertex of that
-    component needs to be a root.
-    """
-    adjacency = g.adjacency
-    if _uses_bit_table(g):
-        table = _table_scan(g)
-        if table is None:
-            return 3
-        has_c4, has_c5, b2, s = table
-        if has_c4:
-            return 4
-        if has_c5:
-            return 5
-        b3 = _ball_round(adjacency, b2)
-        for a, nbrs in enumerate(adjacency):
-            paths = sum(map(s.__getitem__, nbrs)) - len(nbrs) * (len(nbrs) - 1)
-            if (b3[a] & ~b2[a]).bit_count() < paths:
-                return 6
-    best = INFINITE_GIRTH
-    in_tree = set()
-    for r in range(g.n):
-        if r in in_tree:
-            continue
-        cap = None if best == INFINITE_GIRTH else (best - 1) // 2
-        dist, _, reached = _bfs(g, (r,), cap)
-        if cap is None and sum(len(adjacency[u]) for u in reached) == 2 * len(reached) - 2:
-            in_tree.update(reached)
-            continue
-        for u in reached:
-            du = dist[u]
-            below = 0
-            for w in adjacency[u]:
-                dw = dist[w]
-                if dw == du:
-                    best = min(best, 2 * du + 1)
-                elif dw == du - 1:
-                    below += 1
-            if below > 1:
-                best = min(best, 2 * du)
-    return best
-
-
 class CycleScan(namedtuple("CycleScan", "has_c3 has_c4 has_c5")):
     """Presence flags for short cycles and the derived class flags."""
 
@@ -535,14 +463,13 @@ def forbidden_cycle_scan(g):
 
 
 def _uses_bit_table(g):
-    # The size rule of `forbidden_cycle_scan` and `girth`.
+    # The size rule of `forbidden_cycle_scan`.
     return g.n * g.n <= 256 * g.m
 
 
 def _table_scan(g):
-    """(has_c4, has_c5, B2, s) of a graph with no C3, or None if it has
-    one, by the bit table of `forbidden_cycle_scan`.  B2 lists the
-    radius-2 balls as bitsets, and s is `_walk2_counts`."""
+    """(has_c4, has_c5) of a graph with no C3, or None if it has one,
+    by the bit table of `forbidden_cycle_scan`."""
     adjacency = g.adjacency
     edges = g.edge_list
     bit = [1 << v for v in range(g.n)]
@@ -552,10 +479,9 @@ def _table_scan(g):
         return None
     b2 = _ball_round(adjacency, b1)
     s2 = [x & ~y for x, y in zip(b2, b1)]
-    s = _walk2_counts(adjacency)
-    has_c4 = any(x.bit_count() < c for x, c in zip(s2, s))
+    has_c4 = any(x.bit_count() < c for x, c in zip(s2, _walk2_counts(adjacency)))
     has_c5 = any(s2[u] & s2[v] for u, v in edges)
-    return has_c4, has_c5, b2, s
+    return has_c4, has_c5
 
 
 def _walk2_counts(adjacency):

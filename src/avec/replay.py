@@ -662,12 +662,14 @@ def _check_json(c):
 
 
 def _pairwise_distances(g, edges):
-    # One full BFS per matching edge, read up to the diagonal and mirrored.
+    # Row i is d(e_i, e_j) for every j, from one full BFS from e_i.  The
+    # rows read each distance from `level`, so they share its int objects.
+    level = list(range(g.n))
     rows = []
     for e in edges:
         dist = _bfs(g, e)[0]
-        rows.append([min(dist[a], dist[b]) for a, b in edges[: len(rows) + 1]])
-    return [row + [later[i] for later in rows[i + 1:]] for i, row in enumerate(rows)]
+        rows.append([level[min(dist[a], dist[b])] for a, b in edges])
+    return rows
 
 
 def trace_json(trace: ProofTrace) -> dict:

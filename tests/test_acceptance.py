@@ -14,6 +14,8 @@ import time
 from fractions import Fraction
 from itertools import product
 
+import networkx as nx
+
 import avec
 from avec.bounds import (
     BOUND_G6,
@@ -31,7 +33,6 @@ from avec.graph import (
     distances_from,
     eccentricity_profile,
     forbidden_cycle_scan,
-    girth,
     weighted_avec,
 )
 from avec.replay import replay, trace_json
@@ -138,7 +139,7 @@ def test_criterion_1_incidence_generator():
             assert g.min_degree() == g.max_degree() == q + 1
             assert is_bipartite(g)
             assert not forbidden_cycle_scan(g).has_c4
-            assert girth(g) == 6
+            assert nx.girth(to_nx(g)) == 6
             assert eccentricity_profile(g).diameter == 3
         elapsed = _CACHE["reiman_gen_time"] + (time.monotonic() - t0)
         assert elapsed < 10.0, f"criterion 1 took {elapsed:.1f}s"
@@ -155,7 +156,7 @@ def test_criterion_2_chain_sandwich():
             ds = structural_constants(delta).delta_star
             assert g.n == ell * ds
             assert g.min_degree() == delta
-            assert girth(g) >= 6
+            assert nx.girth(to_nx(g)) >= 6
             profile = eccentricity_profile(g)
             assert profile.diameter == 6 * ell - 5
             lower = sharpness_lower(g.n, delta)

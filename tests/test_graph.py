@@ -16,7 +16,6 @@ from avec.errors import (
 )
 from avec.generators import ChainSpec, chain, reiman
 from avec.graph import (
-    INFINITE_GIRTH,
     UNREACHABLE,
     CycleScan,
     ball,
@@ -24,7 +23,6 @@ from avec.graph import (
     distances_from,
     eccentricity_profile,
     forbidden_cycle_scan,
-    girth,
     induced_subgraph,
     is_connected,
     line_graph,
@@ -43,6 +41,7 @@ from util import (
     random_connected_graph,
     random_tree,
     relabel,
+    scan_girth,
     shuffle_labels,
     thin,
     to_nx,
@@ -352,8 +351,8 @@ class TestWeightedAvec:
 
 @pytest.fixture(params=["table", "walk2"])
 def scan_side(request, monkeypatch):
-    """Force one side of the size rule of `forbidden_cycle_scan` and
-    `girth`: the bit table, or the walk-2 pass and layered search."""
+    """Force one side of the size rule of `forbidden_cycle_scan`: the
+    bit table, or the walk-2 pass."""
     table = request.param == "table"
     monkeypatch.setattr(avec.graph, "_uses_bit_table", lambda g: table)
     return request.param
@@ -381,9 +380,8 @@ def _thinned_reiman(q):
     return shuffle_labels(thin(g, rng, g.m // 3), rng)
 
 
-# Graphs of girth at least 6, with their girth.  The first group has a
-# C6, which the bit table finds by the radius-3 count; the second has
-# none, so girth goes on to the layered search.
+# Graphs of girth at least 6, with their girth: the first group has a
+# C6, the second has none.
 GIRTH6_GRAPHS = {
     "heawood": (lambda: from_nx(nx.heawood_graph()), 6),
     "pappus": (lambda: from_nx(nx.pappus_graph()), 6),
@@ -404,66 +402,56 @@ GIRTH6_GRAPHS = {
     **{f"cycle{n}": (lambda n=n: classic("cycle", n), n) for n in (7, 8, 12)},
     "subdivided_petersen": (lambda: subdivided(petersen()), 10),
     "cycle8_and_tree": (lambda: disjoint_union(classic("cycle", 8), classic("path", 5)), 8),
-    "tree": (lambda: random_connected_graph(random.Random(3), 30), INFINITE_GIRTH),
+    "tree": (lambda: random_connected_graph(random.Random(3), 30), math.inf),
 }
 
 
 class TestGirth:
+    """`forbidden_cycle_scan` pins the girth down to 3, 4, 5 or "at least
+    6" (`scan_girth`), checked against the girth oracle and `nx.girth`."""
+
     def test_frozen_values(self, reiman2):
-        assert girth(classic("cycle", 5)) == 5
-        assert girth(classic("complete", 4)) == 3
-        assert girth(classic("path", 4)) == INFINITE_GIRTH
-        assert girth(petersen()) == 5
-        assert girth(reiman2.graph) == 6
-        assert girth(build_graph(1, [])) == INFINITE_GIRTH
+        assert scan_girth(forbidden_cycle_scan(classic("cycle", 5))) == 5
+        assert scan_girth(forbidden_cycle_scan(classic("complete", 4))) == 3
+        assert scan_girth(forbidden_cycle_scan(classic("path", 4))) == 6
+        assert scan_girth(forbidden_cycle_scan(petersen())) == 5
+        assert scan_girth(forbidden_cycle_scan(reiman2.graph)) == 6
+        assert scan_girth(forbidden_cycle_scan(build_graph(1, []))) == 6
 
     def test_matches_edge_deletion_oracle(self):
         rng = random.Random(11)
         for _ in range(40):
             n = rng.randint(2, 14)
             g = random_connected_graph(rng, n, rng.randint(0, n))
-            assert girth(g) == girth_oracle(g)
+            assert scan_girth(forbidden_cycle_scan(g)) == min(girth_oracle(g), 6)
 
     def test_both_sides_match_oracle(self, scan_side):
-        assert girth(build_graph(0, [])) == INFINITE_GIRTH
-        assert girth(from_nx(nx.hypercube_graph(3))) == 4
+        assert scan_girth(forbidden_cycle_scan(build_graph(0, []))) == 6
+        assert scan_girth(forbidden_cycle_scan(from_nx(nx.hypercube_graph(3)))) == 4
         rng = random.Random(12)
         for _ in range(60):
             n = rng.randint(2, 16)
             g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
-            assert girth(g) == girth_oracle(g), g.edge_list
+            assert scan_girth(forbidden_cycle_scan(g)) == min(girth_oracle(g), 6), g.edge_list
 
     @pytest.mark.parametrize("name", sorted(GIRTH6_GRAPHS))
     def test_girth6_with_and_without_c6(self, name, scan_side):
         build, want = GIRTH6_GRAPHS[name]
         g = build()
-        assert girth(g) == want == girth_oracle(g)
-        assert girth(shuffle_labels(g, random.Random(name))) == want
+        for h in (g, shuffle_labels(g, random.Random(name))):
+            assert forbidden_cycle_scan(h).class_girth6
+            assert nx.girth(to_nx(h)) == want
 
     def test_large_graphs(self):
-        # Past _LIST_LIMIT vertices, capped searches keep distances in a dict.
+        # Sparse graphs of over 2000 vertices, on the walk-2 side.
         g = chain(ChainSpec(3, 150)).graph
-        assert g.n > avec.graph._LIST_LIMIT
-        assert girth(g) == 6
         ring = [(i, (i + 1) % 7) for i in range(7)]
         tail = [(i, i + 1) for i in range(7, 2106)]
-        assert girth(build_graph(2107, ring + tail)) == 7
-        assert girth(classic("path", 2100)) == INFINITE_GIRTH
-
-    @pytest.mark.parametrize("name", ["heawood", "hexagonal_torus6x6", "thinned_reiman5",
-                                      "chain(3,4)", "cycle6_with_trees"])
-    def test_c6_found_without_search(self, name, monkeypatch):
-        # These graphs are on the bit-table side, where a C6 needs no
-        # BFS; the hexagonal torus and the chain have vertices at
-        # distance 4, so the count must leave out the radius-2 ball.
-        def refuse(*args):
-            raise AssertionError("girth ran a BFS")
-
-        g = GIRTH6_GRAPHS[name][0]()
-        assert avec.graph._uses_bit_table(g)
-        monkeypatch.setattr(avec.graph, "_bfs", refuse)
-        assert girth(g) == 6
-        assert girth(shuffle_labels(reiman(9).graph, random.Random(9))) == 6
+        for h, want in ((g, 6), (build_graph(2107, ring + tail), 7),
+                        (classic("path", 2100), math.inf)):
+            assert not avec.graph._uses_bit_table(h)
+            assert forbidden_cycle_scan(h).class_girth6
+            assert nx.girth(to_nx(h)) == want
 
 
 class TestForbiddenCycleScan:

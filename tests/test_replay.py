@@ -638,6 +638,16 @@ class TestTraceJson:
         b = json.dumps(trace_json(replay(chain34.graph, "girth6")), sort_keys=True)
         assert a == b
 
+    def test_pairwise_rows_share_their_ints(self):
+        # One int object per distance value, not one per BFS: on
+        # chain(3,64) many distances are above 256, so each BFS would
+        # otherwise make its own.
+        tr = replay(chain(ChainSpec(3, 64)).graph, "girth6")
+        pairwise = trace_json(tr)["matching"]["pairwise_distances"]
+        values = [x for row in pairwise for x in row]
+        assert max(values) > 256
+        assert len(set(map(id, values))) == len(set(values))
+
 
 @st.composite
 def labelled_trees(draw, min_n=1, max_n=30):

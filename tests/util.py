@@ -68,6 +68,12 @@ def girth_oracle(g):
     return best
 
 
+def scan_girth(scan):
+    """The girth that a `CycleScan` pins down: the shortest flagged
+    cycle, or 6 for a graph of girth at least 6."""
+    return next((k for k, flag in zip((3, 4, 5), scan) if flag), 6)
+
+
 def has_cycle_oracle(g, k):
     """True iff g contains a k-cycle subgraph.  Exponential; n <= ~12."""
     adj = [set(a) for a in g.adjacency]
