@@ -3,7 +3,10 @@ JSON and of the CLI stdout, for both variants on small inputs, on
 chain(3,32) and chain(4,16), whose 31 and 15 matching edges give many
 target components and contraction pairs, and on chain(3,160), whose
 2240 vertices lie above `graph._LIST_LIMIT`, so that its capped searches
-keep their distances in a dict.
+keep their distances in a dict.  Two stars of Heawood blocks (56 and 70
+vertices) have a bridge tree that is not a path and a port with two
+bridges, and a relabelled chain(3,16) lists its bridges in random label
+order.
 
 A change that is meant to keep replay's outputs identical must leave
 every digest here as it is.  The CLI's `--trace` file must hold the
@@ -13,6 +16,7 @@ alters the trace format or a check on purpose, and say so.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -20,21 +24,27 @@ from avec import cli
 from avec.generators import ChainSpec, chain, reiman
 from avec.io import format_edgelist
 from avec.replay import replay, trace_json
+from util import shuffle_labels, star_of_blocks
 
 INPUTS = {
-    "reiman2": lambda: reiman(2),
-    "reiman3": lambda: reiman(3),
-    "chain3_2": lambda: chain(ChainSpec(3, 2)),
-    "chain3_4": lambda: chain(ChainSpec(3, 4)),
-    "chain3_6": lambda: chain(ChainSpec(3, 6)),
-    "chain3_10": lambda: chain(ChainSpec(3, 10)),
-    "chain3_32": lambda: chain(ChainSpec(3, 32)),
-    "chain3_160": lambda: chain(ChainSpec(3, 160)),
-    "chain4_2": lambda: chain(ChainSpec(4, 2)),
-    "chain4_16": lambda: chain(ChainSpec(4, 16)),
-    "chain5_2": lambda: chain(ChainSpec(5, 2)),
-    "reiman4_chain3_2": lambda: chain(ChainSpec(3, 2, reiman(4))),
-    "reiman4_chain3_4": lambda: chain(ChainSpec(3, 4, reiman(4))),
+    "reiman2": lambda: reiman(2).graph,
+    "reiman3": lambda: reiman(3).graph,
+    "chain3_2": lambda: chain(ChainSpec(3, 2)).graph,
+    "chain3_4": lambda: chain(ChainSpec(3, 4)).graph,
+    "chain3_6": lambda: chain(ChainSpec(3, 6)).graph,
+    "chain3_10": lambda: chain(ChainSpec(3, 10)).graph,
+    "chain3_32": lambda: chain(ChainSpec(3, 32)).graph,
+    "chain3_160": lambda: chain(ChainSpec(3, 160)).graph,
+    "chain4_2": lambda: chain(ChainSpec(4, 2)).graph,
+    "chain4_16": lambda: chain(ChainSpec(4, 16)).graph,
+    "chain5_2": lambda: chain(ChainSpec(5, 2)).graph,
+    "reiman4_chain3_2": lambda: chain(ChainSpec(3, 2, reiman(4))).graph,
+    "reiman4_chain3_4": lambda: chain(ChainSpec(3, 4, reiman(4))).graph,
+    "star56": lambda: star_of_blocks(3),
+    "star70": lambda: star_of_blocks(4),
+    "shuffled_chain3_16": lambda: shuffle_labels(
+        chain(ChainSpec(3, 16)).graph, random.Random(16)
+    ),
 }
 
 #: (input, variant) -> (sha256 of the trace JSON, sha256 of CLI stdout)
@@ -143,6 +153,30 @@ DIGESTS = {
         "9bc653ffac2655ffbd56fafc50664f10c7c6b144a3718daf009ea5f8da5f3b92",
         "0e0accb48304687ffa9007b61fd92336ef5de4172a313980b1d2379e5d7269ba",
     ),
+    ("shuffled_chain3_16", "girth6"): (
+        "fbc3420b4c25fa56208a02a5e9d77dd1ed7a1ff953b889163ee43224fff667a8",
+        "52713c31bce155d6755da2352035cf29e7118595cd128c0ce408e6712228d43e",
+    ),
+    ("shuffled_chain3_16", "maxdeg"): (
+        "e7070a977a8af94aea69ec53a10f0a634c98452231494cba6b9f423a94e52b90",
+        "4cae0e44bbb0dbc2930b55f895a128692bac90434c561e0a7593164fad8bc63d",
+    ),
+    ("star56", "girth6"): (
+        "6ddac4b97e5cf8f021cf50fd62019a1e72aa10c0acea695dc51ad796511a4733",
+        "ea273e8ca424ad5c05317c40f185fb1d09266ac0b62e72d873b79596010dfcd0",
+    ),
+    ("star56", "maxdeg"): (
+        "c9f3ca0152135d6660359497b798637e2fae989c0de4a4b890259cf08684f5ec",
+        "59f77b22e253bf9a5713d1dca3138154ea63b2b4e3cfb5b3e1ca34ba0b886dd2",
+    ),
+    ("star70", "girth6"): (
+        "03b1a8570357365dc6d0be870b345e7b7ba7576d24faa216d882f29f598b4636",
+        "339f6fbed66e851126931d5f72927f18da2670ee878b294817ee6f3490e4e582",
+    ),
+    ("star70", "maxdeg"): (
+        "5c3acfc838a421e0e9d19d279c1496ffd38e6beda433a94d0fd289269acc08f5",
+        "18308c46e466286b95a491e3dad5f1c1c89c8af3258b70257f32044ba4cc722e",
+    ),
 }
 
 
@@ -151,7 +185,7 @@ def _sha(text):
 
 
 def digests(name, variant, tmp_path, capsys):
-    g = INPUTS[name]().graph
+    g = INPUTS[name]()
     anchor = None
     if variant == "maxdeg":
         top = g.max_degree()

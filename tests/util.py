@@ -439,6 +439,23 @@ def thin(g, rng, deletions):
     return build_graph(g.n, [e for e in g.edge_list if e not in dropped])
 
 
+def star_of_blocks(copies):
+    """A Heawood graph (`reiman(2)`) with `copies` >= 3 more Heawood
+    copies each hung on it by one edge: copies 1 and 2 from central
+    vertex 0, copy j >= 3 from central vertex 2 j.  Copy j joins at its
+    own vertex j.  The bridge tree is a star, not a path, and vertex 0
+    is a port with two bridges.  Girth 6, minimum degree 3."""
+    from avec.generators import reiman
+
+    heawood = reiman(2).graph.edge_list
+    hubs = (0, 0) + tuple(2 * j for j in range(3, copies + 1))
+    edges = list(heawood)
+    for j in range(1, copies + 1):
+        edges += [(14 * j + u, 14 * j + v) for u, v in heawood]
+        edges.append((hubs[j - 1], 14 * j + j))
+    return build_graph(14 * (copies + 1), edges)
+
+
 def random_tree(rng, n):
     return random_connected_graph(rng, n, 0)
 
