@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 a certified inequality or audit failed,
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -90,16 +91,48 @@ def _fmt_val(x):
     return str(x)
 
 
+def _json_pieces(x, pad="\n"):
+    # json.dumps(x, indent=2) in pieces, for str keys; a nonempty list of
+    # ints (not bools) is one piece, joined in C.
+    inner = pad + "  "
+    if isinstance(x, dict) and x:
+        for i, (key, value) in enumerate(x.items()):
+            yield ("," if i else "{") + inner + json.dumps(key) + ": "
+            yield from _json_pieces(value, inner)
+        yield pad + "}"
+    elif isinstance(x, list) and x and all(type(v) is int for v in x):
+        yield "[" + inner + ("," + inner).join(map(str, x)) + pad + "]"
+    elif isinstance(x, list) and x:
+        for i, value in enumerate(x):
+            yield ("," if i else "[") + inner
+            yield from _json_pieces(value, inner)
+        yield pad + "]"
+    else:
+        yield json.dumps(x)
+
+
 def _cmd_replay(args):
     g = read_graph(args.path)
     anchor = args.anchor
     if args.variant == VARIANT_MAXDEG and anchor is None:
         top = g.max_degree()
         anchor = min((v for v in range(g.n) if g.degree(v) == top), default=None)
-    trace = replay(g, args.variant, anchor)
-    if args.trace:
-        with open(args.trace, "w", encoding="ascii") as fh:
-            json.dump(trace_json(trace), fh, indent=2)
+    # Opened first, so a bad path fails before the replay; append mode keeps
+    # an old file until the trace is ready, and a failed replay removes a new one.
+    made = bool(args.trace) and not os.path.exists(args.trace)
+    fh = open(args.trace, "a", encoding="ascii") if args.trace else None
+    try:
+        trace = replay(g, args.variant, anchor)
+    except BaseException:
+        if fh:
+            fh.close()
+        if made:
+            os.remove(args.trace)
+        raise
+    if fh:
+        with fh:
+            fh.truncate(0)
+            fh.writelines(_json_pieces(trace_json(trace)))
             fh.write("\n")
     head = (
         f"replay variant={trace.variant} n={trace.n} delta={trace.delta}"

@@ -40,11 +40,12 @@ and 5 for the rest, into one slack array, slack(v) = min(d(v, e_1) -
 bonus, d(v, V(M - e_1))): an edge is uncovered while both ends have
 slack >= 5, and the next pick is the smallest edge at slack exactly 5,
 popped from a heap that drops stale candidates.  The gap check's BFS
-runs stop one short of each gap, and only `trace_json` searches in
-full, for the pairwise distances it prints.  Each ball is a BFS capped
-at its radius.  The tree check runs no search: every vertex must hang
-at its graph distance d(x, V(M)) under its matching vertex, and one
-O(n) pass over T shows this by a local identity (`_assert_tree`).
+runs stop one short of each gap.  `trace_json` reads every pairwise
+distance off the bridge tree (`graph._pairwise_rows`); a graph without
+bridges still takes one full BFS per matching edge.  Each ball is a BFS
+capped at its radius.  The tree check runs no search: every vertex must
+hang at its graph distance d(x, V(M)) under its matching vertex, and
+one O(n) pass over T shows this by a local identity (`_assert_tree`).
 """
 
 from collections import Counter, namedtuple
@@ -65,6 +66,7 @@ from .errors import (
 )
 from .graph import (
     _bfs,
+    _pairwise_rows,
     build_graph,
     distances_from,
     eccentricity_profile,
@@ -661,17 +663,6 @@ def _check_json(c):
     return {"name": c.name, "lhs": _num_json(c.lhs), "rhs": _num_json(c.rhs), "pass": c.passed}
 
 
-def _pairwise_distances(g, edges):
-    # Row i is d(e_i, e_j) for every j, from one full BFS from e_i.  The
-    # rows read each distance from `level`, so they share its int objects.
-    level = list(range(g.n))
-    rows = []
-    for e in edges:
-        dist = _bfs(g, e)[0]
-        rows.append([level[min(dist[a], dist[b])] for a, b in edges])
-    return rows
-
-
 def trace_json(trace: ProofTrace) -> dict:
     """JSON form of a trace: ordered checks plus the full certificate."""
     return {
@@ -683,7 +674,7 @@ def trace_json(trace: ProofTrace) -> dict:
             "size": len(trace.matching.edges),
             "edges": [list(e) for e in trace.matching.edges],
             "anchor": trace.matching.anchor,
-            "pairwise_distances": _pairwise_distances(trace.graph, trace.matching.edges),
+            "pairwise_distances": _pairwise_rows(trace.graph, trace.matching.edges),
         },
         "tree": {
             "edges": [list(e) for e in trace.tree.tree.edge_list],

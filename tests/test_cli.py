@@ -2,13 +2,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avec import cli
 from avec.bounds import analyze, audit_balls
 from avec.generators import ChainSpec, chain, reiman
 from avec.graph import line_graph
 from avec.io import MAX_ORDER, format_edgelist, parse_edgelist, read_graph
-from avec.replay import replay
+from avec.errors import ConstructionInvariantViolated, OutOfRange
+from avec.replay import replay, trace_json
 from util import audit_json_oracle, shuffle_labels, thin
 
 
@@ -263,6 +265,57 @@ class TestReplay:
         assert run(["replay", str(path), "--variant", "girth6"]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "overall: FAIL"
 
+    def test_bad_trace_path_fails_before_the_replay(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "g.txt"
+        run(["gen", "chain", "--delta", "3", "--ell", "2", "--out", str(path)])
+        capsys.readouterr()
+
+        def no_replay(*args):
+            raise AssertionError("replay ran")
+
+        monkeypatch.setattr(cli, "replay", no_replay)
+        trace_path = tmp_path / "missing" / "t.json"
+        assert run(["replay", str(path), "--variant", "girth6",
+                    "--trace", str(trace_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and str(trace_path) in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "exc, code",
+        [(ConstructionInvariantViolated("bad tree"), 1), (OutOfRange("bad degree"), 2)],
+    )
+    def test_failed_replay_leaves_no_trace_file(self, exc, code, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "g.txt"
+        run(["gen", "chain", "--delta", "3", "--ell", "2", "--out", str(path)])
+
+        def failing(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "replay", failing)
+        fresh = tmp_path / "fresh.json"
+        kept = tmp_path / "kept.json"
+        kept.write_text("an older trace\n")
+        for trace_path in (fresh, kept):
+            capsys.readouterr()
+            assert run(["replay", str(path), "--variant", "girth6",
+                        "--trace", str(trace_path)]) == code
+            assert capsys.readouterr().err.startswith("error:")
+        assert not fresh.exists()
+        assert kept.read_text() == "an older trace\n"
+
+    def test_trace_replaces_a_longer_file(self, tmp_path, capsys):
+        g = chain(ChainSpec(3, 2)).graph
+        path = tmp_path / "g.txt"
+        path.write_text(format_edgelist(g))
+        trace_path = tmp_path / "t.json"
+        trace_path.write_text("x" * 100000)
+        assert run(["replay", str(path), "--variant", "girth6",
+                    "--trace", str(trace_path)]) == 0
+        doc = trace_json(replay(g, "girth6"))
+        assert trace_path.read_text() == json.dumps(doc, indent=2) + "\n"
+
     def test_missing_variant_usage(self, tmp_path):
         path = tmp_path / "g.txt"
         run(["gen", "chain", "--delta", "3", "--ell", "2", "--out", str(path)])
@@ -332,3 +385,34 @@ class TestEntry:
         with pytest.raises(SystemExit) as exc:
             cli.entry()
         assert exc.value.code == 0
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4)
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS | st.lists(st.integers(min_value=-300, max_value=300), max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestTraceWriter:
+    """The trace writer's pieces join to json.dumps(doc, indent=2); the
+    pinned traces of tests/test_replay_digests.py check it on real
+    traces, floats and nulls included, through the CLI."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_JSON_DOCS)
+    def test_pieces_equal_json_dumps(self, doc):
+        assert "".join(cli._json_pieces(doc)) == json.dumps(doc, indent=2)
+
+    def test_int_list_is_one_piece_and_bools_are_not_ints(self):
+        assert list(cli._json_pieces([1, 2, 300])) == ["[\n  1,\n  2,\n  300\n]"]
+        doc = {"a": [1, True], "b": [], "c": {}}
+        assert "".join(cli._json_pieces(doc)) == json.dumps(doc, indent=2)

@@ -860,6 +860,12 @@ class TestBfsBudget:
     k: the connectivity test, the two coverage runs, the tree's
     distances to V(M) and its spanning test, the target's component
     search, and the eccentricity profiles.
+
+    `trace_json` then searches g without its bridges: once from each
+    bridge end and once from each matching edge that is not a bridge.
+    On a chain that is no full run of g itself; on `reiman(7)` and the
+    hexagonal torus, which have no bridges, it is one full run of g per
+    matching edge.
     """
 
     FULL_RUNS = 22
@@ -900,3 +906,41 @@ class TestBfsBudget:
             assert caps == Counter(
                 {None: self.FULL_RUNS, 6: n, 5: k, 4: k - 1, 3: 1, 2: k - 1, 7: k + 1}
             )
+
+    @staticmethod
+    def _trace_runs(monkeypatch, g, variant):
+        anchor = smallest_max_degree_vertex(g) if variant == "maxdeg" else None
+        tr = replay(g, variant, anchor)
+        graph_module = importlib.import_module("avec.graph")
+        real = graph_module._bfs
+        runs = Counter()
+
+        def counting(h, sources, cap=None):
+            runs[h is g, cap] += 1
+            return real(h, sources, cap)
+
+        monkeypatch.setattr(graph_module, "_bfs", counting)
+        trace_json(tr)
+        monkeypatch.undo()
+        return tr.matching.edges, runs
+
+    @pytest.mark.parametrize("variant", ["girth6", "maxdeg"])
+    def test_trace_searches_inside_components(self, monkeypatch, variant):
+        for ell in (32, 128):
+            g = chain(ChainSpec(3, ell)).graph
+            edges, runs = self._trace_runs(monkeypatch, g, variant)
+            bridges = {tuple(sorted(e)) for e in nx.bridges(to_nx(g))}
+            ports = {v for e in bridges for v in e}
+            inner = [e for e in edges if e not in bridges]
+            assert len(edges) > 1 and len(ports) == 2 * (ell - 1)
+            assert runs == Counter({(False, None): len(ports) + len(inner)})
+
+    @pytest.mark.parametrize("variant", ["girth6", "maxdeg"])
+    def test_trace_without_bridges_runs_one_bfs_per_row(self, monkeypatch, variant):
+        # reiman(7) has diameter 3, so its matching is one edge; the
+        # 8 x 8 hexagonal torus has six.
+        torus = from_nx(nx.hexagonal_lattice_graph(8, 8, periodic=True))
+        for g, k in ((reiman(7).graph, 1), (torus, 6)):
+            edges, runs = self._trace_runs(monkeypatch, g, variant)
+            assert len(edges) == k
+            assert runs == Counter({(True, None): k})

@@ -10,8 +10,10 @@ order.
 
 A change that is meant to keep replay's outputs identical must leave
 every digest here as it is.  The CLI's `--trace` file must hold the
-pinned trace JSON plus a newline.  Record new digests only for a change that
-alters the trace format or a check on purpose, and say so.
+pinned trace JSON plus a newline, so every pin, maxdeg traces with
+their floats and nulls included, also holds the CLI's trace writer to
+`json.dumps(doc, indent=2)` byte for byte.  Record new digests only for
+a change that alters the trace format or a check on purpose, and say so.
 """
 
 import hashlib

@@ -17,7 +17,7 @@ from fractions import Fraction
 import networkx as nx
 
 from avec.errors import DisconnectedGraph, InvalidArgument
-from avec.graph import CycleScan, ball, build_graph
+from avec.graph import CycleScan, _bfs, ball, build_graph
 
 
 def to_nx(g):
@@ -54,6 +54,17 @@ def edge_distance_oracle(G, e, f):
     """Least distance between an end of edge e and an end of edge f in
     the networkx graph G, which must join them."""
     return min(nx.shortest_path_length(G, x, y) for x in e for y in f)
+
+
+def pairwise_distances_oracle(g, edges):
+    """Row i is d(e_i, e_j) for every j, from one full BFS of g from e_i,
+    with each distance read from one shared list of ints."""
+    level = list(range(g.n))
+    rows = []
+    for e in edges:
+        dist = _bfs(g, e)[0]
+        rows.append([level[min(dist[a], dist[b])] for a, b in edges])
+    return rows
 
 
 def girth_oracle(g):
