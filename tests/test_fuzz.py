@@ -22,7 +22,10 @@ from avec.io import MAX_ORDER, format_edgelist, from_graph6, parse_edgelist, rea
 
 from util import (
     audit_json_oracle,
+    build_graph_oracle,
     from_graph6_oracle,
+    parse_edgelist_oracle,
+    read_graph_oracle,
     shuffle_labels,
     thin,
     to_graph6_oracle,
@@ -48,7 +51,8 @@ def near_edgelists(draw):
 
     Half are clean: a random spanning tree plus chords, each edge in a
     random orientation, under a true header.  The rest draw endpoints
-    from one past either end of 0..n-1 and may miscount m.
+    from one past either end of 0..n-1 or 30 digits long, and may
+    miscount m.
     """
     n = draw(st.integers(min_value=1, max_value=10))
     if draw(st.booleans()):
@@ -59,7 +63,7 @@ def near_edgelists(draw):
         edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in sorted(edges)]
         m = len(edges)
     else:
-        ends = st.integers(min_value=-1, max_value=n)
+        ends = st.one_of(st.integers(min_value=-1, max_value=n), st.just(10**30 - 1))
         edges = draw(st.lists(st.tuples(ends, ends), max_size=8))
         m = len(edges) + draw(st.sampled_from([0, 0, 1, -1]))
     lines = [f"{n} {m}"] + [f"{u} {v}" for u, v in edges]
@@ -113,11 +117,30 @@ def _only_avec_errors(fn, arg):
         pass
 
 
-def _outcome(fn, arg):
+def _outcome(fn, *args):
+    """(n, adjacency, edge_list) of the graph fn(*args), or the type and
+    message of the `AvecError` it raises."""
     try:
-        return fn(arg)
+        g = fn(*args)
     except AvecError as exc:
         return type(exc), str(exc)
+    return g.n, g.adjacency, g.edge_list
+
+
+@st.composite
+def pair_inputs(draw):
+    """(n, pairs) for up to 12 vertices.  Half draw both ends in 0..n-1;
+    the rest also draw -1, n and 30-digit ends.  Some pairs come again,
+    as they were or reversed, and self loops come by chance."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    inside = st.integers(min_value=0, max_value=n - 1) if n else st.nothing()
+    outside = st.sampled_from([-1, n, 10**30 - 1, -(10**30)])
+    ends = inside if n and draw(st.booleans()) else st.one_of(inside, outside)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=2 * n + 2))
+    if pairs:
+        for u, v in draw(st.lists(st.sampled_from(pairs), max_size=4)):
+            pairs.append((v, u) if draw(st.booleans()) else (u, v))
+    return n, draw(st.permutations(pairs))
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +170,24 @@ class TestReaders:
     def test_read_graph(self, fuzz_file, data):
         fuzz_file.write_bytes(data)
         _only_avec_errors(read_graph, fuzz_file)
+
+    @FUZZ
+    @given(EDGELIST_TEXT)
+    def test_parse_edgelist_matches_oracle(self, text):
+        assert _outcome(parse_edgelist, text) == _outcome(parse_edgelist_oracle, text)
+
+    @FUZZ
+    @given(FILE_BYTES)
+    def test_read_graph_matches_oracle(self, fuzz_file, data):
+        fuzz_file.write_bytes(data)
+        assert _outcome(read_graph, fuzz_file) == _outcome(read_graph_oracle, fuzz_file)
+
+    @FUZZ
+    @given(pair_inputs(), st.sampled_from([list, set, iter, lambda p: (e for e in p)]))
+    def test_build_graph_matches_oracle(self, n_pairs, kind):
+        # kind(pairs) is built once per call: a generator can be read once.
+        n, pairs = n_pairs
+        assert _outcome(build_graph, n, kind(pairs)) == _outcome(build_graph_oracle, n, kind(pairs))
 
 
 class TestAnalyzeCli:

@@ -16,8 +16,9 @@ from fractions import Fraction
 
 import networkx as nx
 
-from avec.errors import DisconnectedGraph, InvalidArgument
-from avec.graph import CycleScan, _bfs, ball, build_graph
+from avec.errors import DisconnectedGraph, InvalidArgument, InvalidEdge, InvalidVertex, NotAscii
+from avec.graph import CycleScan, Graph, _bfs, ball, build_graph
+from avec.io import MAX_ORDER
 
 
 def to_nx(g):
@@ -295,6 +296,91 @@ def from_graph6_oracle(text):
                 edges.append((u, v))
             i += 1
     return build_graph(n, edges)
+
+
+def build_graph_oracle(n, edges):
+    """`graph.build_graph` as it was before its one-pass rewrite: a set
+    of normalised pairs, sorted into the edge list, which then fills the
+    adjacency."""
+    if n < 0:
+        raise InvalidArgument(f"vertex count must be nonnegative, got {n}")
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n):
+            raise InvalidVertex(f"vertex {u} outside 0..{n - 1}")
+        if not (0 <= v < n):
+            raise InvalidVertex(f"vertex {v} outside 0..{n - 1}")
+        if u == v:
+            raise InvalidEdge(f"self loop at vertex {u}")
+        seen.add((u, v) if u < v else (v, u))
+    edge_list = tuple(sorted(seen))
+    nbrs = [[] for _ in range(n)]
+    for u, v in edge_list:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    adjacency = tuple(tuple(sorted(a)) for a in nbrs)
+    return Graph(n, adjacency, edge_list)
+
+
+def parse_edgelist_oracle(text):
+    """`io.parse_edgelist` as it was before its one-pass rewrite: a list
+    of every data line, then a list of every edge, then the graph."""
+    rows = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        rows.append(line)
+    if not rows:
+        raise InvalidArgument("empty edge-list input")
+    head = rows[0].split()
+    if len(head) != 2:
+        raise InvalidArgument(f"header must be 'n m', got {rows[0]!r}")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise InvalidArgument(f"header must be 'n m', got {rows[0]!r}") from None
+    if n > MAX_ORDER:
+        raise InvalidArgument(f"header declares n={n}, more than MAX_ORDER={MAX_ORDER}")
+    if len(rows) - 1 != m:
+        raise InvalidArgument(f"header promises {m} edges, found {len(rows) - 1}")
+    edges = []
+    for line in rows[1:]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise InvalidArgument(f"bad edge line {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InvalidArgument(f"bad edge line {line!r}") from None
+        edges.append((u, v))
+    g = build_graph_oracle(n, edges)
+    if g.m != m:
+        raise InvalidArgument(
+            f"header promises {m} edges, found {g.m} distinct (repeated or reversed edges)"
+        )
+    return g
+
+
+def read_graph_oracle(path):
+    """`io.read_graph` by the two oracles above: the whole text split
+    into lines, and the first data line sniffed."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise NotAscii(
+            f"{path}: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} is not ASCII"
+        ) from None
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) == 2 and all(p.isdigit() for p in parts):
+            return parse_edgelist_oracle(text)
+        return from_graph6_oracle(line)
+    raise InvalidArgument(f"no graph data in {path}")
 
 
 def line_displacement_oracle(tree, line):
