@@ -10,7 +10,7 @@ from bisect import bisect_right
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
+from itertools import chain, combinations, repeat
 from operator import and_, mul
 
 from .errors import (
@@ -82,11 +82,17 @@ def build_graph(n, edges):
     """Build a canonical `Graph` from an iterable of vertex pairs.
 
     Duplicate edges (in either orientation) collapse to one.  Self loops
-    and out-of-range endpoints are rejected.
+    and out-of-range endpoints are rejected, at the first bad pair in
+    input order.  One pass over `edges` fills a neighbour list per
+    vertex; each list is then deduplicated and sorted, and the edge list
+    is read off the sorted lists, so no set or sort of edge tuples is
+    made.  Every entry of the adjacency and of the edge list is the one
+    int object of its vertex.
     """
     if n < 0:
         raise InvalidArgument(f"vertex count must be nonnegative, got {n}")
-    seen = set()
+    label = list(range(n))
+    nbrs = [[] for _ in label]
     for u, v in edges:
         if not (0 <= u < n):
             raise InvalidVertex(f"vertex {u} outside 0..{n - 1}")
@@ -94,14 +100,12 @@ def build_graph(n, edges):
             raise InvalidVertex(f"vertex {v} outside 0..{n - 1}")
         if u == v:
             raise InvalidEdge(f"self loop at vertex {u}")
-        seen.add((u, v) if u < v else (v, u))
-    edge_list = tuple(sorted(seen))
-    nbrs = [[] for _ in range(n)]
-    for u, v in edge_list:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    adjacency = tuple(tuple(sorted(a)) for a in nbrs)
-    return Graph(n, adjacency, edge_list)
+        nbrs[u].append(label[v])
+        nbrs[v].append(label[u])
+    for u, a in enumerate(nbrs):
+        nbrs[u] = tuple(sorted(set(a)))
+    edge_list = [(u, v) for u, a in zip(label, nbrs) for v in a if v > u]
+    return Graph(n, tuple(nbrs), tuple(edge_list))
 
 
 #: Graph size above which a capped BFS keeps distances in a dict.  Up
@@ -622,20 +626,15 @@ def line_graph(g):
     """Line graph of g.
 
     Returns (L, edge_of_vertex) where vertex i of L is the edge
-    edge_of_vertex[i] of g, in edge_list order.
+    edge_of_vertex[i] of g, in edge_list order.  The edges of L are the
+    pairs of edges at each vertex of g, streamed into `build_graph`.
     """
-    index = {e: i for i, e in enumerate(g.edge_list)}
     incident = [[] for _ in range(g.n)]
-    for e, i in index.items():
-        incident[e[0]].append(i)
-        incident[e[1]].append(i)
-    edges = []
-    for ids in incident:
-        ids.sort()
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                edges.append((ids[a], ids[b]))
-    return build_graph(g.m, edges), tuple(g.edge_list)
+    for i, (u, v) in enumerate(g.edge_list):
+        incident[u].append(i)
+        incident[v].append(i)
+    pairs = chain.from_iterable(map(combinations, incident, repeat(2)))
+    return build_graph(g.m, pairs), g.edge_list
 
 
 def power_graph(g, k):
@@ -667,9 +666,9 @@ def induced_subgraph(g, vertices):
         if not (0 <= v < g.n):
             raise InvalidVertex(f"vertex {v} outside 0..{g.n - 1}")
     new_index = {v: i for i, v in enumerate(original)}
-    edges = [
+    edges = (
         (new_index[u], new_index[v])
         for u, v in g.edge_list
         if u in new_index and v in new_index
-    ]
+    )
     return build_graph(len(original), edges), original

@@ -5,6 +5,9 @@ Edge-list format: first line ``n m``, then m lines ``u v`` with
 starting with ``#`` are ignored.  The m edges must be distinct: a
 repeated or reversed edge is rejected, not merged.  The header's n may
 be at most `MAX_ORDER`, checked before anything is allocated.
+
+A graph6 file holds one graph on one line; blank and ``#`` lines
+around it are ignored, and a second data line is rejected.
 """
 
 from binascii import b2a_base64
@@ -13,10 +16,30 @@ from math import isqrt
 from .errors import InvalidArgument, NotAscii
 from .graph import Graph, build_graph
 
-#: Largest vertex count an edge-list header may declare.  Building the
-#: graph allocates one adjacency list per vertex before any edge is
+#: Largest vertex count an edge-list header may declare.  Reading the
+#: edges allocates one int object per vertex, and building the graph
+#: one adjacency list and one more int per vertex, before any edge is
 #: read, so the bound keeps a short file from claiming gigabytes.
 MAX_ORDER = 2**20
+
+
+#: Characters per piece of text that `_data_lines` splits at once.
+_PIECE = 4096
+
+
+def _data_lines(text):
+    """The stripped lines of `text` that are neither blank nor comments,
+    in order.  The text is split a piece of about `_PIECE` characters at
+    a time, each cut just after a newline, so no list of all its lines
+    is made; the lines are those of ``text.splitlines()``."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PIECE) + 1 or len(text)
+        for raw in text[start:end].splitlines():
+            line = raw.strip()
+            if line and line[0] != "#":
+                yield line
+        start = end
 
 
 def format_edgelist(g: Graph) -> str:
@@ -26,36 +49,49 @@ def format_edgelist(g: Graph) -> str:
 
 
 def parse_edgelist(text: str) -> Graph:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line)
-    if not rows:
+    lines = _data_lines(text)
+    head = next(lines, None)
+    if head is None:
         raise InvalidArgument("empty edge-list input")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise InvalidArgument(f"header must be 'n m', got {rows[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = map(int, head.split())
     except ValueError:
-        raise InvalidArgument(f"header must be 'n m', got {rows[0]!r}") from None
+        raise InvalidArgument(f"header must be 'n m', got {head!r}") from None
     if n > MAX_ORDER:
         raise InvalidArgument(f"header declares n={n}, more than MAX_ORDER={MAX_ORDER}")
-    if len(rows) - 1 != m:
-        raise InvalidArgument(f"header promises {m} edges, found {len(rows) - 1}")
-    edges = []
-    for line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise InvalidArgument(f"bad edge line {line!r}")
+    # Each end in 0..n-1 is kept as the one int object of its vertex,
+    # one list slot.  Of the lines that are not two ints only the first
+    # counts, and of the pairs with an end out of range only the first,
+    # `stop`: build_graph raises at it, and the pairs after it are cut.
+    label = list(range(n))
+    ends = []
+    keep = ends.append
+    bad = stop = None
+    count = 0
+    for count, line in enumerate(lines, 1):
         try:
-            u, v = int(parts[0]), int(parts[1])
+            a, b = line.split()
+            u = int(a)
+            v = int(b)
         except ValueError:
-            raise InvalidArgument(f"bad edge line {line!r}") from None
-        edges.append((u, v))
-    g = build_graph(n, edges)
+            bad = line
+            count += sum(1 for _ in lines)
+            break
+        if 0 <= u < n and 0 <= v < n:
+            keep(label[u])
+            keep(label[v])
+        elif stop is None:
+            stop = len(ends), u, v
+    if count != m:
+        raise InvalidArgument(f"header promises {m} edges, found {count}")
+    if bad is not None:
+        raise InvalidArgument(f"bad edge line {bad!r}")
+    if stop is not None:
+        ends[stop[0]:] = stop[1:]
+    # The list iterator lets go of `ends` once build_graph has read it.
+    pairs = iter(ends)
+    del ends, keep, label
+    g = build_graph(n, zip(pairs, pairs))
     if g.m != m:
         raise InvalidArgument(
             f"header promises {m} edges, found {g.m} distinct (repeated or reversed edges)"
@@ -105,9 +141,10 @@ _G6_BITS = {c + 63: format(c, "06b") for c in range(64)}
 def from_graph6(text: str) -> Graph:
     """Decode one graph6 line; tolerates the ``>>graph6<<`` header.
 
-    The body is read as one string of bits, and only its set bits are
-    visited: bit i is the pair (u, v), u < v, with i = v(v - 1)/2 + u,
-    so v = (1 + isqrt(1 + 8i)) // 2.
+    The line is read as one string of bits, with no copy of its body,
+    and only the body's set bits are visited: body bit i is the pair
+    (u, v), u < v, with i = v(v - 1)/2 + u, so v = (1 + isqrt(1 + 8i)) // 2.
+    The pairs stream into `build_graph`.
     """
     s = text.strip()
     if s.startswith(">>graph6<<"):
@@ -119,33 +156,37 @@ def from_graph6(text: str) -> Graph:
     head = [ord(c) - 63 for c in s[:8]]
     if head[0] < 63:
         n = head[0]
-        body = s[1:]
+        start = 1
     elif len(head) >= 4 and head[1] < 63:
         n = (head[1] << 12) | (head[2] << 6) | head[3]
-        body = s[4:]
+        start = 4
     elif len(head) >= 8:
         n = 0
         for b in head[2:8]:
             n = (n << 6) | b
-        body = s[8:]
+        start = 8
     else:
         raise InvalidArgument("truncated graph6 input")
     need = n * (n - 1) // 2
     words = -(-need // 6)
-    if len(body) < words:
+    if len(s) - start < words:
         raise InvalidArgument("graph6 body shorter than the n promised")
-    if len(body) > words:
-        raise InvalidArgument(f"graph6 body has {len(body) - words} bytes past the n promised")
-    if words and (ord(body[-1]) - 63) & ((1 << (6 * words - need)) - 1):
+    if len(s) - start > words:
+        raise InvalidArgument(f"graph6 body has {len(s) - start - words} bytes past the n promised")
+    if words and (ord(s[-1]) - 63) & ((1 << (6 * words - need)) - 1):
         raise InvalidArgument("graph6 padding bits are not zero")
-    bits = body.translate(_G6_BITS)
-    edges = []
-    i = bits.find("1")
+    return build_graph(n, _set_pairs(s.translate(_G6_BITS), 6 * start))
+
+
+def _set_pairs(bits, start):
+    """The pair (u, v) of each '1' of bits[start:], a graph6 body spelt
+    in '0' and '1', in order; `bits` is let go once the last is read."""
+    i = bits.find("1", start)
     while i >= 0:
-        v = (1 + isqrt(1 + 8 * i)) // 2
-        edges.append((i - v * (v - 1) // 2, v))
+        k = i - start
+        v = (1 + isqrt(1 + 8 * k)) // 2
+        yield k - v * (v - 1) // 2, v
         i = bits.find("1", i + 1)
-    return build_graph(n, edges)
 
 
 def read_graph(path) -> Graph:
@@ -157,15 +198,18 @@ def read_graph(path) -> Graph:
         raise NotAscii(
             f"{path}: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} is not ASCII"
         ) from None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) == 2 and all(p.isdigit() for p in parts):
-            return parse_edgelist(text)
-        return from_graph6(line)
-    raise InvalidArgument(f"no graph data in {path}")
+    lines = _data_lines(text)
+    first = next(lines, None)
+    if first is None:
+        raise InvalidArgument(f"no graph data in {path}")
+    parts = first.split()
+    if len(parts) == 2 and all(p.isdigit() for p in parts):
+        del lines  # and the piece of split lines it holds
+        return parse_edgelist(text)
+    if next(lines, None) is not None:
+        raise InvalidArgument(f"{path}: graph6 data on more than one line; one graph per file")
+    del text  # from_graph6 reads only the line
+    return from_graph6(first)
 
 
 def write_graph(g: Graph, path, fmt: str = "edgelist") -> None:

@@ -108,6 +108,14 @@ class TestAnalyze:
         assert err.startswith("error:") and "distinct" in err
         assert len(err.splitlines()) == 1
 
+    def test_graph6_on_two_lines_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "g.g6"
+        path.write_text("Dhc\nDhc\n")
+        assert run(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "more than one line" in err
+        assert len(err.splitlines()) == 1
+
     def test_order_above_limit_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
         path.write_text(f"{MAX_ORDER + 1} 0\n")

@@ -29,6 +29,7 @@ from avec.graph import (
     power_graph,
     weighted_avec,
 )
+from avec.io import format_edgelist, from_graph6, parse_edgelist, to_graph6
 from avec.replay import VARIANT_GIRTH6, build_matching, build_tree
 from util import (
     classic,
@@ -78,6 +79,20 @@ class TestBuildGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(InvalidEdge):
             build_graph(3, [(1, 1)])
+
+    @pytest.mark.parametrize("read", [
+        lambda g: build_graph(g.n, ((u + 0, v + 0) for u, v in reversed(g.edge_list))),
+        lambda g: parse_edgelist(format_edgelist(g)),
+        lambda g: from_graph6(to_graph6(g)),
+        lambda g: line_graph(g)[0],
+    ], ids=["generator", "edgelist", "graph6", "line_graph"])
+    def test_one_int_object_per_vertex(self, read):
+        # Ends past 256 are new int objects each time they are computed
+        # or parsed; the graph keeps one per vertex.
+        g = read(chain(ChainSpec(3, 40)).graph)
+        ends = [v for a in g.adjacency for v in a] + [x for e in g.edge_list for x in e]
+        assert g.n > 256 and g.min_degree() > 0
+        assert len(set(map(id, ends))) == g.n
 
     def test_immutable(self):
         g = build_graph(2, [(0, 1)])

@@ -5,6 +5,7 @@ import pytest
 
 from avec.errors import InvalidArgument, InvalidEdge, InvalidVertex
 from avec import io
+from avec.generators import ChainSpec, chain, reiman
 from avec.io import (
     MAX_ORDER,
     format_edgelist,
@@ -14,7 +15,7 @@ from avec.io import (
     to_graph6,
     write_graph,
 )
-from util import classic, random_connected_graph, to_nx
+from util import classic, random_connected_graph, to_nx, traced
 
 
 class TestEdgelist:
@@ -129,3 +130,44 @@ class TestFiles:
         path.write_text("# only comments\n")
         with pytest.raises(InvalidArgument):
             read_graph(path)
+
+    def test_graph6_on_two_lines_rejected(self, tmp_path):
+        # from_graph6 rejects the whole text too: a line break is not a
+        # graph6 character.
+        path = tmp_path / "two.g6"
+        one, other = to_graph6(classic("cycle", 5)), to_graph6(classic("path", 4))
+        for text in (
+            f"{one}\n{one}\n",
+            f"{one}\n{other}",
+            f"# two graphs\n{one}\n\n# and\n{other}\n",
+            f">>graph6<<{one}\n>>graph6<<{other}\n",
+            f"{one}\x1e{other}",  # str.splitlines breaks at \x1e
+        ):
+            path.write_text(text)
+            with pytest.raises(InvalidArgument, match="more than one line") as err:
+                read_graph(path)
+            assert len(str(err.value).splitlines()) == 1
+
+    def test_graph6_with_comments_and_blanks(self, tmp_path):
+        path = tmp_path / "one.g6"
+        path.write_text(f"# a comment\n\n{to_graph6(classic('cycle', 5))}\n\n# after\n")
+        assert read_graph(path) == classic("cycle", 5)
+
+
+class TestReadPeak:
+    # Allocation ratios do not depend on the machine.  The text is split
+    # a piece at a time, the endpoints wait in one list of shared ints,
+    # and graph6 bits stream into build_graph, so reading holds little
+    # beyond the graph it returns.
+    @pytest.mark.parametrize(
+        "make, fmt",
+        [(lambda: chain(ChainSpec(5, 48)).graph, "edgelist"), (lambda: reiman(16).graph, "graph6")],
+        ids=["chain(5,48)-edgelist", "reiman(16)-graph6"],
+    )
+    def test_read_peak_is_its_result(self, tmp_path, make, fmt):
+        g = make()
+        path = tmp_path / "g"
+        write_graph(g, path, fmt)
+        read, retained, peak = traced(read_graph, path)
+        assert read == g
+        assert peak <= 1.3 * retained

@@ -1,6 +1,7 @@
 """avec is stdlib-only: every absolute import in the package names a
 module of the standard library, and importing the CLI loads none of the
-costly ones that no avec command needs."""
+costly ones that no avec command needs.  No module of the package grows
+long enough to lift what every command pays to compile it."""
 
 import ast
 import subprocess
@@ -50,14 +51,29 @@ HEAVY = ("dataclasses", "inspect", "typing")
 
 
 def test_cli_import_loads_no_heavy_module(tmp_path):
-    # -S: no site hook preloads anything; -E: no PYTHONPATH.  The path
-    # to the package is absolute and the working directory is empty.
+    # -S: no site hook preloads anything; -E: no PYTHONPATH.  -E also
+    # drops PYTHONDONTWRITEBYTECODE, so -B keeps the run from leaving
+    # bytecode in the package.  The path to the package is absolute and
+    # the working directory is empty.
     code = (
         f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import avec.cli; "
         f"print(sorted(set({HEAVY!r}) & set(sys.modules)))"
     )
     done = subprocess.run(
-        [sys.executable, "-E", "-S", "-c", code],
+        [sys.executable, "-B", "-E", "-S", "-c", code],
         capture_output=True, text=True, cwd=tmp_path, check=True,
     )
     assert done.stdout == "[]\n"
+
+
+#: Lines in replay.py, the longest module, when this limit was set.
+MAX_MODULE_LINES = 696
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_is_short(path):
+    # A run without bytecode compiles every module it imports, and the
+    # compiler's peak memory grows with the longest one: a longer module
+    # lifts the peak RSS of every avec command, whatever it computes.
+    lines = len(path.read_text(encoding="utf-8").splitlines())
+    assert lines <= MAX_MODULE_LINES, f"{path.name} has {lines} lines"

@@ -364,7 +364,8 @@ def parse_edgelist_oracle(text):
 
 def read_graph_oracle(path):
     """`io.read_graph` by the two oracles above: the whole text split
-    into lines, and the first data line sniffed."""
+    into lines, and the first data line sniffed.  A graph6 file holds
+    one data line."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
@@ -372,15 +373,15 @@ def read_graph_oracle(path):
         raise NotAscii(
             f"{path}: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} is not ASCII"
         ) from None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) == 2 and all(p.isdigit() for p in parts):
-            return parse_edgelist_oracle(text)
-        return from_graph6_oracle(line)
-    raise InvalidArgument(f"no graph data in {path}")
+    data = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    if not data:
+        raise InvalidArgument(f"no graph data in {path}")
+    parts = data[0].split()
+    if len(parts) == 2 and all(p.isdigit() for p in parts):
+        return parse_edgelist_oracle(text)
+    if len(data) > 1:
+        raise InvalidArgument(f"{path}: graph6 data on more than one line; one graph per file")
+    return from_graph6_oracle(data[0])
 
 
 def line_displacement_oracle(tree, line):
