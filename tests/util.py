@@ -7,6 +7,7 @@ subset enumeration, short-cycle flags by the three separate scans that
 networkx.
 """
 
+import gc
 import itertools
 import json
 import math
@@ -213,7 +214,13 @@ def power_graph_oracle(g, k):
 
 def traced(fn, *args):
     """(fn(*args), retained, peak): the bytes that `tracemalloc` sees
-    the call keep and, at most, hold at once."""
+    the call keep and, at most, hold at once.
+
+    An object taken from one of the interpreter's free lists (small
+    tuples, lists, floats) is no new allocation, so `tracemalloc` would
+    count it only when those lists ran dry; a full collection first
+    empties them, and every object the call makes is counted."""
+    gc.collect()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
