@@ -203,15 +203,16 @@ def audit_balls(g) -> AuditRecord:
     Delta = g.max_degree()
     sc = structural_constants(delta, Delta)
     classes = [cls for cls in _CLASSES if getattr(scan, cls.flag)]
+    edges = tuple(g.edges())
     if scan.class_girth6:
         s = _walk2_counts(g.adjacency)
-        edge_sizes = [s[u] + s[v] + 2 for u, v in g.edge_list]
+        edge_sizes = [s[u] + s[v] + 2 for u, v in edges]
     else:
-        edge_sizes = [len(ball(g, e, 2)) for e in g.edge_list]
+        edge_sizes = [len(ball(g, e, 2)) for e in edges]
     hubs = [v for v in range(g.n) if g.degree(v) == Delta]
     hub_sizes = [len(ball(g, (v,), 3)) for v in hubs]
     items = []
-    for e, size in zip(g.edge_list, edge_sizes):
+    for e, size in zip(edges, edge_sizes):
         for cls in classes:
             bound = getattr(sc, cls.delta_const)
             items.append(AuditItem(cls.edge_item, e, size, bound, size - bound))

@@ -55,7 +55,7 @@ def _cmd_gen_chain(args):
         hg = read_graph(args.head)
         if hg.m == 0:
             raise InvalidArgument(f"head file {args.head} has no edges")
-        hu, hv = hg.edge_list[0]
+        hu, hv = next(hg.edges())
         head = LabeledGraph(
             graph=hg,
             labels=tuple(str(v) for v in range(hg.n)),

@@ -66,7 +66,7 @@ def reiman(q: int) -> LabeledGraph:
     labels = tuple(f"pt({x},{y},{z})" for x, y, z in triples) + tuple(
         f"ln({x},{y},{z})" for x, y, z in triples
     )
-    u, v = g.edge_list[0]
+    u, v = next(g.edges())
     meta = {
         "construction": "reiman",
         "q": q,
@@ -136,7 +136,7 @@ def chain(spec: ChainSpec) -> LabeledGraph:
             f"delta - 1 = {spec.delta - 1} is not a prime power"
         ) from None
     u0, v0 = base.designated["u"], base.designated["v"]
-    base_edges = base.graph.edge_list
+    base_edges = tuple(base.graph.edges())
     middle_edges = tuple(e for e in base_edges if e != (u0, v0))
 
     head = spec.head
@@ -163,7 +163,7 @@ def chain(spec: ChainSpec) -> LabeledGraph:
     for t in range(1, ell + 1):
         if t == 1 and head is not None:
             copy_graph, cu, cv = head.graph, head.designated["u"], head.designated["v"]
-            copy_edges = head.graph.edge_list
+            copy_edges = head.graph.edges()
             copy_labels = head.labels
         else:
             copy_graph, cu, cv = base.graph, u0, v0

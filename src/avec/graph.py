@@ -30,25 +30,30 @@ class Graph:
 
     Attributes:
         n: number of vertices.
+        m: number of edges.
         adjacency: tuple of sorted neighbour tuples, one per vertex.
-        edge_list: canonical edge list, each edge (u, v) with u < v,
-            sorted ascending.
+
+    No edge list is stored: `edges()` reads the edges off the adjacency,
+    so a graph keeps two adjacency entries per edge and nothing more.
     """
 
-    __slots__ = ("n", "adjacency", "edge_list")
+    __slots__ = ("n", "m", "adjacency")
 
-    def __init__(self, n, adjacency, edge_list):
+    def __init__(self, adjacency):
         # Not for direct use outside this module; go through build_graph().
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", len(adjacency))
+        object.__setattr__(self, "m", sum(map(len, adjacency)) // 2)
         object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "edge_list", edge_list)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
-    @property
-    def m(self):
-        return len(self.edge_list)
+    def edges(self):
+        """Yield the edges (u, v), u < v, in ascending order: the entries
+        above u of each sorted neighbour tuple, u ascending."""
+        for u, a in enumerate(self.adjacency):
+            for v in a[bisect_right(a, u):]:
+                yield u, v
 
     def degree(self, v):
         return len(self.adjacency[v])
@@ -69,10 +74,10 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edge_list == other.edge_list
+        return self.n == other.n and self.adjacency == other.adjacency
 
     def __hash__(self):
-        return hash((self.n, self.edge_list))
+        return hash((self.n, self.adjacency))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -84,28 +89,44 @@ def build_graph(n, edges):
     Duplicate edges (in either orientation) collapse to one.  Self loops
     and out-of-range endpoints are rejected, at the first bad pair in
     input order.  One pass over `edges` fills a neighbour list per
-    vertex; each list is then deduplicated and sorted, and the edge list
-    is read off the sorted lists, so no set or sort of edge tuples is
-    made.  Every entry of the adjacency and of the edge list is the one
-    int object of its vertex.
+    vertex; each list is then deduplicated and sorted, and no set or
+    sort of edge tuples is made.  A vertex gets its list, and its one
+    int object, when a pair first names it: that int, the pair's own
+    object if it is an int, is every adjacency entry of the vertex.  A
+    vertex no pair names costs two 8-byte slots while the graph is
+    built, and none if no pair comes.
     """
     if n < 0:
         raise InvalidArgument(f"vertex count must be nonnegative, got {n}")
-    label = list(range(n))
-    nbrs = [[] for _ in label]
-    for u, v in edges:
+    pairs = iter(edges)
+    for first in pairs:
+        break
+    else:
+        return Graph(((),) * n)
+    label = [None] * n
+    nbrs = [()] * n
+    for u, v in chain((first,), pairs):
         if not (0 <= u < n):
             raise InvalidVertex(f"vertex {u} outside 0..{n - 1}")
         if not (0 <= v < n):
             raise InvalidVertex(f"vertex {v} outside 0..{n - 1}")
         if u == v:
             raise InvalidEdge(f"self loop at vertex {u}")
-        nbrs[u].append(label[v])
-        nbrs[v].append(label[u])
+        x = label[u]
+        if x is None:
+            label[u] = x = int(u)
+            nbrs[u] = []
+        y = label[v]
+        if y is None:
+            label[v] = y = int(v)
+            nbrs[v] = []
+        nbrs[x].append(y)
+        nbrs[y].append(x)
+    del label
     for u, a in enumerate(nbrs):
-        nbrs[u] = tuple(sorted(set(a)))
-    edge_list = [(u, v) for u, a in zip(label, nbrs) for v in a if v > u]
-    return Graph(n, tuple(nbrs), tuple(edge_list))
+        if a:
+            nbrs[u] = tuple(sorted(set(a)))
+    return Graph(tuple(nbrs))
 
 
 #: Graph size above which a capped BFS keeps distances in a dict.  Up
@@ -247,10 +268,8 @@ def _pairwise_rows(g, edges):
     ports = {v for e in bridges for v in e}
     # g without its bridges, where a full search stays in its component.
     inner = g if not bridges else Graph(
-        g.n,
         tuple(tuple(w for w in a if comp[w] == comp[v]) if v in ports else a
-              for v, a in enumerate(g.adjacency)),
-        tuple(e for e in g.edge_list if comp[e[0]] == comp[e[1]]),
+              for v, a in enumerate(g.adjacency))
     )
 
     def search(sources):
@@ -487,9 +506,9 @@ def forbidden_cycle_scan(g):
 
     **Size rule.**  The bit table is used when n^2 <= 256 m, the walk-2
     pass otherwise.  A round of the table is n bitsets of n bits,
-    n^2/8 bytes, so the rule caps it at 32 bytes per edge, less than
-    the graph itself keeps per edge (an `edge_list` tuple and two
-    adjacency entries).  It also makes a bitset at most 2·dbar machine
+    n^2/8 bytes, so the rule caps it at 32 bytes per edge, twice the
+    16 the graph itself keeps per edge in its two adjacency entries.
+    It also makes a bitset at most 2·dbar machine
     words, for the mean degree dbar = 2m/n, so a round's 2m ORs cost
     at most 4m·dbar <= 2·sum deg(v)^2 word operations in C: no more than
     twice the walk-2 pass's set insertions, without its C5 pre-check.
@@ -577,16 +596,15 @@ def _table_scan(g):
     """(has_c4, has_c5) of a graph with no C3, or None if it has one,
     by the bit table of `forbidden_cycle_scan`."""
     adjacency = g.adjacency
-    edges = g.edge_list
     bit = [1 << v for v in range(g.n)]
     b1 = _ball_round(adjacency, bit)
     nbr = list(map(int.__xor__, b1, bit))
-    if any(nbr[u] & nbr[v] for u, v in edges):
+    if any(nbr[u] & nbr[v] for u, v in g.edges()):
         return None
     b2 = _ball_round(adjacency, b1)
     s2 = [x & ~y for x, y in zip(b2, b1)]
     has_c4 = any(x.bit_count() < c for x, c in zip(s2, _walk2_counts(adjacency)))
-    has_c5 = any(s2[u] & s2[v] for u, v in edges)
+    has_c5 = any(s2[u] & s2[v] for u, v in g.edges())
     return has_c4, has_c5
 
 
@@ -626,33 +644,27 @@ def line_graph(g):
     """Line graph of g.
 
     Returns (L, edge_of_vertex) where vertex i of L is the edge
-    edge_of_vertex[i] of g, in edge_list order.  The edges of L are the
+    edge_of_vertex[i] of g, in `g.edges()` order.  The edges of L are the
     pairs of edges at each vertex of g, streamed into `build_graph`.
     """
+    edge_of_vertex = tuple(g.edges())
     incident = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(g.edge_list):
+    for i, (u, v) in enumerate(edge_of_vertex):
         incident[u].append(i)
         incident[v].append(i)
     pairs = chain.from_iterable(map(combinations, incident, repeat(2)))
-    return build_graph(g.m, pairs), g.edge_list
+    return build_graph(g.m, pairs), edge_of_vertex
 
 
 def power_graph(g, k):
     """k-th power: u ~ v iff 1 <= d(u, v) <= k.
 
-    Row s is the radius-k ball of s without s, from one capped BFS, and
-    its entries above s, taken in s order, are the canonical edge list;
-    the rows are symmetric because distance is.
+    Row s is the radius-k ball of s without s, from one capped BFS; the
+    rows are symmetric because distance is.
     """
     if k < 1:
         raise InvalidArgument(f"power must be >= 1, got {k}")
-    adjacency = []
-    edge_list = []
-    for s in range(g.n):
-        row = sorted(_bfs(g, (s,), k)[2][1:])
-        adjacency.append(tuple(row))
-        edge_list += zip(repeat(s), row[bisect_right(row, s):])
-    return Graph(g.n, tuple(adjacency), tuple(edge_list))
+    return Graph(tuple(tuple(sorted(_bfs(g, (s,), k)[2][1:])) for s in range(g.n)))
 
 
 def induced_subgraph(g, vertices):
@@ -668,7 +680,7 @@ def induced_subgraph(g, vertices):
     new_index = {v: i for i, v in enumerate(original)}
     edges = (
         (new_index[u], new_index[v])
-        for u, v in g.edge_list
+        for u, v in g.edges()
         if u in new_index and v in new_index
     )
     return build_graph(len(original), edges), original

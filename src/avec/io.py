@@ -16,10 +16,10 @@ from math import isqrt
 from .errors import InvalidArgument, NotAscii
 from .graph import Graph, build_graph
 
-#: Largest vertex count an edge-list header may declare.  Reading the
-#: edges allocates one int object per vertex, and building the graph
-#: one adjacency list and one more int per vertex, before any edge is
-#: read, so the bound keeps a short file from claiming gigabytes.
+#: Largest vertex count an edge-list header may declare.  A vertex that
+#: no edge names gets no int object and no list, only 8-byte slots: one
+#: in the graph's adjacency and up to two more while it is read.  The
+#: bound keeps a short file from claiming gigabytes of those.
 MAX_ORDER = 2**20
 
 
@@ -44,7 +44,7 @@ def _data_lines(text):
 
 def format_edgelist(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edge_list)
+    lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
 
@@ -60,10 +60,11 @@ def parse_edgelist(text: str) -> Graph:
     if n > MAX_ORDER:
         raise InvalidArgument(f"header declares n={n}, more than MAX_ORDER={MAX_ORDER}")
     # Each end in 0..n-1 is kept as the one int object of its vertex,
-    # one list slot.  Of the lines that are not two ints only the first
-    # counts, and of the pairs with an end out of range only the first,
-    # `stop`: build_graph raises at it, and the pairs after it are cut.
-    label = list(range(n))
+    # the first parsed, one list slot.  Of the lines that are not two
+    # ints only the first counts, and of the pairs with an end out of
+    # range only the first, `stop`: build_graph raises at it, and the
+    # pairs after it are cut.
+    label = [None] * n
     ends = []
     keep = ends.append
     bad = stop = None
@@ -78,8 +79,14 @@ def parse_edgelist(text: str) -> Graph:
             count += sum(1 for _ in lines)
             break
         if 0 <= u < n and 0 <= v < n:
-            keep(label[u])
-            keep(label[v])
+            x = label[u]
+            if x is None:
+                label[u] = x = u
+            y = label[v]
+            if y is None:
+                label[v] = y = v
+            keep(x)
+            keep(y)
         elif stop is None:
             stop = len(ends), u, v
     if count != m:
@@ -120,7 +127,7 @@ def to_graph6(g: Graph) -> str:
         raise InvalidArgument(f"graph too large for graph6: n={n}")
     need = n * (n - 1) // 2
     bits = bytearray(-(-need // 8))
-    for u, v in g.edge_list:
+    for u, v in g.edges():
         i = v * (v - 1) // 2 + u
         bits[i >> 3] |= 128 >> (i & 7)
     body = b2a_base64(bits, newline=False)[: -(-need // 6)]

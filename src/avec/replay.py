@@ -164,7 +164,7 @@ def build_matching(g, variant, anchor=None) -> Matching:
     _validate_replay_input(g, variant, anchor)
     bonus = _bonus(variant)
     if anchor is None:
-        chosen = [g.edge_list[0]]
+        chosen = [next(g.edges())]
     else:
         chosen = [min((min(anchor, w), max(anchor, w)) for w in g.adjacency[anchor])]
     # slack[v] = min(d(v, e_1) - bonus, d(v, V(M - e_1))), and an edge's
@@ -174,7 +174,7 @@ def build_matching(g, variant, anchor=None) -> Matching:
     # so it may stay stale: 6 stands for anything above 5, and each
     # chosen edge's BFS is capped where its slack reaches 5.  An edge
     # enters the heap when one of its ends reaches 5 and is dropped when
-    # popped below 5; edge_list is sorted, so tuple order is edge order.
+    # popped below 5; tuple order is the order of g.edges().
     slack = [6] * g.n
     heap = []
     while True:
@@ -192,7 +192,7 @@ def build_matching(g, variant, anchor=None) -> Matching:
         if not heap:
             break
         chosen.append(heappop(heap))
-    if any(slack[a] >= 5 and slack[b] >= 5 for a, b in g.edge_list):
+    if any(slack[a] >= 5 and slack[b] >= 5 for a, b in g.edges()):
         raise ConstructionInvariantViolated(
             "uncovered edges remain but none meets a distance bound with equality"
         )
@@ -221,7 +221,7 @@ def _assert_matching(g, edges, bonus):
     if len(edges) > 1:
         rest = distances_from(g, {v for e in edges[1:] for v in e})
         slack = [min(s, d) for s, d in zip(slack, rest)]
-    if any(slack[a] > 4 and slack[b] > 4 for a, b in g.edge_list):
+    if any(slack[a] > 4 and slack[b] > 4 for a, b in g.edges()):
         raise ConstructionInvariantViolated(
             f"an edge escapes both coverage radii ({4 + bonus} around the "
             "anchor, 4 around the rest)"
@@ -266,7 +266,7 @@ def build_tree(g, matching: Matching) -> AnchoredTree:
 
     # The first edge from ball i to an earlier ball joins ball i.
     connectors = [None] * k
-    for x, y in g.edge_list:
+    for x, y in g.edges():
         ox, oy = owner[x], owner[y]
         if ox != oy and ox >= 0 and oy >= 0 and connectors[max(ox, oy)] is None:
             connectors[max(ox, oy)] = (x, y)
@@ -430,7 +430,7 @@ def replay(g, variant, anchor=None) -> ProofTrace:
     _, _, near_e1 = _bfs(line, (m_line[0],), 6 + bonus)
     target = build_graph(
         k,
-        [(at[orig[u]], at[orig[v]]) for u, v in power.edge_list]
+        [(at[orig[u]], at[orig[v]]) for u, v in power.edges()]
         + [(0, at[li]) for li in near_e1 if li in at and li != m_line[0]],
     )
     components = 0
@@ -626,7 +626,7 @@ def _power_contraction(line, target, m_line, bonus):
             j = index.get(v, -1)
             if j > i and dist[v] <= 6 + bonus * (i == 0):
                 joins.add((i, j))
-    return 0, target.n == len(m_line) and target.edge_list == tuple(sorted(joins))
+    return 0, target.n == len(m_line) and list(target.edges()) == sorted(joins)
 
 
 def _line_displacement(tree, line):
@@ -641,7 +641,7 @@ def _line_displacement(tree, line):
     and `line` to be its line graph: vertex i is tree edge i, adjacent
     to exactly the other edges that share an endpoint with it.
     """
-    edges = tree.edge_list
+    edges = tuple(tree.edges())
     incident = [[] for _ in range(tree.n)]
     for i, (u, v) in enumerate(edges):
         incident[u].append(i)
@@ -677,7 +677,7 @@ def trace_json(trace: ProofTrace) -> dict:
             "pairwise_distances": _pairwise_rows(trace.graph, trace.matching.edges),
         },
         "tree": {
-            "edges": [list(e) for e in trace.tree.tree.edge_list],
+            "edges": [list(e) for e in trace.tree.tree.edges()],
             "connectors": [list(e) for e in trace.tree.connectors],
             "assignment": list(trace.tree.assignment),
         },

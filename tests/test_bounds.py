@@ -355,16 +355,16 @@ class TestEdgeBallIdentity:
         record = B.audit_balls(g)
         assert record.girth_class is girth6 and record.c4c5_class
         sizes = {i.subject: i.size for i in record.items if i.check == "edge_ball2_c4c5"}
-        assert sizes == {e: len(ball(g, e, 2)) for e in g.edge_list}
+        assert sizes == {e: len(ball(g, e, 2)) for e in g.edges()}
         if girth6:
             assert [i.size for i in record.items if i.check == "edge_ball2_girth6"] == [
-                sizes[e] for e in g.edge_list
+                sizes[e] for e in g.edges()
             ]
         # Only the vertex balls search on a girth-6 graph; every edge
         # ball searches once triangles are allowed.
         top = g.max_degree()
         vertex_calls = [(v,) for v in range(g.n) if g.degree(v) == top]
-        edge_calls = [] if girth6 else list(g.edge_list)
+        edge_calls = [] if girth6 else list(g.edges())
         assert ball_calls == edge_calls + vertex_calls
 
     def test_thinning_varies_the_sizes(self):
@@ -382,7 +382,7 @@ class TestEdgeBallIdentity:
         scan = forbidden_cycle_scan(g)
         assert (g.min_degree(), scan.has_c3, scan.class_c4c5free) == (4, True, True)
         s = [sum(g.degree(a) - 1 for a in g.adjacency[x]) for x in range(g.n)]
-        assert all(s[u] + s[v] + 2 != len(ball(g, (u, v), 2)) for u, v in g.edge_list)
+        assert all(s[u] + s[v] + 2 != len(ball(g, (u, v), 2)) for u, v in g.edges())
         assert g.m == 42
 
 

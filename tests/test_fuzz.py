@@ -17,7 +17,7 @@ from avec import cli
 from avec.bounds import audit_balls
 from avec.errors import AvecError
 from avec.generators import reiman
-from avec.graph import build_graph, forbidden_cycle_scan, is_connected, line_graph
+from avec.graph import Graph, build_graph, forbidden_cycle_scan, is_connected, line_graph
 from avec.io import MAX_ORDER, format_edgelist, from_graph6, parse_edgelist, read_graph, to_graph6
 
 from util import (
@@ -118,13 +118,16 @@ def _only_avec_errors(fn, arg):
 
 
 def _outcome(fn, *args):
-    """(n, adjacency, edge_list) of the graph fn(*args), or the type and
-    message of the `AvecError` it raises."""
+    """(n, adjacency, edges) of the graph fn(*args), or the type and
+    message of the `AvecError` it raises.  The oracles return that
+    triple themselves."""
     try:
         g = fn(*args)
     except AvecError as exc:
         return type(exc), str(exc)
-    return g.n, g.adjacency, g.edge_list
+    if isinstance(g, Graph):
+        return g.n, g.adjacency, tuple(g.edges())
+    return g
 
 
 @st.composite
@@ -262,7 +265,7 @@ def c4c5_free_graphs(draw):
     g = thin(g, rng, rng.randrange(g.m // 3))
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         u, v = sorted(rng.sample(range(g.n), 2))
-        chorded = build_graph(g.n, set(g.edge_list) | {(u, v)})
+        chorded = build_graph(g.n, set(g.edges()) | {(u, v)})
         if forbidden_cycle_scan(chorded).class_c4c5free:
             g = chorded
     assume(is_connected(g))

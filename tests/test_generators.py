@@ -43,7 +43,7 @@ class TestReiman:
         assert lab.labels[0].startswith("pt(")
         assert lab.labels[7].startswith("ln(")
         u, v = lab.designated["u"], lab.designated["v"]
-        assert (u, v) == g.edge_list[0]
+        assert (u, v) == tuple(g.edges())[0]
         assert lab.meta["n"] == 14 and lab.meta["q"] == 2
 
     def test_not_prime_power(self):
@@ -202,15 +202,15 @@ class TestClassic:
 
     def test_path(self):
         g = classic("path", 4)
-        assert g.edge_list == ((0, 1), (1, 2), (2, 3))
+        assert tuple(g.edges()) == ((0, 1), (1, 2), (2, 3))
 
     def test_cycle(self):
         g = classic("cycle", 4)
-        assert g.edge_list == ((0, 1), (0, 3), (1, 2), (2, 3))
+        assert tuple(g.edges()) == ((0, 1), (0, 3), (1, 2), (2, 3))
 
     def test_star(self):
         g = classic("star", 4)
-        assert g.edge_list == ((0, 1), (0, 2), (0, 3))
+        assert tuple(g.edges()) == ((0, 1), (0, 2), (0, 3))
 
     def test_complete(self):
         g = classic("complete", 4)

@@ -18,6 +18,7 @@ from avec.generators import ChainSpec, chain, reiman
 from avec.graph import (
     UNREACHABLE,
     CycleScan,
+    Graph,
     ball,
     build_graph,
     distances_from,
@@ -31,6 +32,8 @@ from avec.graph import (
 )
 from avec.io import format_edgelist, from_graph6, parse_edgelist, to_graph6
 from avec.replay import VARIANT_GIRTH6, build_matching, build_tree
+from test_output_digests import INPUTS as OUTPUT_DIGEST_INPUTS
+from test_replay_digests import INPUTS as REPLAY_DIGEST_INPUTS
 from util import (
     classic,
     cycle_scan_oracle,
@@ -66,9 +69,14 @@ def replay_line():
 class TestBuildGraph:
     def test_canonical_order_and_dedup(self):
         g = build_graph(4, [(2, 1), (0, 3), (1, 2), (3, 0), (0, 1)])
-        assert g.edge_list == ((0, 1), (0, 3), (1, 2))
+        assert tuple(g.edges()) == ((0, 1), (0, 3), (1, 2))
         assert g.adjacency == ((1, 3), (0, 2), (1,), (0,))
         assert g.m == 3
+
+    def test_entries_are_ints(self):
+        g = build_graph(3, [(True, 2), (0, False + 2)])
+        assert g.adjacency == ((2,), (2,), (0, 1))
+        assert {type(v) for a in g.adjacency for v in a} == {int}
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidVertex):
@@ -81,18 +89,28 @@ class TestBuildGraph:
             build_graph(3, [(1, 1)])
 
     @pytest.mark.parametrize("read", [
-        lambda g: build_graph(g.n, ((u + 0, v + 0) for u, v in reversed(g.edge_list))),
+        lambda g: build_graph(g.n, ((u + 0, v + 0) for u, v in reversed(tuple(g.edges())))),
         lambda g: parse_edgelist(format_edgelist(g)),
         lambda g: from_graph6(to_graph6(g)),
         lambda g: line_graph(g)[0],
     ], ids=["generator", "edgelist", "graph6", "line_graph"])
     def test_one_int_object_per_vertex(self, read):
         # Ends past 256 are new int objects each time they are computed
-        # or parsed; the graph keeps one per vertex.
+        # or parsed; the graph keeps only its adjacency, and in it one
+        # object per vertex.
         g = read(chain(ChainSpec(3, 40)).graph)
-        ends = [v for a in g.adjacency for v in a] + [x for e in g.edge_list for x in e]
+        ends = [v for a in g.adjacency for v in a]
         assert g.n > 256 and g.min_degree() > 0
         assert len(set(map(id, ends))) == g.n
+
+    def test_keeps_n_m_and_adjacency_only(self):
+        g = build_graph(5, [(3, 4), (0, 2), (2, 4), (0, 1)])
+        assert Graph.__slots__ == ("n", "m", "adjacency")
+        assert not hasattr(g, "__dict__") and not hasattr(g, "edge_list")
+        assert (g.n, g.m) == (5, 4)
+        # A fresh iterator each call, in ascending (u, v) order.
+        assert list(g.edges()) == list(g.edges()) == [(0, 1), (0, 2), (2, 4), (3, 4)]
+        assert list(build_graph(3, []).edges()) == []
 
     def test_immutable(self):
         g = build_graph(2, [(0, 1)])
@@ -115,6 +133,22 @@ class TestBuildGraph:
         assert a == b and hash(a) == hash(b)
         assert a != c
         assert a != "not a graph"
+
+
+#: Every graph whose outputs the digest tests pin, by name.
+DIGEST_CORPUS = {
+    **{f"output:{k}": build for k, (build, _) in OUTPUT_DIGEST_INPUTS.items()},
+    **{f"replay:{k}": build for k, build in REPLAY_DIGEST_INPUTS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_CORPUS))
+def test_edges_match_networkx(name):
+    # networkx reads the adjacency, not edges(), and sorts on its own.
+    g = DIGEST_CORPUS[name]()
+    G = nx.Graph(dict(enumerate(g.adjacency)))
+    assert list(g.edges()) == sorted((min(e), max(e)) for e in G.edges)
+    assert g.m == G.number_of_edges() and g.n == G.number_of_nodes()
 
 
 class TestDistances:
@@ -376,7 +410,7 @@ def scan_side(request, monkeypatch):
 def subdivided(g):
     """g with every edge replaced by a path of length 2."""
     edges = []
-    for i, (u, v) in enumerate(g.edge_list):
+    for i, (u, v) in enumerate(g.edges()):
         edges += [(u, g.n + i), (v, g.n + i)]
     return build_graph(g.n + g.m, edges)
 
@@ -384,7 +418,7 @@ def subdivided(g):
 def disjoint_union(*graphs):
     edges, base = [], 0
     for g in graphs:
-        edges += [(u + base, v + base) for u, v in g.edge_list]
+        edges += [(u + base, v + base) for u, v in g.edges()]
         base += g.n
     return build_graph(base, edges)
 
@@ -447,7 +481,7 @@ class TestGirth:
         for _ in range(60):
             n = rng.randint(2, 16)
             g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
-            assert scan_girth(forbidden_cycle_scan(g)) == min(girth_oracle(g), 6), g.edge_list
+            assert scan_girth(forbidden_cycle_scan(g)) == min(girth_oracle(g), 6), tuple(g.edges())
 
     @pytest.mark.parametrize("name", sorted(GIRTH6_GRAPHS))
     def test_girth6_with_and_without_c6(self, name, scan_side):
@@ -521,7 +555,7 @@ class TestForbiddenCycleScan:
             ])
             want = tuple(has_cycle_oracle(g, k) for k in (3, 4, 5))
             s = forbidden_cycle_scan(g)
-            assert (s.has_c3, s.has_c4, s.has_c5) == want, g.edge_list
+            assert (s.has_c3, s.has_c4, s.has_c5) == want, tuple(g.edges())
 
     def test_matches_three_scan_oracle_random(self):
         rng = random.Random(62)
@@ -535,7 +569,7 @@ class TestForbiddenCycleScan:
                 # bipartite: C4s and even cycles only
                 pairs = [(u, v) for u, v in pairs if (u - v) % 2]
             g = build_graph(n, pairs)
-            assert forbidden_cycle_scan(g) == cycle_scan_oracle(g), g.edge_list
+            assert forbidden_cycle_scan(g) == cycle_scan_oracle(g), tuple(g.edges())
 
     # Graphs are built inside the test, so that a failing generator
     # fails these cases instead of the module's collection.
@@ -629,7 +663,7 @@ class TestBitTableScan:
             n = rng.randint(4, 30)
             g = build_graph(n, [rng.sample(range(n), 2) for _ in range(int(n * n / 4 * rng.random()))])
             nbrs = [set(a) for a in g.adjacency]
-            for u, v in g.edge_list:
+            for u, v in g.edges():
                 if nbrs[u] & nbrs[v]:
                     nbrs[u].discard(v)
                     nbrs[v].discard(u)
@@ -637,7 +671,7 @@ class TestBitTableScan:
             want = cycle_scan_oracle(g)
             assert not want.has_c3
             seen.add((want.has_c4, want.has_c5))
-            assert forbidden_cycle_scan(g) == want, g.edge_list
+            assert forbidden_cycle_scan(g) == want, tuple(g.edges())
         assert len(seen) == 4
 
     def test_random_any_density_match_brute_oracle(self, scan_side):
@@ -650,7 +684,7 @@ class TestBitTableScan:
             ])
             want = tuple(has_cycle_oracle(g, k) for k in (3, 4, 5))
             s = forbidden_cycle_scan(g)
-            assert (s.has_c3, s.has_c4, s.has_c5) == want, g.edge_list
+            assert (s.has_c3, s.has_c4, s.has_c5) == want, tuple(g.edges())
 
     @pytest.mark.parametrize("make, table", [
         *(pytest.param(lambda q=q: reiman(q).graph, True, id=f"reiman({q})")
@@ -689,7 +723,7 @@ class TestBall:
         G = to_nx(g)
         rng = random.Random(14)
         for _ in range(10):
-            u, v = rng.choice(g.edge_list)
+            u, v = rng.choice(tuple(g.edges()))
             dist = nx.multi_source_dijkstra_path_length(G, {u, v}, cutoff=3)
             for k in (0, 1, 2, 3):
                 assert ball(g, (u, v), k) == {w for w, d in dist.items() if d <= k}
@@ -716,19 +750,19 @@ class TestDerivedGraphs:
             g = random_connected_graph(rng, n, rng.randint(0, n))
             L, edge_of = line_graph(g)
             assert L.n == g.m
-            assert edge_of == g.edge_list
+            assert edge_of == tuple(g.edges())
             NL = nx.line_graph(to_nx(g))
             expect = {
                 tuple(sorted((edge_of.index(tuple(sorted(a))), edge_of.index(tuple(sorted(b))))))
                 for a, b in NL.edges
             }
-            assert set(L.edge_list) == expect
+            assert set(L.edges()) == expect
 
     def test_line_graph_degrees(self):
         g = classic("star", 5)
         L, _ = line_graph(g)
         # edges of a star pairwise intersect at the centre
-        assert L.edge_list == tuple(
+        assert tuple(L.edges()) == tuple(
             (i, j) for i in range(4) for j in range(i + 1, 4)
         )
 
@@ -748,11 +782,11 @@ class TestDerivedGraphs:
     def check_power(g, k):
         pk = power_graph(g, k)
         oracle = power_graph_oracle(g, k)
-        rebuilt = build_graph(g.n, pk.edge_list)
+        rebuilt = build_graph(g.n, tuple(pk.edges()))
         # Tuples compare unequal to lists, so this also checks that the
         # rows and the edge list are tuples, as build_graph makes them.
-        assert (pk.n, pk.adjacency, pk.edge_list) == (oracle.n, oracle.adjacency, oracle.edge_list)
-        assert (pk.adjacency, pk.edge_list) == (rebuilt.adjacency, rebuilt.edge_list)
+        assert (pk.n, pk.adjacency, tuple(pk.edges())) == (oracle.n, oracle.adjacency, tuple(oracle.edges()))
+        assert (pk.adjacency, tuple(pk.edges())) == (rebuilt.adjacency, tuple(rebuilt.edges()))
 
     def test_power_graph_matches_oracle_on_random_graphs(self):
         rng = random.Random(16)
@@ -806,7 +840,7 @@ class TestDerivedGraphs:
         assert orig == (0, 3, 5, 9)
         expect = nx.subgraph(to_nx(g), [0, 3, 5, 9])
         relabel = {v: i for i, v in enumerate(orig)}
-        assert set(sub.edge_list) == {
+        assert set(sub.edges()) == {
             tuple(sorted((relabel[u], relabel[v]))) for u, v in expect.edges
         }
 

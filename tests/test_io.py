@@ -31,7 +31,7 @@ class TestEdgelist:
 
     def test_comments_and_blanks(self):
         g = parse_edgelist("# a comment\n\n3 1\n\n# another\n0 2\n")
-        assert g.n == 3 and g.edge_list == ((0, 2),)
+        assert g.n == 3 and tuple(g.edges()) == ((0, 2),)
 
     def test_errors(self):
         with pytest.raises(InvalidArgument):
@@ -54,7 +54,7 @@ class TestEdgelist:
             with pytest.raises(InvalidArgument, match="distinct"):
                 parse_edgelist(text)
         # a reversed edge alone is still the same edge
-        assert parse_edgelist("3 1\n2 0\n").edge_list == ((0, 2),)
+        assert tuple(parse_edgelist("3 1\n2 0\n").edges()) == ((0, 2),)
 
     def test_order_above_limit_rejected_before_allocation(self, monkeypatch):
         def refuse(n, edges):
@@ -155,19 +155,35 @@ class TestFiles:
 
 
 class TestReadPeak:
-    # Allocation ratios do not depend on the machine.  The text is split
-    # a piece at a time, the endpoints wait in one list of shared ints,
-    # and graph6 bits stream into build_graph, so reading holds little
-    # beyond the graph it returns.
+    # `tracemalloc` counts bytes by object size, so the figures depend on
+    # the interpreter, not on the machine.  The text is split a piece at
+    # a time, the endpoints wait in one list of shared ints, and graph6
+    # bits stream into build_graph.  A peak may not pass what reading
+    # peaked at when a graph still kept an edge-list tuple beside its
+    # adjacency (683207 and 485559 bytes); what it keeps is bounded by
+    # its measured size with the adjacency alone.
     @pytest.mark.parametrize(
-        "make, fmt",
-        [(lambda: chain(ChainSpec(5, 48)).graph, "edgelist"), (lambda: reiman(16).graph, "graph6")],
+        "make, fmt, peak_bound, kept_bound",
+        [
+            (lambda: chain(ChainSpec(5, 48)).graph, "edgelist", 683_207, 233_000),
+            (lambda: reiman(16).graph, "graph6", 485_559, 116_000),
+        ],
         ids=["chain(5,48)-edgelist", "reiman(16)-graph6"],
     )
-    def test_read_peak_is_its_result(self, tmp_path, make, fmt):
+    def test_read_peak_is_its_result(self, tmp_path, make, fmt, peak_bound, kept_bound):
         g = make()
         path = tmp_path / "g"
         write_graph(g, path, fmt)
         read, retained, peak = traced(read_graph, path)
         assert read == g
-        assert peak <= 1.3 * retained
+        assert retained <= kept_bound
+        assert peak <= peak_bound
+
+    def test_isolated_vertices_cost_their_slot(self, tmp_path):
+        # n = MAX_ORDER with no edges keeps one adjacency slot per vertex,
+        # 8 MB; an int object or a list per vertex would double the peak.
+        path = tmp_path / "g"
+        path.write_text(f"{MAX_ORDER} 0\n")
+        read, retained, peak = traced(read_graph, path)
+        assert (read.n, read.m) == (MAX_ORDER, 0)
+        assert peak <= 2 * retained

@@ -72,7 +72,7 @@ def edge_sample(g, rng, size):
     among the first ones offered, so that sets hold bridges and edges
     that share an end."""
     bridges = bridges_networkx(g)
-    rest = sorted(set(g.edge_list) - set(bridges))
+    rest = sorted(set(g.edges()) - set(bridges))
     rng.shuffle(bridges)
     rng.shuffle(rest)
     picked = (bridges[: size // 2] + rest)[:size]
@@ -118,7 +118,7 @@ def graphs_with_edges(draw):
     n = draw(st.integers(min_value=2, max_value=40))
     g = random_connected_graph(rng, n, draw(st.integers(min_value=0, max_value=n)))
     size = draw(st.integers(min_value=1, max_value=min(g.m, 12)))
-    return g, rng.sample(g.edge_list, size)
+    return g, rng.sample(tuple(g.edges()), size)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -126,8 +126,8 @@ class TestKernelDifferential:
     @COMMON
     @given(connected_graphs(max_n=12), connected_graphs(max_n=12), st.data())
     def test_disconnected_raises(self, a, b, data):
-        shifted = [(u + a.n, v + a.n) for u, v in b.edge_list]
-        g = build_graph(a.n + b.n, list(a.edge_list) + shifted)
+        shifted = [(u + a.n, v + a.n) for u, v in b.edges()]
+        g = build_graph(a.n + b.n, list(a.edges()) + shifted)
         g = relabel(g, data.draw(st.permutations(range(g.n))))
         assert not is_connected(g)
         with pytest.raises(DisconnectedGraph):
@@ -248,7 +248,7 @@ class TestDerivedGraphProperties:
         if g.n < 2:
             return
         p2 = power_graph(g, 2)
-        assert set(g.edge_list) <= set(p2.edge_list)
+        assert set(g.edges()) <= set(p2.edges())
         diam = eccentricity_profile(g).diameter
         full = power_graph(g, max(diam, 1))
         assert full.m == g.n * (g.n - 1) // 2

@@ -135,7 +135,7 @@ class TestValidation:
     @pytest.mark.parametrize("variant", ["girth6", "maxdeg"])
     def test_disconnected_graph(self, reiman2, variant):
         h = reiman2.graph
-        g = build_graph(2 * h.n, list(h.edge_list) + [(u + h.n, v + h.n) for u, v in h.edge_list])
+        g = build_graph(2 * h.n, list(h.edges()) + [(u + h.n, v + h.n) for u, v in h.edges()])
         anchor = 0 if variant == "maxdeg" else None
         with pytest.raises(DisconnectedGraph):
             build_matching(g, variant, anchor)
@@ -151,7 +151,7 @@ class TestMatching:
     def test_chain32_single_edge(self, chain32):
         m = build_matching(chain32.graph, "girth6")
         assert m.edges == ((0, 8),)
-        assert m.edges[0] == chain32.graph.edge_list[0]
+        assert m.edges[0] == tuple(chain32.graph.edges())[0]
 
     def test_scattering_and_coverage(self):
         g = chain(ChainSpec(3, 6)).graph
@@ -167,7 +167,7 @@ class TestMatching:
                 assert edge_distance_oracle(G, m.edges[i], m.edges[j]) == pairwise[i][j]
         verts = {v for e in m.edges for v in e}
         dist = distances_from(g, verts)
-        for u, v in g.edge_list:
+        for u, v in g.edges():
             assert min(dist[u], dist[v]) <= 4
 
     def test_maxdeg_anchor_rules(self):
@@ -197,7 +197,7 @@ class TestMatching:
         d1 = distances_from(g, m.edges[0])
         rest = {v for e in m.edges[1:] for v in e}
         d2 = distances_from(g, rest) if rest else None
-        for u, v in g.edge_list:
+        for u, v in g.edges():
             a = min(d1[u], d1[v])
             b = min(d2[u], d2[v]) if d2 else None
             assert a <= 5 or (b is not None and b <= 4)
@@ -212,17 +212,17 @@ class TestAnchorBonus:
         # variants start at its first edge, and every edge lies within
         # 5 of it.
         g = from_nx(nx.hexagonal_lattice_graph(4, 4, periodic=True))
-        f = g.edge_list[0]
+        f = tuple(g.edges())[0]
         G = to_nx(g)
-        d1 = [edge_distance_oracle(G, e, f) for e in g.edge_list]
+        d1 = [edge_distance_oracle(G, e, f) for e in g.edges()]
         assert max(d1) == 5
-        first_at_5 = g.edge_list[d1.index(5)]
+        first_at_5 = tuple(g.edges())[d1.index(5)]
         assert build_matching(g, "maxdeg", f[0]).edges == (f,)
         assert build_matching(g, "girth6").edges[:2] == (f, first_at_5)
         g = chain32.graph
         f = (1, 7)
         G = to_nx(g)
-        assert max(edge_distance_oracle(G, e, f) for e in g.edge_list) == 5
+        assert max(edge_distance_oracle(G, e, f) for e in g.edges()) == 5
         REPLAY_MODULE._assert_matching(g, [f], 1)
         with pytest.raises(ConstructionInvariantViolated, match=r"\(4 around the anchor"):
             REPLAY_MODULE._assert_matching(g, [f], 0)
@@ -244,7 +244,7 @@ class TestAnchorBonus:
         g = chain(ChainSpec(3, 6)).graph
         m = build_matching(g, "girth6")
         dist = distances_from(g, m.edges[1])
-        near = [f for f in g.edge_list if min(dist[f[0]], dist[f[1]]) in (1, 2)]
+        near = [f for f in g.edges() if min(dist[f[0]], dist[f[1]]) in (1, 2)]
         edges = list(m.edges) + near
         G = to_nx(g)
         i, j, d = next(
@@ -304,10 +304,10 @@ class TestTree:
         t = build_tree(g, m)
         tree = t.tree
         assert tree.n == g.n and tree.m == g.n - 1
-        assert set(tree.edge_list) <= set(g.edge_list)
+        assert set(tree.edges()) <= set(g.edges())
         mverts = {v for e in m.edges for v in e}
         dm = distances_from(g, mverts)
-        T = nx.Graph(list(tree.edge_list))
+        T = nx.Graph(list(tree.edges()))
         T.add_nodes_from(range(tree.n))
         for x in range(g.n):
             w = t.assignment[x]
@@ -344,7 +344,7 @@ class TestTree:
             for i in range(1, len(m.edges)):
                 earlier = frozenset().union(*balls[:i])
                 expected = min(
-                    (x, y) for x, y in g.edge_list
+                    (x, y) for x, y in g.edges()
                     if (x in balls[i] and y in earlier) or (y in balls[i] and x in earlier)
                 )
                 assert t.connectors[i - 1] == expected
@@ -379,7 +379,7 @@ class TestTree:
             break
         else:
             pytest.fail("no leaf to re-hang")
-        edges = set(tree.edge_list) - {(min(x, parent), max(x, parent))}
+        edges = set(tree.edges()) - {(min(x, parent), max(x, parent))}
         edges.add((min(x, y), max(x, y)))
         tampered = t._replace(tree=build_graph(g.n, edges))
         match = f"^vertex {x} is assigned to {t.assignment[x]}, but no tree neighbour "
@@ -402,7 +402,7 @@ class TestTree:
             if y != x and dm[y] == dm[x] and t.assignment[y] == t.assignment[x]
         )
         (parent,) = tree.adjacency[x]
-        edges = set(tree.edge_list) - {(min(x, parent), max(x, parent))}
+        edges = set(tree.edges()) - {(min(x, parent), max(x, parent))}
         edges.add((min(x, y), max(x, y)))
         tampered = t._replace(tree=build_graph(g.n, edges))
         match = f"^vertex {x} is assigned to {t.assignment[x]}, but no tree neighbour "
@@ -462,7 +462,7 @@ class TestTree:
 
     def test_overlapping_matching_rejected(self, chain32):
         g = chain32.graph
-        e1, e2 = g.edge_list[0], g.edge_list[1]  # share vertex 0
+        e1, e2 = tuple(g.edges())[:2]  # share vertex 0
         fake = Matching(variant="girth6", edges=(e1, e2), anchor=None)
         with pytest.raises(ConstructionInvariantViolated):
             build_tree(g, fake)
@@ -695,11 +695,11 @@ class TestLineDisplacement:
         def tampering(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
             line = bound.arguments["line"]
-            edges = set(line.edge_list)
+            edges = set(line.edges())
             if tamper == "drop":
                 tree = bound.arguments["anchored"].tree
                 v = next(v for v in range(tree.n) if tree.degree(v) >= 3)
-                ids = [i for i, e in enumerate(tree.edge_list) if v in e]
+                ids = [i for i, e in enumerate(tree.edges()) if v in e]
                 edges.discard((ids[0], ids[1]))
             else:
                 dist = distances_from(line, (0,))
@@ -762,8 +762,8 @@ class TestContractionIdentities:
     @given(labelled_trees(min_n=3))
     def test_line_ecc_identity_on_trees(self, tree):
         ecc = eccentricity_profile(tree).ecc
-        assert REPLAY_MODULE._line_ecc(ecc, tree.edge_list) == line_ecc_oracle(
-            tree, tree.edge_list
+        assert REPLAY_MODULE._line_ecc(ecc, tuple(tree.edges())) == line_ecc_oracle(
+            tree, tuple(tree.edges())
         )
 
     @pytest.mark.parametrize("variant", ["girth6", "maxdeg"])
@@ -798,7 +798,7 @@ class TestContractionIdentities:
             m_line, target = args["m_line"], args["target"]
             dist = distances_from(args["line"], (m_line[0],))
             j = next(j for j, li in enumerate(m_line) if dist[li] > 6 + args["bonus"])
-            args["target"] = build_graph(target.n, target.edge_list + ((0, j),))
+            args["target"] = build_graph(target.n, tuple(target.edges()) + ((0, j),))
 
         _patch_structural_checks(monkeypatch, add_far_edge)
         tr = _replay(chain(ChainSpec(3, 10)).graph, variant)

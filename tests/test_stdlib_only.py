@@ -1,7 +1,8 @@
 """avec is stdlib-only: every absolute import in the package names a
 module of the standard library, and importing the CLI loads none of the
 costly ones that no avec command needs.  No module of the package grows
-long enough to lift what every command pays to compile it."""
+long enough to lift what every command pays to compile it, and none
+reads an `edge_list`: a graph's edges come from `Graph.edges()`."""
 
 import ast
 import subprocess
@@ -33,6 +34,27 @@ def test_sources_found():
 def test_imports_are_stdlib(path):
     names = set(absolute_imports(path.read_text(encoding="utf-8")))
     assert names <= sys.stdlib_module_names, sorted(names - sys.stdlib_module_names)
+
+
+def attribute_reads(source, name):
+    """Line numbers where `source` reads the attribute `name`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_edge_list_read(path):
+    # Graph keeps n, m and its adjacency; an edge-list attribute would
+    # hide an O(m) copy behind a name.
+    assert attribute_reads(path.read_text(encoding="utf-8"), "edge_list") == []
+
+
+def test_attribute_reader_sees_reads():
+    source = "g.edge_list[0]\nfor e in trace.tree.edge_list: pass\nedge_list = 1\n"
+    assert attribute_reads(source, "edge_list") == [1, 2]
 
 
 def test_reader_sees_every_import_form():

@@ -18,14 +18,14 @@ from fractions import Fraction
 import networkx as nx
 
 from avec.errors import DisconnectedGraph, InvalidArgument, InvalidEdge, InvalidVertex, NotAscii
-from avec.graph import CycleScan, Graph, _bfs, ball, build_graph
+from avec.graph import CycleScan, _bfs, ball, build_graph
 from avec.io import MAX_ORDER
 
 
 def to_nx(g):
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
-    G.add_edges_from(g.edge_list)
+    G.add_edges_from(g.edges())
     return G
 
 
@@ -73,7 +73,7 @@ def girth_oracle(g):
     """min over edges uv of d_{G-uv}(u, v) + 1, or +inf for a forest."""
     G = to_nx(g)
     best = math.inf
-    for u, v in g.edge_list:
+    for u, v in g.edges():
         G.remove_edge(u, v)
         if nx.has_path(G, u, v):
             best = min(best, nx.shortest_path_length(G, u, v) + 1)
@@ -109,7 +109,7 @@ def cycle_scan_oracle(g):
     anchored at each edge.  Slow beyond a few thousand edges.
     """
     adj_sets = [set(a) for a in g.adjacency]
-    has_c3 = any(adj_sets[u] & adj_sets[v] for u, v in g.edge_list)
+    has_c3 = any(adj_sets[u] & adj_sets[v] for u, v in g.edges())
     has_c4 = False
     seen_pairs = set()
     for u in range(g.n):
@@ -126,7 +126,7 @@ def cycle_scan_oracle(g):
         if has_c4:
             break
     has_c5 = False
-    for u, v in g.edge_list:
+    for u, v in g.edges():
         for a in g.adjacency[u]:
             if a == v:
                 continue
@@ -243,7 +243,7 @@ def to_graph6_oracle(g):
         head.extend(((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0))
     else:
         raise InvalidArgument(f"graph too large for graph6: n={n}")
-    adj = set(g.edge_list)
+    adj = set(g.edges())
     bits = []
     for v in range(1, n):
         for u in range(v):
@@ -261,7 +261,8 @@ def to_graph6_oracle(g):
 
 def from_graph6_oracle(text):
     """graph6 decoding by one list entry per vertex pair, Theta(n^2),
-    with the library's checks and messages in the library's order."""
+    with the library's checks and messages in the library's order, into
+    (n, adjacency, edges) by `build_graph_oracle`."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
@@ -302,13 +303,14 @@ def from_graph6_oracle(text):
             if bits[i]:
                 edges.append((u, v))
             i += 1
-    return build_graph(n, edges)
+    return build_graph_oracle(n, edges)
 
 
 def build_graph_oracle(n, edges):
-    """`graph.build_graph` as it was before its one-pass rewrite: a set
-    of normalised pairs, sorted into the edge list, which then fills the
-    adjacency."""
+    """(n, adjacency, edges) of the graph `graph.build_graph` makes, as
+    it was made before the one-pass rewrite: a set of normalised pairs,
+    sorted into the edge tuple, which then fills the adjacency.  The
+    oracle keeps its own edge tuple and makes no `Graph`."""
     if n < 0:
         raise InvalidArgument(f"vertex count must be nonnegative, got {n}")
     seen = set()
@@ -320,18 +322,18 @@ def build_graph_oracle(n, edges):
         if u == v:
             raise InvalidEdge(f"self loop at vertex {u}")
         seen.add((u, v) if u < v else (v, u))
-    edge_list = tuple(sorted(seen))
+    edge_tuple = tuple(sorted(seen))
     nbrs = [[] for _ in range(n)]
-    for u, v in edge_list:
+    for u, v in edge_tuple:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    adjacency = tuple(tuple(sorted(a)) for a in nbrs)
-    return Graph(n, adjacency, edge_list)
+    return n, tuple(tuple(sorted(a)) for a in nbrs), edge_tuple
 
 
 def parse_edgelist_oracle(text):
     """`io.parse_edgelist` as it was before its one-pass rewrite: a list
-    of every data line, then a list of every edge, then the graph."""
+    of every data line, then a list of every edge, then the graph as
+    `build_graph_oracle` gives it."""
     rows = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -362,9 +364,9 @@ def parse_edgelist_oracle(text):
             raise InvalidArgument(f"bad edge line {line!r}") from None
         edges.append((u, v))
     g = build_graph_oracle(n, edges)
-    if g.m != m:
+    if len(g[2]) != m:
         raise InvalidArgument(
-            f"header promises {m} edges, found {g.m} distinct (repeated or reversed edges)"
+            f"header promises {m} edges, found {len(g[2])} distinct (repeated or reversed edges)"
         )
     return g
 
@@ -398,7 +400,7 @@ def line_displacement_oracle(tree, line):
     The all-pairs scan, over networkx distances."""
     dt = dict(nx.all_pairs_shortest_path_length(to_nx(tree)))
     dl = dict(nx.all_pairs_shortest_path_length(to_nx(line)))
-    edges = tree.edge_list
+    edges = tuple(tree.edges())
     worst = None
     for i, (u1, v1) in enumerate(edges):
         for j in range(i, len(edges)):
@@ -506,7 +508,7 @@ def totals_agree_oracle(x, y):
 
 def relabel(g, perm):
     """Copy of g with vertex v renamed perm[v]."""
-    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list])
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def shuffle_labels(g, rng):
@@ -531,7 +533,7 @@ def thin(g, rng, deletions):
     """Copy of g without up to `deletions` edges, tried in random order;
     an edge goes only if both its ends keep degree at least 3."""
     degree = [len(a) for a in g.adjacency]
-    edges = list(g.edge_list)
+    edges = list(g.edges())
     rng.shuffle(edges)
     dropped = set()
     for u, v in edges:
@@ -541,7 +543,7 @@ def thin(g, rng, deletions):
             degree[u] -= 1
             degree[v] -= 1
             dropped.add((u, v))
-    return build_graph(g.n, [e for e in g.edge_list if e not in dropped])
+    return build_graph(g.n, [e for e in g.edges() if e not in dropped])
 
 
 def star_of_blocks(copies):
@@ -552,7 +554,7 @@ def star_of_blocks(copies):
     is a port with two bridges.  Girth 6, minimum degree 3."""
     from avec.generators import reiman
 
-    heawood = reiman(2).graph.edge_list
+    heawood = tuple(reiman(2).graph.edges())
     hubs = (0, 0) + tuple(2 * j for j in range(3, copies + 1))
     edges = list(heawood)
     for j in range(1, copies + 1):
