@@ -250,8 +250,8 @@ def _audit_item_text(check, size, bound, margin):
     return (
         '\n    {\n      "check": ' + json.dumps(check) + ',\n      "subject": [\n        ',
         '\n      ],\n      "size": ' + json.dumps(size)
-        + ',\n      "bound": ' + json.dumps(_num_json(bound))
-        + ',\n      "margin": ' + json.dumps(_num_json(margin)) + "\n    }",
+        + ',\n      "bound": ' + json.dumps(bound)
+        + ',\n      "margin": ' + json.dumps(margin) + "\n    }",
     )
 
 
@@ -376,9 +376,10 @@ def analyze(g, chain_params=None) -> BoundReport:
     )
 
 
-def _num_json(x):
-    if x is None:
-        return None
+def _fraction_as_float(x):
+    # analyze's rule: a Fraction is spelled as the nearest float.  The
+    # trace spells it as {num, den} (`replay._fraction_as_pair`); the two
+    # stay apart, as either output is pinned byte for byte.
     if isinstance(x, Fraction):
         return float(x)
     return x
@@ -396,9 +397,9 @@ def report_json(report: BoundReport) -> dict:
         "bounds": [
             {
                 "name": b.name,
-                "value": _num_json(b.value),
+                "value": _fraction_as_float(b.value),
                 "applicable": b.applicable,
-                "slack": _num_json(b.slack),
+                "slack": _fraction_as_float(b.slack),
             }
             for b in report.bounds
         ],

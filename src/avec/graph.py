@@ -370,8 +370,8 @@ def eccentricity_profile(g):
         ecc = list(map(max, dist_a, dist_b))
     else:
         adjacency = g.adjacency
-        ecc = [0] * n
-        lower = [0] * n
+        # A resolved vertex's lower bound is its eccentricity.
+        ecc = lower = [0] * n
         upper = [n] * n
         candidates = range(n)
         take_upper = True
@@ -383,10 +383,8 @@ def eccentricity_profile(g):
                 d = dist[w]
                 lo = max(lower[w], e - d, d)
                 hi = min(upper[w], e + d)
-                if lo == hi:
-                    ecc[w] = lo
-                else:
-                    lower[w] = lo
+                lower[w] = lo
+                if lo != hi:
                     upper[w] = hi
                     left.append(w)
             stalled = stalled + 1 if len(left) == len(candidates) - 1 else 0
@@ -398,11 +396,11 @@ def eccentricity_profile(g):
                 chunks = -(-left // _BIT_WIDTH)
                 if max(upper[w] for w in candidates) * chunks < left:
                     for i in range(0, left, _BIT_WIDTH):
-                        _bit_parallel_ecc(g, candidates[i : i + _BIT_WIDTH], ecc)
+                        _bit_parallel_ecc(g, candidates[i : i + _BIT_WIDTH], lower)
                 else:
                     for v in candidates:
                         dist, layer, _ = _bfs(g, (v,))
-                        ecc[v] = dist[layer[0]]
+                        lower[v] = dist[layer[0]]
                 break
             if take_upper:
                 source = max(candidates, key=lambda w: (upper[w], len(adjacency[w])))

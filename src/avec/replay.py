@@ -48,6 +48,7 @@ hang at its graph distance d(x, V(M)) under its matching vertex, and
 one O(n) pass over T shows this by a local identity (`_assert_tree`).
 """
 
+from bisect import bisect_left
 from collections import Counter, namedtuple
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -122,6 +123,8 @@ class ProofTrace(
 
 
 def _validate_replay_input(g, variant, anchor):
+    if g.n < 1:
+        raise InvalidArgument("graph must have at least one vertex")
     if variant not in (VARIANT_GIRTH6, VARIANT_MAXDEG):
         raise InvalidArgument(f"unknown variant {variant!r}")
     if variant == VARIANT_GIRTH6 and anchor is not None:
@@ -234,8 +237,8 @@ def build_tree(g, matching: Matching) -> AnchoredTree:
     Each matching edge's ball (radius 2, the anchor edge 2 + bonus) is
     spanned by a tree preserving the distance to the edge; the balls
     must be pairwise disjoint.  Ball trees are joined by the smallest
-    joining edge, then every remaining vertex is attached to a
-    smallest-index parent one step closer to V(M).
+    joining edge, then every remaining vertex, in the order of one BFS
+    from V(M), hangs on its smallest neighbour one step closer to V(M).
     """
     n = g.n
     k = len(matching.edges)
@@ -277,24 +280,22 @@ def build_tree(g, matching: Matching) -> AnchoredTree:
             )
         tree_edges.add(connectors[i])
 
-    mverts = [v for e in matching.edges for v in e]
-    dM = distances_from(g, mverts)
-    in_tree = [o != -1 for o in owner]
-    pending = sorted(
-        (d, v) for v, d in enumerate(dM) if d is not None and not in_tree[v]
-    )
-    for d, v in pending:
-        parents = [w for w in g.adjacency[v] if dM[w] == d - 1 and in_tree[w]]
+    # Attached means assigned; BFS order attaches all of distance d - 1 first.
+    dM, _, reached = _bfs(g, [v for e in matching.edges for v in e])
+    if len(reached) != n:
+        raise ConstructionInvariantViolated("graph is disconnected")
+    for v in reached:
+        if assignment[v] != -1:
+            continue
+        d = dM[v]
+        parents = [w for w in g.adjacency[v] if dM[w] == d - 1 and assignment[w] != -1]
         if not parents:
             raise ConstructionInvariantViolated(
                 f"vertex {v} has no attached neighbour at distance {d - 1} from V(M)"
             )
         p = parents[0]
         tree_edges.add((min(v, p), max(v, p)))
-        in_tree[v] = True
         assignment[v] = assignment[p]
-    if any(d is None for d in dM):
-        raise ConstructionInvariantViolated("graph is disconnected")
 
     tree = build_graph(n, tree_edges)
     anchored = AnchoredTree(
@@ -312,11 +313,8 @@ def _assert_tree(g, matching, anchored, dM):
     tree = anchored.tree
     n = g.n
     if tree.m != n - 1:
-        raise ConstructionInvariantViolated(
-            f"tree has {tree.m} edges, expected {n - 1}"
-        )
-    reach = distances_from(tree, (0,))
-    if any(d is None for d in reach):
+        raise ConstructionInvariantViolated(f"tree has {tree.m} edges, expected {n - 1}")
+    if not is_connected(tree):
         raise ConstructionInvariantViolated("tree is not spanning")
     for i, e in enumerate(matching.edges):
         if e not in anchored.subtrees[i]:
@@ -396,8 +394,8 @@ def compute_weights(g, matching: Matching, anchored: AnchoredTree, constants) ->
 
 def replay(g, variant, anchor=None) -> ProofTrace:
     """Run the whole pipeline and check every inequality in order."""
-    profile_g = eccentricity_profile(g)
     matching = build_matching(g, variant, anchor)
+    profile_g = eccentricity_profile(g)
     anchored = build_tree(g, matching)
     tree = anchored.tree
     n = g.n
@@ -423,8 +421,7 @@ def replay(g, variant, anchor=None) -> ProofTrace:
     # Target vertex i is matching edge i.
     bonus = _bonus(variant)
     line, line_edges = line_graph(tree)
-    line_index = {e: i for i, e in enumerate(line_edges)}
-    at = {line_index[e]: i for i, e in enumerate(matching.edges)}
+    at = {bisect_left(line_edges, e): i for i, e in enumerate(matching.edges)}
     m_line = list(at)
     power, orig = induced_subgraph(power_graph(line, 6), m_line)
     _, _, near_e1 = _bfs(line, (m_line[0],), 6 + bonus)
@@ -518,7 +515,7 @@ def replay(g, variant, anchor=None) -> ProofTrace:
     check("final_bound", avec_g, final_bound)
 
     structural = _structural_checks(
-        anchored, weights, profile_g, profile_t, line, target, m_line, bonus, n
+        anchored, weights, profile_g, profile_t, line, line_edges, target, m_line, bonus, n
     )
 
     values = (
@@ -563,7 +560,8 @@ def replay(g, variant, anchor=None) -> ProofTrace:
     )
 
 
-def _structural_checks(anchored, weights, profile_g, profile_t, line, target, m_line, bonus, n):
+def _structural_checks(anchored, weights, profile_g, profile_t, line, line_edges, target,
+                       m_line, bonus, n):
     out = []
 
     def add(name, lhs, rhs, passed):
@@ -592,7 +590,7 @@ def _structural_checks(anchored, weights, profile_g, profile_t, line, target, m_
     worst = min(t - gg for t, gg in zip(profile_t.ecc, profile_g.ecc))
     add("tree_ecc_domination", worst, 0, worst >= 0)
 
-    worst_gap, is_line = _line_displacement(anchored.tree, line)
+    worst_gap, is_line = _line_displacement(anchored.tree, line, line_edges)
     add("line_displacement", worst_gap, 1, worst_gap is not None and is_line)
 
     worst_pc, is_power = _power_contraction(line, target, m_line, bonus)
@@ -629,7 +627,7 @@ def _power_contraction(line, target, m_line, bonus):
     return 0, target.n == len(m_line) and list(target.edges()) == sorted(joins)
 
 
-def _line_displacement(tree, line):
+def _line_displacement(tree, line, edges):
     """Worst gap of d_T(x, y) <= d_L(e, f) + 1, and whether line = L(tree).
 
     Certified by identity, in O(n + |E(L)|) instead of over all pairs:
@@ -638,29 +636,30 @@ def _line_displacement(tree, line):
     d_L(e, f) + 1, and e = f gives d_T = 1 against d_L = 0.  Every gap
     is 1, and the worst is None only when the tree has no edge.  The
     identity needs `tree` to be a tree, which `_assert_tree` has shown,
-    and `line` to be its line graph: vertex i is tree edge i, adjacent
-    to exactly the other edges that share an endpoint with it.
+    and `line` to be its line graph: `edges`, `line_graph`'s table, lists
+    `tree.edges()`, read here without a copy, and vertex i is adjacent to
+    exactly the other edges that share an endpoint with edge i.
     """
-    edges = tuple(tree.edges())
     incident = [[] for _ in range(tree.n)]
-    for i, (u, v) in enumerate(edges):
+    for i, (u, v) in enumerate(tree.edges()):
         incident[u].append(i)
         incident[v].append(i)
-    is_line = line.n == len(edges) and all(
-        line.adjacency[i] == tuple(sorted(j for j in incident[u] + incident[v] if j != i))
-        for i, (u, v) in enumerate(edges)
+    is_line = line.n == len(edges) == tree.m and all(
+        edges[i] == (u, v)
+        and line.adjacency[i] == tuple(sorted(j for j in incident[u] + incident[v] if j != i))
+        for i, (u, v) in enumerate(tree.edges())
     )
-    return (1 if edges else None), is_line
+    return (1 if tree.m else None), is_line
 
 
-def _num_json(x):
-    if isinstance(x, Fraction):
-        return {"num": x.numerator, "den": x.denominator}
-    return x
+def _fraction_as_pair(x):
+    # The trace's rule: a Fraction is spelled exactly, as {num, den}.
+    return {"num": x.numerator, "den": x.denominator} if isinstance(x, Fraction) else x
 
 
 def _check_json(c):
-    return {"name": c.name, "lhs": _num_json(c.lhs), "rhs": _num_json(c.rhs), "pass": c.passed}
+    pair = _fraction_as_pair
+    return {"name": c.name, "lhs": pair(c.lhs), "rhs": pair(c.rhs), "pass": c.passed}
 
 
 def trace_json(trace: ProofTrace) -> dict:
@@ -684,13 +683,13 @@ def trace_json(trace: ProofTrace) -> dict:
         "weights": {
             "c": list(trace.weights.c),
             "cbar": list(trace.weights.cbar),
-            "cprime": [_num_json(w) for w in trace.weights.cprime],
-            "n_normalized": _num_json(trace.weights.n_normalized),
+            "cprime": [_fraction_as_pair(w) for w in trace.weights.cprime],
+            "n_normalized": _fraction_as_pair(trace.weights.n_normalized),
         },
-        "values": {name: _num_json(v) for name, v in trace.values},
+        "values": {name: _fraction_as_pair(v) for name, v in trace.values},
         "checks": [_check_json(c) for c in trace.checks],
         "structural": [_check_json(c) for c in trace.structural],
-        "final_bound": _num_json(trace.final_bound),
+        "final_bound": _fraction_as_pair(trace.final_bound),
         "overall_pass": trace.overall_pass,
         "notes": list(trace.notes),
     }

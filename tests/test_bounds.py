@@ -260,6 +260,10 @@ class TestAuditBalls:
 
     def test_audit_json(self, reiman2):
         record = B.audit_balls(reiman2.graph)
+        # The writer spells bounds and margins with json.dumps as they
+        # are: ints for delta_star and delta_circ, floats for Delta_star
+        # and Delta_circ, never a Fraction.
+        assert {type(x) for it in record.items for x in (it.bound, it.margin)} == {int, float}
         out = io.StringIO()
         B.write_audit_json(record, out)
         assert out.getvalue() == audit_json_oracle(record)

@@ -282,4 +282,5 @@ class TestAuditWriter:
             code = cli.main(["audit", str(fuzz_file)])
         record = audit_balls(g)
         assert code == (0 if record.passed else 1)
+        assert {type(x) for it in record.items for x in (it.bound, it.margin)} <= {int, float}
         assert out.getvalue() == audit_json_oracle(record)

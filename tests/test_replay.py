@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from avec import cli
 from avec.bounds import structural_constants
@@ -29,6 +29,7 @@ from avec.graph import (
     build_graph,
     distances_from,
     eccentricity_profile,
+    is_connected,
     line_graph,
 )
 from avec.io import format_edgelist
@@ -40,7 +41,9 @@ from avec.replay import (
     replay,
     trace_json,
 )
+from test_replay_digests import INPUTS as DIGEST_INPUTS
 from util import (
+    build_tree_oracle,
     classic,
     eccentricities_oracle,
     edge_distance_oracle,
@@ -50,7 +53,11 @@ from util import (
     matching_oracle,
     power_contraction_oracle,
     relabel,
+    shuffle_labels,
+    star_of_blocks,
+    thin,
     to_nx,
+    traced,
 )
 
 REPLAY_MODULE = importlib.import_module("avec.replay")
@@ -468,6 +475,93 @@ class TestTree:
             build_tree(g, fake)
 
 
+class TestTreeOracle:
+    """`build_tree` attaches the vertices outside the balls in the order
+    of one BFS from V(M), with the assignment as its attached marker;
+    the sorted (distance, vertex) order that it replaced gives the same
+    tree, assignment, subtrees and connectors."""
+
+    @pytest.mark.parametrize("variant", ["girth6", "maxdeg"])
+    @pytest.mark.parametrize("name", list(DIGEST_INPUTS))
+    def test_digest_inputs(self, name, variant):
+        g = DIGEST_INPUTS[name]()
+        anchor = smallest_max_degree_vertex(g) if variant == "maxdeg" else None
+        m = build_matching(g, variant, anchor)
+        assert build_tree(g, m) == build_tree_oracle(g, m)
+
+    BASES = (
+        lambda: chain(ChainSpec(3, 2)).graph,
+        lambda: chain(ChainSpec(3, 6)).graph,
+        lambda: chain(ChainSpec(4, 2)).graph,
+        lambda: chain(ChainSpec(4, 4)).graph,
+        lambda: chain(ChainSpec(5, 2)).graph,
+        lambda: chain(ChainSpec(3, 2, reiman(4))).graph,
+        lambda: reiman(3).graph,
+        lambda: star_of_blocks(3),
+    )
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(BASES),
+        st.integers(0, 2**32),
+        st.integers(0, 12),
+        st.sampled_from(["girth6", "maxdeg"]),
+    )
+    def test_drawn_inputs(self, base, seed, deletions, variant):
+        # Thinning keeps girth 6 and minimum degree 3; a relabelling
+        # reorders both the matching and the BFS from V(M).
+        rng = random.Random(seed)
+        g = thin(base(), rng, deletions)
+        assume(is_connected(g))
+        g = shuffle_labels(g, rng)
+        anchor = None
+        if variant == "maxdeg":
+            top = g.max_degree()
+            anchor = rng.choice([v for v in range(g.n) if g.degree(v) == top])
+        m = build_matching(g, variant, anchor)
+        assert build_tree(g, m) == build_tree_oracle(g, m)
+
+
+class TestValidateFirst:
+    """Bad input is rejected before the whole-graph eccentricity profile."""
+
+    @pytest.fixture
+    def no_profile(self, monkeypatch):
+        def fail(g):
+            raise AssertionError("eccentricity_profile ran before the input was validated")
+
+        monkeypatch.setattr(REPLAY_MODULE, "eccentricity_profile", fail)
+
+    @pytest.mark.parametrize("variant", ["girth6", "maxdeg"])
+    def test_four_cycle(self, no_profile, variant):
+        g = from_nx(nx.complete_bipartite_graph(3, 3))
+        assert is_connected(g) and g.min_degree() == 3
+        with pytest.raises(NotGirthSix):
+            replay(g, variant, 0 if variant == "maxdeg" else None)
+
+    @pytest.mark.parametrize("variant", ["girth6", "maxdeg"])
+    def test_disconnected(self, no_profile, reiman2, variant):
+        h = reiman2.graph
+        g = build_graph(2 * h.n, list(h.edges()) + [(u + h.n, v + h.n) for u, v in h.edges()])
+        with pytest.raises(DisconnectedGraph, match="replay needs a connected graph"):
+            replay(g, variant, 0 if variant == "maxdeg" else None)
+
+    @pytest.mark.parametrize("variant", ["girth6", "maxdeg", "fastest"])
+    def test_empty_graph(self, no_profile, variant):
+        with pytest.raises(InvalidArgument, match="at least one vertex"):
+            replay(build_graph(0, []), variant)
+
+
+def test_replay_peak():
+    # `traced` counts bytes by object size, so the figure depends on the
+    # interpreter, not on the machine.  The girth6 replay of chain(3,128)
+    # peaked at 1628378 bytes while it kept a second copy of the tree's
+    # edges and a dict over them; it measured 1382338 bytes without.
+    tr, _, peak = traced(replay, chain(ChainSpec(3, 128)).graph, "girth6")
+    assert tr.overall_pass
+    assert peak <= 1_400_000
+
+
 class TestWeights:
     def test_totals_and_floor(self, chain34):
         g = chain34.graph
@@ -666,8 +760,8 @@ class TestLineDisplacement:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(labelled_trees())
     def test_identity_matches_oracle_on_trees(self, tree):
-        line, _ = line_graph(tree)
-        assert REPLAY_MODULE._line_displacement(tree, line) == (
+        line, edges = line_graph(tree)
+        assert REPLAY_MODULE._line_displacement(tree, line, edges) == (
             line_displacement_oracle(tree, line),
             True,
         )
@@ -716,11 +810,40 @@ class TestLineDisplacement:
 
     def test_wrong_vertex_count_fails(self):
         tree = build_graph(3, [(0, 1), (1, 2)])
-        assert REPLAY_MODULE._line_displacement(tree, build_graph(1, [])) == (1, False)
+        edges = tuple(tree.edges())
+        assert REPLAY_MODULE._line_displacement(tree, build_graph(1, []), edges) == (1, False)
 
     def test_no_edges(self):
         tree = build_graph(1, [])
-        assert REPLAY_MODULE._line_displacement(tree, build_graph(0, [])) == (None, True)
+        assert REPLAY_MODULE._line_displacement(tree, build_graph(0, []), ()) == (None, True)
+
+    @pytest.mark.parametrize("change", ["swap", "replace", "drop", "extra"])
+    def test_edge_table_must_be_the_trees(self, change):
+        # The path 0-1-2-3: L(T) is the path on edges 0, 1, 2 either way
+        # round, so only the table can tell a swapped or foreign edge.
+        tree = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        line, edges = line_graph(tree)
+        assert REPLAY_MODULE._line_displacement(tree, line, edges) == (1, True)
+        table = {
+            "swap": ((2, 3), (1, 2), (0, 1)),
+            "replace": ((0, 1), (1, 2), (0, 3)),
+            "drop": edges[:2],
+            "extra": edges + ((0, 3),),
+        }[change]
+        assert REPLAY_MODULE._line_displacement(tree, line, table) == (1, False)
+
+    def test_replay_passes_line_graphs_table(self, monkeypatch):
+        # A table that names one wrong edge fails line_displacement alone.
+        real = REPLAY_MODULE.line_graph
+
+        def wrong_table(tree):
+            line, edges = real(tree)
+            return line, edges[:-1] + ((edges[-1][0], edges[-1][1] + 1),)
+
+        monkeypatch.setattr(REPLAY_MODULE, "line_graph", wrong_table)
+        tr = replay(chain(ChainSpec(3, 4)).graph, "girth6")
+        assert not _structural(tr, "line_displacement").passed
+        assert all(c.passed for c in tr.structural if c.name != "line_displacement")
 
 
 def _patch_structural_checks(monkeypatch, edit):

@@ -17,9 +17,17 @@ from fractions import Fraction
 
 import networkx as nx
 
-from avec.errors import DisconnectedGraph, InvalidArgument, InvalidEdge, InvalidVertex, NotAscii
-from avec.graph import CycleScan, _bfs, ball, build_graph
+from avec.errors import (
+    ConstructionInvariantViolated,
+    DisconnectedGraph,
+    InvalidArgument,
+    InvalidEdge,
+    InvalidVertex,
+    NotAscii,
+)
+from avec.graph import CycleScan, _bfs, ball, build_graph, distances_from
 from avec.io import MAX_ORDER
+from avec.replay import AnchoredTree, _bonus
 
 
 def to_nx(g):
@@ -469,6 +477,77 @@ def matching_oracle(g, variant, anchor=None):
             if uncovered(e) and (d(e, chosen[:1]) == 6 or d(e, chosen[1:]) == 5)
         ))
     return tuple(chosen)
+
+
+def build_tree_oracle(g, matching):
+    """The anchored tree by the construction that `replay.build_tree`
+    replaced: the vertices outside the balls are attached in sorted
+    (distance to V(M), vertex) order, with a second attached marker.
+    It runs no `_assert_tree`, which `build_tree` runs itself."""
+    n = g.n
+    k = len(matching.edges)
+    radii = (2 + _bonus(matching.variant),) + (2,) * (k - 1)
+    owner = [-1] * n
+    assignment = [-1] * n
+    tree_edges = set()
+    subtrees = []
+    for i, (a, b) in enumerate(matching.edges):
+        dist, _, reached = _bfs(g, (a, b), radii[i])
+        sub = {(a, b)}
+        for v in reached:
+            if owner[v] != -1:
+                raise ConstructionInvariantViolated(
+                    f"vertex {v} lies in the balls of {matching.edges[owner[v]]} "
+                    f"and {matching.edges[i]}"
+                )
+            owner[v] = i
+            if dist[v] == 0:
+                assignment[v] = v
+                continue
+            parent = min(w for w in g.adjacency[v] if dist[w] == dist[v] - 1)
+            sub.add((min(v, parent), max(v, parent)))
+            assignment[v] = assignment[parent]
+        subtrees.append(frozenset(sub))
+        tree_edges |= sub
+
+    connectors = [None] * k
+    for x, y in g.edges():
+        ox, oy = owner[x], owner[y]
+        if ox != oy and ox >= 0 and oy >= 0 and connectors[max(ox, oy)] is None:
+            connectors[max(ox, oy)] = (x, y)
+    for i in range(1, k):
+        if connectors[i] is None:
+            raise ConstructionInvariantViolated(
+                f"no edge joins the ball of {matching.edges[i]} to the earlier balls"
+            )
+        tree_edges.add(connectors[i])
+
+    mverts = [v for e in matching.edges for v in e]
+    dM = distances_from(g, mverts)
+    in_tree = [o != -1 for o in owner]
+    pending = sorted(
+        (d, v) for v, d in enumerate(dM) if d is not None and not in_tree[v]
+    )
+    for d, v in pending:
+        parents = [w for w in g.adjacency[v] if dM[w] == d - 1 and in_tree[w]]
+        if not parents:
+            raise ConstructionInvariantViolated(
+                f"vertex {v} has no attached neighbour at distance {d - 1} from V(M)"
+            )
+        p = parents[0]
+        tree_edges.add((min(v, p), max(v, p)))
+        in_tree[v] = True
+        assignment[v] = assignment[p]
+    if any(d is None for d in dM):
+        raise ConstructionInvariantViolated("graph is disconnected")
+
+    return AnchoredTree(
+        tree=build_graph(n, tree_edges),
+        assignment=tuple(assignment),
+        subtrees=tuple(subtrees),
+        connectors=tuple(connectors[1:]),
+        radii=radii,
+    )
 
 
 # The float-tolerant comparisons that `bounds.at_most` replaced, each as
