@@ -6,8 +6,10 @@ The inputs cover both sides of every fast path under these commands:
 reiman(16), whose eccentricities need the search after Takes-Kosters
 bounding stalls, read from an edge list and from graph6; a thinned,
 relabelled reiman(7), whose edge balls differ in size; chain(3,32),
-which bounding resolves; and line_graph(reiman(2)), whose edge balls
-need a search because it has triangles.
+which bounding resolves; chain(3,160), whose 2240 vertices are more
+than `graph._LIST_LIMIT`, so each capped ball search keeps its
+distances in a dict; and line_graph(reiman(2)), whose edge balls need a
+search because it has triangles.
 
 A change that is meant to keep these outputs identical must leave every
 digest here as it is.
@@ -39,6 +41,7 @@ INPUTS = {
     "reiman16_g6": (lambda: reiman(16).graph, "graph6"),
     "reiman7_thinned": (_thinned_reiman7, "edgelist"),
     "chain3_32": (lambda: chain(ChainSpec(3, 32)).graph, "edgelist"),
+    "chain3_160": (lambda: chain(ChainSpec(3, 160)).graph, "edgelist"),
     "line_reiman2": (lambda: line_graph(reiman(2).graph)[0], "edgelist"),
 }
 
@@ -50,6 +53,9 @@ COMMANDS = {
 
 #: (input, command) -> sha256 of the CLI stdout
 DIGESTS = {
+    ("chain3_160", "analyze"): "5e74b680526e21a9ae338def0260b2612b1f80f167685bd3f9f22749e1bc4355",
+    ("chain3_160", "analyze_csv"): "df0fc9bcb7633c2a28bebb8c66a1501601d591cb8cf05987e3b62d03d0cdeaef",
+    ("chain3_160", "audit"): "b49c857036c2cceb881bb49feb53ac2cddcb13beceea2c83af46dbf901896eea",
     ("chain3_32", "analyze"): "87b509a9650890a9495a911954b50510163f006196f0b531eac5e821c9027f94",
     ("chain3_32", "analyze_csv"): "edfaa0dbd6d7c2b4c631ecaaa4ea896f99d21a616bbd8cca8fcf753e6eadcfa1",
     ("chain3_32", "audit"): "53f03b33ec6014cb5a215d4fe6a7878730c22424d4f5e3037e5fb6f93a664a3a",

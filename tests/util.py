@@ -17,15 +17,27 @@ from fractions import Fraction
 
 import networkx as nx
 
+from avec.bounds import _CLASSES, AuditItem, AuditRecord, at_most, structural_constants
 from avec.errors import (
     ConstructionInvariantViolated,
     DisconnectedGraph,
     InvalidArgument,
     InvalidEdge,
     InvalidVertex,
+    NotApplicable,
     NotAscii,
+    OutOfRange,
 )
-from avec.graph import CycleScan, _bfs, ball, build_graph, distances_from
+from avec.graph import (
+    CycleScan,
+    _bfs,
+    _walk2_counts,
+    ball,
+    build_graph,
+    distances_from,
+    forbidden_cycle_scan,
+    is_connected,
+)
 from avec.io import MAX_ORDER
 from avec.replay import AnchoredTree, _bonus
 
@@ -207,6 +219,53 @@ def audit_json_oracle(record):
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def audit_balls_oracle(g):
+    """`bounds.audit_balls` as it was when it held every item: one tuple
+    of `AuditItem`s, edges first, then maximum-degree vertices, each
+    once per class the graph is in."""
+    if not is_connected(g):
+        raise DisconnectedGraph("ball audit needs a connected graph")
+    delta = g.min_degree()
+    if delta < 3:
+        raise OutOfRange(f"ball audit needs minimum degree >= 3, got {delta}")
+    scan = forbidden_cycle_scan(g)
+    if not scan.class_c4c5free:
+        raise NotApplicable("graph is neither girth-6 nor (C4,C5)-free")
+    Delta = g.max_degree()
+    sc = structural_constants(delta, Delta)
+    classes = [cls for cls in _CLASSES if getattr(scan, cls.flag)]
+    edges = tuple(g.edges())
+    if scan.class_girth6:
+        s = _walk2_counts(g.adjacency)
+        edge_sizes = [s[u] + s[v] + 2 for u, v in edges]
+    else:
+        edge_sizes = [len(ball(g, e, 2)) for e in edges]
+    hubs = [v for v in range(g.n) if g.degree(v) == Delta]
+    hub_sizes = [len(ball(g, (v,), 3)) for v in hubs]
+    items = []
+    for e, size in zip(edges, edge_sizes):
+        for cls in classes:
+            bound = getattr(sc, cls.delta_const)
+            items.append(AuditItem(cls.edge_item, e, size, bound, size - bound))
+    for v, size in zip(hubs, hub_sizes):
+        for cls in classes:
+            bound = getattr(sc, cls.Delta_const)
+            items.append(AuditItem(cls.vertex_item, (v,), size, bound, size - bound))
+    passed = all(
+        at_most(0, min(min(edge_sizes) - getattr(sc, cls.delta_const),
+                       min(hub_sizes) - getattr(sc, cls.Delta_const)))
+        for cls in classes
+    )
+    return AuditRecord(
+        delta=delta,
+        max_degree=Delta,
+        girth_class=scan.class_girth6,
+        c4c5_class=scan.class_c4c5free,
+        items=tuple(items),
+        passed=passed,
+    )
 
 
 def power_graph_oracle(g, k):
