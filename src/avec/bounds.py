@@ -164,9 +164,45 @@ class AuditItem(namedtuple("AuditItem", "check subject size bound margin")):
 class AuditRecord(
     namedtuple("AuditRecord", "delta max_degree girth_class c4c5_class items passed")
 ):
-    """Every `AuditItem` of one graph and the global pass flag."""
+    """The audit of one graph: its flags, its items and the global pass flag."""
 
     __slots__ = ()
+
+
+class _AuditItems:
+    """The `AuditItem`s of one audit, made afresh on each pass from the
+    graph's edges and maximum-degree vertices, one size per edge and one
+    per such vertex, and the (check, bound) pairs of its classes.
+
+    Edges come first in ascending order, then the vertices of degree
+    `max_degree` ascending; each subject gives one item per class.
+    """
+
+    __slots__ = ("_g", "_max_degree", "_edge_sizes", "_hub_sizes", "_edge_checks",
+                 "_vertex_checks")
+
+    def __init__(self, g, max_degree, edge_sizes, hub_sizes, edge_checks, vertex_checks):
+        self._g = g
+        self._max_degree = max_degree
+        self._edge_sizes = edge_sizes
+        self._hub_sizes = hub_sizes
+        self._edge_checks = edge_checks
+        self._vertex_checks = vertex_checks
+
+    def __len__(self):
+        return (len(self._edge_sizes) + len(self._hub_sizes)) * len(self._edge_checks)
+
+    def __iter__(self):
+        # tuple.__new__ makes the same AuditItem without a call of the
+        # namedtuple's Python-level __new__ per item.
+        new = tuple.__new__
+        for e, size in zip(self._g.edges(), self._edge_sizes):
+            for check, bound in self._edge_checks:
+                yield new(AuditItem, (check, e, size, bound, size - bound))
+        hubs = (v for v, nbrs in enumerate(self._g.adjacency) if len(nbrs) == self._max_degree)
+        for v, size in zip(hubs, self._hub_sizes):
+            for check, bound in self._vertex_checks:
+                yield new(AuditItem, (check, (v,), size, bound, size - bound))
 
 
 def audit_balls(g) -> AuditRecord:
@@ -177,6 +213,12 @@ def audit_balls(g) -> AuditRecord:
     maximum-degree vertex, |N<=3(v)| is checked against Delta_star
     and/or Delta_circ.  Margins (size - bound) are reported raw; a
     negative margin flips the global pass flag but never raises.
+
+    The record keeps one size per edge and one per maximum-degree
+    vertex.  Its `items` is a sized view that can be iterated again and
+    again: it yields the `AuditItem`s in the same fixed order each time,
+    edges ascending and then those vertices ascending, once per class,
+    and holds none of them.
 
     In the girth-6 class no edge ball is searched.  With
     s(x) = sum(deg a - 1) over a in N(x), |N<=2({u,v})| = s(u) + s(v) + 2.
@@ -203,37 +245,27 @@ def audit_balls(g) -> AuditRecord:
     Delta = g.max_degree()
     sc = structural_constants(delta, Delta)
     classes = [cls for cls in _CLASSES if getattr(scan, cls.flag)]
-    edges = tuple(g.edges())
     if scan.class_girth6:
         s = _walk2_counts(g.adjacency)
-        edge_sizes = [s[u] + s[v] + 2 for u, v in edges]
+        edge_sizes = [s[u] + s[v] + 2 for u, v in g.edges()]
     else:
-        edge_sizes = [len(ball(g, e, 2)) for e in edges]
-    hubs = [v for v in range(g.n) if g.degree(v) == Delta]
-    hub_sizes = [len(ball(g, (v,), 3)) for v in hubs]
-    items = []
-    for e, size in zip(edges, edge_sizes):
-        for cls in classes:
-            bound = getattr(sc, cls.delta_const)
-            items.append(AuditItem(cls.edge_item, e, size, bound, size - bound))
-    for v, size in zip(hubs, hub_sizes):
-        for cls in classes:
-            bound = getattr(sc, cls.Delta_const)
-            items.append(AuditItem(cls.vertex_item, (v,), size, bound, size - bound))
+        edge_sizes = [len(ball(g, e, 2)) for e in g.edges()]
+    hub_sizes = [len(ball(g, (v,), 3)) for v in range(g.n) if g.degree(v) == Delta]
+    edge_checks = tuple((cls.edge_item, getattr(sc, cls.delta_const)) for cls in classes)
+    vertex_checks = tuple((cls.vertex_item, getattr(sc, cls.Delta_const)) for cls in classes)
     # A class passes iff its least margin does, as at_most(0, y) is
     # monotone in y; size - bound is monotone in size, floats included,
     # so the least margin is the least size minus the bound.
     passed = all(
-        at_most(0, min(min(edge_sizes) - getattr(sc, cls.delta_const),
-                       min(hub_sizes) - getattr(sc, cls.Delta_const)))
-        for cls in classes
+        at_most(0, min(min(edge_sizes) - edge_bound, min(hub_sizes) - vertex_bound))
+        for (_, edge_bound), (_, vertex_bound) in zip(edge_checks, vertex_checks)
     )
     return AuditRecord(
         delta=delta,
         max_degree=Delta,
         girth_class=scan.class_girth6,
         c4c5_class=scan.class_c4c5free,
-        items=tuple(items),
+        items=_AuditItems(g, Delta, edge_sizes, hub_sizes, edge_checks, vertex_checks),
         passed=passed,
     )
 
@@ -259,6 +291,10 @@ def write_audit_json(record: AuditRecord, fh) -> None:
     """Write the audit document to fh: the text of `json.dumps(doc,
     indent=2)` and a newline, with doc the record's flags and one
     object per item, in writes of at most `_ITEMS_PER_WRITE` items.
+
+    It iterates `record.items` once, so the view that `audit_balls`
+    returns and a plain tuple of `AuditItem`s are written alike, and it
+    keeps no item past its group.
 
     The record must be as `audit_balls` makes it: at least one item,
     each with a nonempty subject, and one bound per check.  Since

@@ -323,6 +323,31 @@ class TestAuditBalls:
         assert passed == all(margin_ok_oracle(i.margin) for i in record.items)
 
 
+class TestAuditPeak:
+    """The audit holds one size per edge and per maximum-degree vertex,
+    never one object per item.  Each bound is the measured `tracemalloc`
+    peak of the audit and its writer, rounded up; an audit that held
+    every item peaked at 1,705,712 B on reiman(16) and 917,104 B on
+    chain(3,128), more than twice each bound."""
+
+    class Discard:
+        def write(self, text):
+            pass
+
+    @pytest.mark.parametrize("build, limit", [
+        (lambda: reiman(16).graph, 300_000),
+        (lambda: chain(ChainSpec(3, 128)).graph, 180_000),
+    ], ids=["reiman16", "chain3_128"])
+    def test_peak(self, build, limit):
+        g = build()
+
+        def audit_and_write():
+            B.write_audit_json(B.audit_balls(g), self.Discard())
+
+        _, _, peak = traced(audit_and_write)
+        assert peak <= limit
+
+
 def _thinned(q, seed):
     g = reiman(q).graph
     rng = random.Random(seed)

@@ -208,8 +208,9 @@ class TestAuditWriter:
         path = tmp_path / "g.txt"
         path.write_text(format_edgelist(_thinned_reiman7()))
         real = audit_balls(read_graph(path))
-        reps = -(-count // len(real.items))
-        record = real._replace(items=(real.items * reps)[:count])
+        items = tuple(real.items)
+        reps = -(-count // len(items))
+        record = real._replace(items=(items * reps)[:count])
         monkeypatch.setattr(cli, "audit_balls", lambda g: record)
         assert run(["audit", str(path)]) == 0
         out = capsys.readouterr().out
