@@ -294,7 +294,7 @@ def write_audit_json(record: AuditRecord, fh) -> None:
 
     It iterates `record.items` once, so the view that `audit_balls`
     returns and a plain tuple of `AuditItem`s are written alike, and it
-    keeps no item past its group.
+    keeps no item once its text is made.
 
     The record must be as `audit_balls` makes it: at least one item,
     each with a nonempty subject, and one bound per check.  Since
