@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 
@@ -12,6 +13,11 @@ from avec.io import MAX_ORDER, format_edgelist, parse_edgelist, read_graph
 from avec.errors import ConstructionInvariantViolated, OutOfRange
 from avec.replay import replay, trace_json
 from util import audit_json_oracle, shuffle_labels, thin
+
+# The CLI imports each function from its module when a verb runs, so a
+# fault is injected on the module that defines the function.
+BOUNDS_MODULE = importlib.import_module("avec.bounds")
+REPLAY_MODULE = importlib.import_module("avec.replay")
 
 
 def run(argv):
@@ -133,7 +139,7 @@ class TestAnalyze:
         def faulty(g, chain_params=None):
             return real(g, chain_params)._replace(violations=("girth6_T31",))
 
-        monkeypatch.setattr(cli, "analyze", faulty)
+        monkeypatch.setattr(BOUNDS_MODULE, "analyze", faulty)
         assert run(["analyze", str(path)]) == 1
 
 
@@ -158,7 +164,7 @@ class TestAudit:
         capsys.readouterr()
         real = audit_balls
         monkeypatch.setattr(
-            cli, "audit_balls",
+            BOUNDS_MODULE, "audit_balls",
             lambda g: real(g)._replace(passed=False),
         )
         assert run(["audit", str(path)]) == 1
@@ -211,7 +217,7 @@ class TestAuditWriter:
         items = tuple(real.items)
         reps = -(-count // len(items))
         record = real._replace(items=(items * reps)[:count])
-        monkeypatch.setattr(cli, "audit_balls", lambda g: record)
+        monkeypatch.setattr(BOUNDS_MODULE, "audit_balls", lambda g: record)
         assert run(["audit", str(path)]) == 0
         out = capsys.readouterr().out
         assert out == audit_json_oracle(record)
@@ -268,7 +274,7 @@ class TestReplay:
         capsys.readouterr()
         real = replay
         monkeypatch.setattr(
-            cli, "replay",
+            REPLAY_MODULE, "replay",
             lambda g, v, a=None: real(g, v, a)._replace(overall_pass=False),
         )
         assert run(["replay", str(path), "--variant", "girth6"]) == 1
@@ -282,7 +288,7 @@ class TestReplay:
         def no_replay(*args):
             raise AssertionError("replay ran")
 
-        monkeypatch.setattr(cli, "replay", no_replay)
+        monkeypatch.setattr(REPLAY_MODULE, "replay", no_replay)
         trace_path = tmp_path / "missing" / "t.json"
         assert run(["replay", str(path), "--variant", "girth6",
                     "--trace", str(trace_path)]) == 2
@@ -302,7 +308,7 @@ class TestReplay:
         def failing(*args):
             raise exc
 
-        monkeypatch.setattr(cli, "replay", failing)
+        monkeypatch.setattr(REPLAY_MODULE, "replay", failing)
         fresh = tmp_path / "fresh.json"
         kept = tmp_path / "kept.json"
         kept.write_text("an older trace\n")
