@@ -7,7 +7,10 @@ ran before it in the same process.
 A module that LazyLoader runs does not show in `python -X importtime`,
 so the checks read module state instead: a registered module keeps the
 lazy subclass of `types.ModuleType` until its first attribute read, and
-`type()` reads no attribute."""
+`type()` reads no attribute.  Since an unrun module imports nothing,
+`test_stdlib_only`'s check that importing the CLI loads no costly module
+covers only the modules a verb runs; the verb runs here repeat it, and
+together they run all six submodules."""
 
 import argparse
 import importlib.util
@@ -22,24 +25,31 @@ import pytest
 import avec
 from avec import cli
 from avec.replay import VARIANT_GIRTH6, VARIANT_MAXDEG
+from test_stdlib_only import HEAVY
 
 SRC = Path(avec.__file__).resolve().parent.parent
 TRACER = SRC.parent / "perfbench" / "tracer.py"
 SUBMODULES = ("bounds", "generators", "gf", "graph", "io", "replay")
 
-#: Prints, as the last line of stdout, the submodules that have run.
+#: Prints, as the last line of stdout, the submodules that have run and
+#: the costly modules that are loaded (read before `json` is imported).
 EXECUTED = (
-    "import json, sys, types\n"
-    f"print(json.dumps([s for s in {SUBMODULES!r}"
-    " if type(sys.modules.get('avec.' + s)) is types.ModuleType]))\n"
+    "import sys, types\n"
+    f"heavy = sorted(set({HEAVY!r}) & set(sys.modules))\n"
+    f"ran = [s for s in {SUBMODULES!r}"
+    " if type(sys.modules.get('avec.' + s)) is types.ModuleType]\n"
+    "import json\n"
+    "print(json.dumps({'ran': ran, 'heavy': heavy}))\n"
 )
 
 
 def python(code, cwd):
-    """Run `code` in a fresh interpreter; returns its last stdout line, parsed."""
+    """Run `code` in a fresh interpreter; returns its last stdout line, parsed.
+
+    -S: no site hook preloads anything (one may import `typing`)."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-B", "-c", code],
+        [sys.executable, "-B", "-S", "-c", code],
         cwd=cwd, env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
@@ -57,7 +67,8 @@ def inputs(tmp_path_factory):
 
 # ------------------------------------------------------------ what each verb runs
 
-#: Each verb on a tiny input, and the submodules it must leave run.
+#: Each verb on a tiny input, and the submodules it must leave run (with
+#: none of `HEAVY` loaded).
 RUNS = {
     "analyze": (["analyze", "r.el"], ["bounds", "graph", "io"]),
     "analyze_csv": (["analyze", "r.el", "--csv"], ["bounds", "graph", "io"]),
@@ -89,7 +100,7 @@ def test_verb_runs_only_the_modules_it_calls(verb, inputs):
         "except SystemExit as exc:\n"
         "    assert exc.code == 0\n"
     )
-    assert python(code + EXECUTED, inputs) == wanted
+    assert python(code + EXECUTED, inputs) == {"ran": wanted, "heavy": []}
 
 
 def test_cli_import_registers_every_traced_module(monkeypatch, tmp_path):
@@ -105,7 +116,7 @@ def test_cli_import_registers_every_traced_module(monkeypatch, tmp_path):
         f"print(json.dumps([s for s in {sorted(tracer.TRACED)!r} if 'avec.' + s not in sys.modules]))\n"
     )
     assert python(code, tmp_path) == []
-    assert python("import avec.cli\n" + EXECUTED, tmp_path) == []
+    assert python("import avec.cli\n" + EXECUTED, tmp_path) == {"ran": [], "heavy": []}
 
 
 # ------------------------------------------------------------ namespace identity
