@@ -414,8 +414,8 @@ def analyze(g, chain_params=None) -> BoundReport:
 
 def _fraction_as_float(x):
     # analyze's rule: a Fraction is spelled as the nearest float.  The
-    # trace spells it as {num, den} (`replay._fraction_as_pair`); the two
-    # stay apart, as either output is pinned byte for byte.
+    # trace spells it as {num, den} (`certificate._fraction_as_pair`);
+    # the two stay apart, as either output is pinned byte for byte.
     if isinstance(x, Fraction):
         return float(x)
     return x

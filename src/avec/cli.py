@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .errors import (
     AvecError,
@@ -88,37 +87,8 @@ def _cmd_audit(args):
     return 0 if record.passed else 1
 
 
-def _fmt_val(x):
-    if x is None:
-        return "-"
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _json_pieces(x, pad="\n"):
-    # json.dumps(x, indent=2) in pieces, for str keys; a nonempty list of
-    # ints (not bools) is one piece, joined in C.
-    inner = pad + "  "
-    if isinstance(x, dict) and x:
-        for i, (key, value) in enumerate(x.items()):
-            yield ("," if i else "{") + inner + json.dumps(key) + ": "
-            yield from _json_pieces(value, inner)
-        yield pad + "}"
-    elif isinstance(x, list) and x and all(type(v) is int for v in x):
-        yield "[" + inner + ("," + inner).join(map(str, x)) + pad + "]"
-    elif isinstance(x, list) and x:
-        for i, value in enumerate(x):
-            yield ("," if i else "[") + inner
-            yield from _json_pieces(value, inner)
-        yield pad + "]"
-    else:
-        yield json.dumps(x)
-
-
 def _cmd_replay(args):
+    from .certificate import _fmt_val, _json_pieces
     from .io import read_graph
     from .replay import VARIANT_MAXDEG, replay, trace_json
 

@@ -204,106 +204,6 @@ def is_connected(g):
     return len(reached) == g.n
 
 
-def _bridges(g):
-    """(bridges, comp) of a connected g: its bridges (u, v), u < v, and
-    comp[v], the index of v's 2-edge-connected component, by one
-    low-link DFS (Tarjan, IPL 2(6), 1974) on an explicit stack, as on a
-    chain it is n deep.  When no non-tree edge leaves v's subtree above
-    v, the edge into v is a bridge and the vertices found since v that
-    no earlier bridge split off are v's component."""
-    adjacency = g.adjacency
-    order, low, comp = [0] * g.n, [0] * g.n, [-1] * g.n
-    order[0] = low[0] = count = 1
-    pending = [0]
-    bridges = []
-    work = [(0, -1, iter(adjacency[0]))]
-    while work:
-        v, parent, nbrs = work[-1]
-        for w in nbrs:
-            if not order[w]:
-                count += 1
-                order[w] = low[w] = count
-                pending.append(w)
-                work.append((w, v, iter(adjacency[w])))
-                break
-            if w != parent and order[w] < low[v]:
-                low[v] = order[w]
-        else:
-            work.pop()
-            if low[v] < order[v]:
-                low[parent] = min(low[parent], low[v])
-                continue
-            x = -1
-            while x != v:
-                x = pending.pop()
-                comp[x] = len(bridges)
-            if parent != -1:
-                bridges.append((parent, v) if parent < v else (v, parent))
-    return bridges, comp
-
-
-def _pairwise_rows(g, edges):
-    """Row i is d(e_i, e_j) for every j, for distinct edges e_i = (u, v),
-    u < v, of a connected g.  A path that leaves a 2-edge-connected
-    component by a bridge comes back only over it, so a shortest path
-    crosses just the bridges on its bridge-tree path and stays inside
-    each component it enters.  Each bridge end q (a port) is searched
-    once inside its component; row i takes one search from e_i there
-    (none if e_i is a bridge) and one walk of the bridge tree, where
-    crossing bridge pq gives f(q) = f(p) + 1, that bridge f(p), and each
-    e_j of q's component f(q) + d(q, e_j).  With no bridges, a row is one
-    BFS of g.  The rows read every distance from `level`, sharing its ints.
-    """
-    bridges, comp = _bridges(g)
-    edges_in = [[] for _ in range(max(comp) + 1)]
-    out = [[] for _ in edges_in]
-    index = {e: j for j, e in enumerate(edges)}
-    for p, q in bridges:
-        j = index.get((p, q), -1)
-        out[comp[p]].append((p, q, j))
-        out[comp[q]].append((q, p, j))
-    for j, (a, b) in enumerate(edges):
-        if comp[a] == comp[b]:
-            edges_in[comp[a]].append(j)
-    ports = {v for e in bridges for v in e}
-    # g without its bridges, where a full search stays in its component.
-    inner = g if not bridges else Graph(
-        tuple(tuple(w for w in a if comp[w] == comp[v]) if v in ports else a
-              for v, a in enumerate(g.adjacency))
-    )
-
-    def search(sources):
-        dist = _bfs(inner, sources)[0]
-        c = comp[sources[0]]
-        return (
-            edges_in[c],
-            [min(dist[edges[j][0]], dist[edges[j][1]]) for j in edges_in[c]],
-            [(dist[p] + 1, p, r, j) for p, r, j in out[c]],
-        )
-
-    table = {q: search((q,)) for q in ports}
-    level = list(range(g.n))
-    rows, todo = [], []
-    for a, b in edges:
-        row = [0] * len(edges)
-        if comp[a] == comp[b]:
-            todo.append((search((a, b)), 0, -1))
-        else:
-            todo += ((table[a], 0, b), (table[b], 0, a))
-        while todo:
-            # Entered at q over bridge (back, q), f(q) = fq; d = d(q, p) + 1.
-            (inside, to_edges, to_bridges), fq, back = todo.pop()
-            for j, d in zip(inside, to_edges):
-                row[j] = level[fq + d]
-            for d, p, r, j in to_bridges:
-                if r != back:
-                    todo.append((table[r], fq + d, p))
-                    if j != -1:
-                        row[j] = level[fq + d - 1]
-        rows.append(row)
-    return rows
-
-
 class EccentricityProfile(
     namedtuple("EccentricityProfile", "ecc ex_total avec diameter radius")
 ):
@@ -549,7 +449,7 @@ def forbidden_cycle_scan(g):
       a-x-b-a on three distinct vertices.
     - C4 at a: some b in far(a) has two middles x != y, which closes
       a-x-b-y-a.  It holds exactly when |far(a)| is below the number
-      of such walks, sum(deg x - 1) over x in N(a).
+      of such walks, sum(deg x - 1) over x in N(a) (`_walk2_counts`).
     - C5 at a: an edge vb inside far(a), a middle u of v and a middle
       x of b with u != b, x != v and u != x.  The closed walk
       a-u-v-b-x-a then has 5 distinct vertices: v and b are in far(a),
@@ -573,12 +473,12 @@ def forbidden_cycle_scan(g):
     adjacency = g.adjacency
     nbrs_of = adjacency.__getitem__
     has_c3 = has_c4 = has_c5 = False
-    for a in range(g.n):
+    for a, walks in enumerate(_walk2_counts(adjacency)):
         nbrs = adjacency[a]
         far = set().union(*map(nbrs_of, nbrs))
         far.discard(a)
         has_c3 = has_c3 or not far.isdisjoint(nbrs)
-        has_c4 = has_c4 or len(far) < sum(map(len, map(nbrs_of, nbrs))) - len(nbrs)
+        has_c4 = has_c4 or len(far) < walks
         has_c5 = has_c5 or _c5_at(adjacency, nbrs, far)
         if has_c3 and has_c4 and has_c5:
             break

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from avec import cli
 from avec.bounds import analyze, audit_balls
+from avec.certificate import _json_pieces
 from avec.generators import ChainSpec, chain, reiman
 from avec.graph import line_graph
 from avec.io import MAX_ORDER, format_edgelist, parse_edgelist, read_graph
@@ -425,9 +426,9 @@ class TestTraceWriter:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_JSON_DOCS)
     def test_pieces_equal_json_dumps(self, doc):
-        assert "".join(cli._json_pieces(doc)) == json.dumps(doc, indent=2)
+        assert "".join(_json_pieces(doc)) == json.dumps(doc, indent=2)
 
     def test_int_list_is_one_piece_and_bools_are_not_ints(self):
-        assert list(cli._json_pieces([1, 2, 300])) == ["[\n  1,\n  2,\n  300\n]"]
+        assert list(_json_pieces([1, 2, 300])) == ["[\n  1,\n  2,\n  300\n]"]
         doc = {"a": [1, True], "b": [], "c": {}}
-        assert "".join(cli._json_pieces(doc)) == json.dumps(doc, indent=2)
+        assert "".join(_json_pieces(doc)) == json.dumps(doc, indent=2)

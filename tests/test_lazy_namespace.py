@@ -10,7 +10,8 @@ lazy subclass of `types.ModuleType` until its first attribute read, and
 `type()` reads no attribute.  Since an unrun module imports nothing,
 `test_stdlib_only`'s check that importing the CLI loads no costly module
 covers only the modules a verb runs; the verb runs here repeat it, and
-together they run all six submodules."""
+together they run all six submodules and the two modules that `replay`
+imports itself, `construct` and `certificate`."""
 
 import argparse
 import importlib.util
@@ -30,13 +31,16 @@ from test_stdlib_only import HEAVY
 SRC = Path(avec.__file__).resolve().parent.parent
 TRACER = SRC.parent / "perfbench" / "tracer.py"
 SUBMODULES = ("bounds", "generators", "gf", "graph", "io", "replay")
+#: Modules that only `avec.replay` imports, as plain imports: not
+#: registered, so each is absent from sys.modules until it has run.
+REPLAY_PARTS = ("certificate", "construct")
 
 #: Prints, as the last line of stdout, the submodules that have run and
 #: the costly modules that are loaded (read before `json` is imported).
 EXECUTED = (
     "import sys, types\n"
     f"heavy = sorted(set({HEAVY!r}) & set(sys.modules))\n"
-    f"ran = [s for s in {SUBMODULES!r}"
+    f"ran = [s for s in {tuple(sorted(SUBMODULES + REPLAY_PARTS))!r}"
     " if type(sys.modules.get('avec.' + s)) is types.ModuleType]\n"
     "import json\n"
     "print(json.dumps({'ran': ran, 'heavy': heavy}))\n"
@@ -68,7 +72,7 @@ def inputs(tmp_path_factory):
 # ------------------------------------------------------------ what each verb runs
 
 #: Each verb on a tiny input, and the submodules it must leave run (with
-#: none of `HEAVY` loaded).
+#: none of `HEAVY` loaded).  Only `replay` may load `REPLAY_PARTS`.
 RUNS = {
     "analyze": (["analyze", "r.el"], ["bounds", "graph", "io"]),
     "analyze_csv": (["analyze", "r.el", "--csv"], ["bounds", "graph", "io"]),
@@ -80,7 +84,7 @@ RUNS = {
     ),
     "replay": (
         ["replay", "c.el", "--variant", "girth6", "--trace", "t.json"],
-        ["bounds", "graph", "io", "replay"],
+        ["bounds", "certificate", "construct", "graph", "io", "replay"],
     ),
     "sweep": (
         ["sweep", "--family", "chain", "--delta", "3", "--ell-range", "2..2", "--csv", "s.csv"],

@@ -9,8 +9,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from avec.certificate import _bridges, _pairwise_rows
 from avec.generators import ChainSpec, chain, reiman
-from avec.graph import _bridges, _pairwise_rows
 from avec.replay import build_matching
 from util import (
     from_nx,

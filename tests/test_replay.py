@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from avec import cli
 from avec.bounds import structural_constants
+from avec.construct import Matching, _assert_matching, _assert_tree
 from avec.errors import (
     ConstructionInvariantViolated,
     DisconnectedGraph,
@@ -34,7 +36,6 @@ from avec.graph import (
 )
 from avec.io import format_edgelist
 from avec.replay import (
-    Matching,
     build_matching,
     build_tree,
     compute_weights,
@@ -230,18 +231,18 @@ class TestAnchorBonus:
         f = (1, 7)
         G = to_nx(g)
         assert max(edge_distance_oracle(G, e, f) for e in g.edges()) == 5
-        REPLAY_MODULE._assert_matching(g, [f], 1)
+        _assert_matching(g, [f], 1)
         with pytest.raises(ConstructionInvariantViolated, match=r"\(4 around the anchor"):
-            REPLAY_MODULE._assert_matching(g, [f], 0)
+            _assert_matching(g, [f], 0)
 
     def test_anchor_gap(self):
         g = chain(ChainSpec(3, 6)).graph
         m = build_matching(g, "girth6")
         assert edge_distance_oracle(to_nx(g), m.edges[0], m.edges[1]) == 5
-        REPLAY_MODULE._assert_matching(g, m.edges, 0)
+        _assert_matching(g, m.edges, 0)
         message = re.escape(f"matching edges {m.edges[0]} and {m.edges[1]} at distance 5 < 6")
         with pytest.raises(ConstructionInvariantViolated, match=message):
-            REPLAY_MODULE._assert_matching(g, m.edges, 1)
+            _assert_matching(g, m.edges, 1)
 
     @pytest.mark.parametrize("bonus", [0, 1])
     def test_gap_reports_first_pair(self, bonus):
@@ -263,7 +264,7 @@ class TestAnchorBonus:
         need = 5 + bonus * (i == 0)
         message = re.escape(f"matching edges {edges[i]} and {edges[j]} at distance {d} < {need}")
         with pytest.raises(ConstructionInvariantViolated, match=message):
-            REPLAY_MODULE._assert_matching(g, edges, bonus)
+            _assert_matching(g, edges, bonus)
 
 
 def _matching_cases():
@@ -391,7 +392,7 @@ class TestTree:
         tampered = t._replace(tree=build_graph(g.n, edges))
         match = f"^vertex {x} is assigned to {t.assignment[x]}, but no tree neighbour "
         with pytest.raises(ConstructionInvariantViolated, match=match):
-            REPLAY_MODULE._assert_tree(g, m, tampered, dm)
+            _assert_tree(g, m, tampered, dm)
 
     def test_sideways_vertex_fails_distance_check(self):
         # Re-hang a leaf x under a vertex y at the same distance from
@@ -414,7 +415,7 @@ class TestTree:
         tampered = t._replace(tree=build_graph(g.n, edges))
         match = f"^vertex {x} is assigned to {t.assignment[x]}, but no tree neighbour "
         with pytest.raises(ConstructionInvariantViolated, match=match):
-            REPLAY_MODULE._assert_tree(g, m, tampered, dm)
+            _assert_tree(g, m, tampered, dm)
 
     def test_wrong_matching_vertex_fails_distance_check(self):
         g = chain(ChainSpec(3, 6)).graph
@@ -426,7 +427,7 @@ class TestTree:
         tampered = t._replace(assignment=tuple(assignment))
         match = f"^vertex {x} is assigned to {assignment[x]}, but no tree neighbour "
         with pytest.raises(ConstructionInvariantViolated, match=match):
-            REPLAY_MODULE._assert_tree(g, m, tampered, dm)
+            _assert_tree(g, m, tampered, dm)
 
     def test_matching_vertex_hung_on_its_partner_rejected(self):
         # Move matching vertex a, and everything that hangs under it, to
@@ -440,7 +441,7 @@ class TestTree:
         tampered = t._replace(assignment=assignment)
         match = f"^matching vertex {a} is assigned to {b}, not to itself"
         with pytest.raises(ConstructionInvariantViolated, match=match):
-            REPLAY_MODULE._assert_tree(g, m, tampered, dm)
+            _assert_tree(g, m, tampered, dm)
 
     def test_non_matching_assignment_rejected(self, chain32):
         g = chain32.graph
@@ -452,7 +453,7 @@ class TestTree:
         with pytest.raises(
             ConstructionInvariantViolated, match=f"vertex {x} is assigned to {x}, "
         ):
-            REPLAY_MODULE._assert_tree(g, m, tampered, dm)
+            _assert_tree(g, m, tampered, dm)
 
     def test_ball_tree_of_another_edge_rejected(self):
         # The distance checks read the tree and the assignment only; a
@@ -465,7 +466,7 @@ class TestTree:
         tampered = t._replace(subtrees=tuple(subtrees))
         message = re.escape(f"ball tree of {m.edges[0]} is assigned outside")
         with pytest.raises(ConstructionInvariantViolated, match=message):
-            REPLAY_MODULE._assert_tree(g, m, tampered, dm)
+            _assert_tree(g, m, tampered, dm)
 
     def test_overlapping_matching_rejected(self, chain32):
         g = chain32.graph
@@ -994,7 +995,35 @@ class TestBfsBudget:
     FULL_RUNS = 22
 
     @staticmethod
-    def _caps(monkeypatch, variant, ell):
+    def _patch_bfs(monkeypatch, counting):
+        """Patch every avec module that binds `graph._bfs`, under any name.
+
+        Each replay module imports `_bfs` itself, and a search through one
+        left unpatched would go uncounted without an error.  Returns a
+        check to call after the run, before undo, that no avec module,
+        one loaded by the run included, still binds the real `_bfs`."""
+        real = importlib.import_module("avec.graph")._bfs
+
+        def binders():
+            return [
+                (module, attr)
+                for name, module in list(sys.modules.items())
+                if name.startswith("avec.")
+                for attr, value in list(vars(module).items())
+                if value is real
+            ]
+
+        for module, attr in binders():
+            monkeypatch.setattr(module, attr, counting)
+
+        def check():
+            left = [f"{module.__name__}.{attr}" for module, attr in binders()]
+            assert not left, f"unpatched: {left}"
+
+        return check
+
+    @classmethod
+    def _caps(cls, monkeypatch, variant, ell):
         g = chain(ChainSpec(3, ell)).graph
         anchor = smallest_max_degree_vertex(g) if variant == "maxdeg" else None
         graph_module = importlib.import_module("avec.graph")
@@ -1005,9 +1034,9 @@ class TestBfsBudget:
             caps[cap] += 1
             return real(g, sources, cap)
 
-        monkeypatch.setattr(graph_module, "_bfs", counting)
-        monkeypatch.setattr(REPLAY_MODULE, "_bfs", counting)
+        check = cls._patch_bfs(monkeypatch, counting)
         tr = replay(g, variant, anchor)
+        check()
         monkeypatch.undo()
         assert tr.overall_pass
         return g.n, len(tr.matching.edges), caps
@@ -1030,8 +1059,8 @@ class TestBfsBudget:
                 {None: self.FULL_RUNS, 6: n, 5: k, 4: k - 1, 3: 1, 2: k - 1, 7: k + 1}
             )
 
-    @staticmethod
-    def _trace_runs(monkeypatch, g, variant):
+    @classmethod
+    def _trace_runs(cls, monkeypatch, g, variant):
         anchor = smallest_max_degree_vertex(g) if variant == "maxdeg" else None
         tr = replay(g, variant, anchor)
         graph_module = importlib.import_module("avec.graph")
@@ -1042,8 +1071,9 @@ class TestBfsBudget:
             runs[h is g, cap] += 1
             return real(h, sources, cap)
 
-        monkeypatch.setattr(graph_module, "_bfs", counting)
+        check = cls._patch_bfs(monkeypatch, counting)
         trace_json(tr)
+        check()
         monkeypatch.undo()
         return tr.matching.edges, runs
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 import networkx as nx
 
 from avec.bounds import _CLASSES, AuditItem, AuditRecord, at_most, structural_constants
+from avec.construct import AnchoredTree, _bonus
 from avec.errors import (
     ConstructionInvariantViolated,
     DisconnectedGraph,
@@ -39,7 +40,6 @@ from avec.graph import (
     is_connected,
 )
 from avec.io import MAX_ORDER
-from avec.replay import AnchoredTree, _bonus
 
 
 def to_nx(g):
