@@ -4,7 +4,7 @@ Oracles here deliberately avoid the library's own algorithms: girth by
 edge deletion plus shortest path, short-cycle existence by brute-force
 subset enumeration, short-cycle flags by the three separate scans that
 `forbidden_cycle_scan` replaced, everything distance-flavoured via
-networkx.
+networkx or a plain BFS of the oracle's own.
 """
 
 import gc
@@ -721,3 +721,82 @@ def is_bipartite(g):
                 elif color[w] == color[u]:
                     return False
     return True
+
+
+def _difference_set(q):
+    """A perfect difference set mod q^2 + q + 1 holding 0 and 1, found
+    by search: every nonzero residue is a difference of exactly one
+    ordered pair of its q + 1 elements.  One exists for each prime
+    power q (Singer)."""
+    N = q * q + q + 1
+
+    def grow(chosen, used):
+        if len(chosen) == q + 1:
+            return chosen
+        for x in range(chosen[-1] + 1, N):
+            new = {(x - y) % N for y in chosen} | {(y - x) % N for y in chosen}
+            if len(new) == 2 * len(chosen) and not new & used:
+                found = grow(chosen + [x], used | new)
+                if found:
+                    return found
+        return None
+
+    return grow([0, 1], {1, N - 1})
+
+
+def _distance_table(adjacency):
+    """All-pairs distances of a connected graph given as neighbour lists,
+    one plain BFS per vertex."""
+    table = []
+    for s in range(len(adjacency)):
+        dist = [None] * len(adjacency)
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            for y in adjacency[x]:
+                if dist[y] is None:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        table.append(dist)
+    return table
+
+
+def chain_ex_oracle(delta, ell):
+    """EX(chain(delta, ell)), the sum of its eccentricities, derived from
+    one full copy and one middle copy; no chain is built.
+
+    A copy is the point-line incidence graph of PG(2, delta - 1), made
+    here from a difference set D mod N: point i is on line j when
+    j - i mod N is in D.  Its automorphisms, with a duality, map each
+    incident pair, in either order, to any other, so the designated u
+    and v are taken as point 0 and line 0; a middle copy lacks that
+    edge.  Copy t's v is joined to copy t+1's u by a bridge, so a path
+    between copies runs along the path of copies: `right[s]` is the
+    farthest reach from u of copy s into copies s..ell, and `left[s]`
+    from v of copy s into copies 1..s.  O(N^2 + ell * N).
+    """
+    D = _difference_set(delta - 1)
+    N = len(D) ** 2 - len(D) + 1
+    full = [[N + (i + d) % N for d in D] for i in range(N)]
+    full += [[(j - d) % N for d in D] for j in range(N)]
+    u, v = 0, N
+    middle = [[y for y in nbrs if {x, y} != {u, v}] for x, nbrs in enumerate(full)]
+    dF, dM = _distance_table(full), _distance_table(middle)
+    right = {ell: max(dF[u])}
+    for s in range(ell - 1, 1, -1):
+        right[s] = max(max(dM[u]), dM[u][v] + 1 + right[s + 1])
+    left = {1: max(dF[v])}
+    for s in range(2, ell):
+        left[s] = max(max(dM[v]), dM[v][u] + 1 + left[s - 1])
+    total = 0
+    for t in range(1, ell + 1):
+        d = dF if t in (1, ell) else dM
+        for x in range(2 * N):
+            reach = [max(d[x])]
+            if t < ell:
+                reach.append(d[x][v] + 1 + right[t + 1])
+            if t > 1:
+                reach.append(d[x][u] + 1 + left[t - 1])
+            total += max(reach)
+    return total
