@@ -7,15 +7,14 @@ it together into a long girth-6 graph with minimum degree q+1 whose
 average eccentricity grows linearly in the number of copies.
 
 Both refuse, before building anything, a graph of more than
-`io.MAX_ORDER` vertices.
+`graph.MAX_ORDER` vertices.
 """
 
 from collections import namedtuple
 
 from .errors import InvalidArgument, InvalidChainSpec, NotPrimePower
 from .gf import make_field
-from .graph import Graph, build_graph, distances_from, forbidden_cycle_scan
-from .io import MAX_ORDER
+from .graph import MAX_ORDER, Graph, build_graph, distances_from, forbidden_cycle_scan
 
 
 class LabeledGraph(namedtuple("LabeledGraph", "graph labels designated meta")):
@@ -102,7 +101,7 @@ def chain_order(spec: ChainSpec) -> int:
 
     That is ell copies of 2(delta^2 - delta + 1) vertices, the first
     replaced by the head when one is given.  Raises `InvalidChainSpec`
-    for a bad ell or delta, or an order above `io.MAX_ORDER`.
+    for a bad ell or delta, or an order above `graph.MAX_ORDER`.
     """
     if spec.ell < 2 or spec.ell % 2:
         raise InvalidChainSpec(f"ell must be even and >= 2, got {spec.ell}")

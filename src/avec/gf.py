@@ -13,7 +13,7 @@ from collections import namedtuple
 from math import isqrt
 
 from .errors import InvalidArgument, NotPrimePower, OutOfRange
-from .io import MAX_ORDER
+from .graph import MAX_ORDER
 
 
 def _divides(den, num, p):
@@ -78,7 +78,7 @@ class FiniteField(namedtuple("FiniteField", "p k q modulus add mul")):
 def make_field(q: int) -> FiniteField:
     """Field with q elements; q must be a prime power >= 2.
 
-    Refuses a q > 1 whose `reiman(q)` would exceed `io.MAX_ORDER` vertices
+    Refuses a q > 1 whose `reiman(q)` would exceed `graph.MAX_ORDER` vertices
     before factoring q or building any table.
     """
     order = 2 * (q * q + q + 1)

@@ -24,6 +24,12 @@ from .errors import (
 #: Sentinel distance for vertices not reachable from the source set.
 UNREACHABLE = None
 
+#: Largest vertex count an edge-list header may declare.  A vertex that
+#: no edge names gets no int object and no list, only 8-byte slots: one
+#: in the graph's adjacency and up to two more while it is read.  The
+#: bound keeps a short file from claiming gigabytes of those.
+MAX_ORDER = 2**20
+
 
 class Graph:
     """Immutable undirected simple graph.
@@ -217,8 +223,8 @@ class EccentricityProfile(
 
 
 #: Rounds in a row that resolve no vertex but their own source, after
-#: which `eccentricity_profile` stops bounding.  Paths and grids stall
-#: for a few rounds at the start before bounding takes off; on
+#: which `eccentricity_profile` tries the bit-parallel search once.
+#: Paths and grids stall for a few rounds before bounding takes off; on
 #: vertex-transitive graphs such as `reiman(q)` it never does.
 _STALL_ROUNDS = 8
 
@@ -240,18 +246,18 @@ def eccentricity_profile(g):
     smallest lower bound, ties going to the higher degree.
 
     After `_STALL_ROUNDS` rounds in a row that resolve only their own
-    source, bounding stops, and the vertices left are searched from, in
-    chunks of W = `_BIT_WIDTH` sources at once (`_bit_parallel_ecc`,
-    the bit-parallel BFS of Akiba, Iwata & Yoshida, "Fast exact
+    source, the vertices left may be searched from in chunks of
+    W = `_BIT_WIDTH` sources at once (`_bit_parallel_ecc`, the
+    bit-parallel BFS of Akiba, Iwata & Yoshida, "Fast exact
     shortest-path distance queries on large networks by pruned landmark
     labeling", SIGMOD 2013).  A chunk costs one pass over the graph per
     round and takes as many rounds as its largest eccentricity, at most
-    U, the largest upper bound left; a plain BFS costs one pass per
-    vertex.  So with L vertices left the size rule is: bit-parallel
-    when U·ceil(L / W) < L, one plain BFS per vertex otherwise.  On
-    `reiman(q)` hundreds of vertices of eccentricity 3 are left and
-    bit-parallel wins; on long chains the few vertices left have large
-    bounds, and plain BFS does.
+    U, the largest upper bound left.  So with L vertices left the size
+    rule is: bit-parallel when U·ceil(L / W) < L, else bounding goes on.
+    A BFS from v resolves v (at d = 0 both bounds become e), so that
+    costs at most one pass per vertex left.  On `reiman(q)` hundreds of
+    vertices of eccentricity 3 are left and bit-parallel wins; on long
+    chains the few vertices left have large bounds, and bounding does.
 
     Bounding never resolves the inner vertices of a tree, so a tree (a
     connected graph with n - 1 edges) takes the two-sweep identity
@@ -297,11 +303,7 @@ def eccentricity_profile(g):
                 if max(upper[w] for w in candidates) * chunks < left:
                     for i in range(0, left, _BIT_WIDTH):
                         _bit_parallel_ecc(g, candidates[i : i + _BIT_WIDTH], lower)
-                else:
-                    for v in candidates:
-                        dist, layer, _ = _bfs(g, (v,))
-                        lower[v] = dist[layer[0]]
-                break
+                    break
             if take_upper:
                 source = max(candidates, key=lambda w: (upper[w], len(adjacency[w])))
             else:

@@ -4,7 +4,7 @@ Edge-list format: first line ``n m``, then m lines ``u v`` with
 0-indexed endpoints, u < v, in ascending order.  Blank lines and lines
 starting with ``#`` are ignored.  The m edges must be distinct: a
 repeated or reversed edge is rejected, not merged.  The header's n may
-be at most `MAX_ORDER`, checked before anything is allocated.
+be at most `graph.MAX_ORDER`, checked before anything is allocated.
 
 A graph6 file holds one graph on one line; blank and ``#`` lines
 around it are ignored, and a second data line is rejected.
@@ -14,13 +14,7 @@ from binascii import b2a_base64
 from math import isqrt
 
 from .errors import InvalidArgument, NotAscii
-from .graph import Graph, build_graph
-
-#: Largest vertex count an edge-list header may declare.  A vertex that
-#: no edge names gets no int object and no list, only 8-byte slots: one
-#: in the graph's adjacency and up to two more while it is read.  The
-#: bound keeps a short file from claiming gigabytes of those.
-MAX_ORDER = 2**20
+from .graph import MAX_ORDER, Graph, build_graph
 
 
 #: Characters per piece of text that `_data_lines` splits at once.

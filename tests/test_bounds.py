@@ -188,10 +188,14 @@ class TestUpperBounds:
             B.upper_bound("no_such_bound", 28, 3)
         with pytest.raises(OutOfRange):
             B.upper_bound(B.BOUND_G6, 0, 3)
+        with pytest.raises(OutOfRange, match="delta must be nonnegative"):
+            B.upper_bound(B.BOUND_G6, 10, -1)
 
     def test_sharpness_lower(self):
         assert B.sharpness_lower(28, 3) == 4
         assert B.sharpness_lower(0, 3) == -5
+        with pytest.raises(OutOfRange, match="order must be nonnegative"):
+            B.sharpness_lower(-1, 3)
 
 
 class TestAuditBalls:
@@ -454,6 +458,17 @@ class TestAnalyze:
         assert by_name[B.BOUND_LOWER].value == 4
         assert by_name[B.BOUND_LOWER].slack == r.avec - 4
         assert r.violations == ()
+
+    def test_violation_is_reported(self):
+        # A random cubic graph is no chain: its avec falls far below the
+        # chain family's lower bound 9n/28 - 5 at n = 100.
+        g = from_nx(nx.random_regular_graph(3, 100, seed=1))
+        r = B.analyze(g, chain_params=(3, 2))
+        assert r.violations == (B.BOUND_LOWER,)
+        lower = {b.name: b for b in r.bounds}[B.BOUND_LOWER]
+        assert lower.value == Fraction(190, 7) and lower.slack < 0
+        assert B.report_json(r)["violations"] == [B.BOUND_LOWER]
+        assert B.report_csv_row(r).endswith(",false")
 
     def test_chain_params_mismatch(self, chain32):
         with pytest.raises(InvalidArgument):

@@ -58,6 +58,15 @@ class TestGen:
         # the result coincides with the default chain
         assert read_graph(out) == chain(ChainSpec(3, 2)).graph
 
+    def test_edgeless_head_file_is_usage_error(self, tmp_path, capsys):
+        head_path = tmp_path / "head.txt"
+        head_path.write_text("4 0\n")
+        assert run(["gen", "chain", "--delta", "3", "--ell", "2",
+                    "--head", str(head_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: head file {head_path} has no edges\n"
+
     def test_bad_q_is_usage_error(self, capsys):
         assert run(["gen", "reiman", "--q", "6"]) == 2
         assert capsys.readouterr().err.startswith("error:")

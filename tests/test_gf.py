@@ -5,9 +5,9 @@ import pytest
 import avec.generators
 import avec.gf
 from avec import cli
-from avec.errors import NotPrimePower, OutOfRange
+from avec.errors import InvalidArgument, NotPrimePower, OutOfRange
 from avec.gf import find_irreducible, make_field
-from avec.io import MAX_ORDER
+from avec.graph import MAX_ORDER
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)
 
@@ -68,6 +68,10 @@ class TestIrreducible:
         assert find_irreducible(2, 3) == (1, 1, 0, 1)
         assert find_irreducible(3, 2) == (1, 0, 1)
         assert find_irreducible(5, 1) == (0, 1)
+
+    def test_degree_below_one_rejected(self):
+        with pytest.raises(InvalidArgument, match="degree must be >= 1, got 0"):
+            find_irreducible(2, 0)
 
     def test_no_nontrivial_factorisation(self):
         for p, k in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):

@@ -256,10 +256,11 @@ class TestEccentricity:
 
 
 #: name -> (graph, BFS runs, bit-parallel chunk sizes), relabelled by a
-#: permutation seeded with the name.  Every graph here but Petersen and
-#: the 3-cube stalls bounding; 8 runs and one chunk of n - 8 is the
-#: bit-parallel side of the size rule.
-FALLBACK_GRAPHS = {
+#: permutation seeded with the name.  Bounding stalls on every graph
+#: here; 8 runs and one chunk of n - 8 is the bit-parallel side of the
+#: size rule.  The 3-cube's 8 runs settle it, and Petersen leaves 2
+#: vertices on the other side, which bounding settles with a BFS each.
+STALLING_GRAPHS = {
     **{f"reiman{q}": (lambda q=q: reiman(q).graph, 8, [2 * (q * q + q + 1) - 8])
        for q in (2, 3, 4, 5, 7, 8, 9)},
     **{f"cycle{n}": (lambda n=n: classic("cycle", n), 8, [n - 8]) for n in (21, 50, 97)},
@@ -303,18 +304,19 @@ class TestBitParallelFallback:
         expect = nx.eccentricity(to_nx(g))
         assert p.ecc == tuple(expect[v] for v in range(g.n))
 
-    @pytest.mark.parametrize("name", sorted(FALLBACK_GRAPHS))
+    @pytest.mark.parametrize("name", sorted(STALLING_GRAPHS))
     def test_families_match_oracle_and_networkx(self, name, searches):
-        build, runs, chunks = FALLBACK_GRAPHS[name]
+        build, runs, chunks = STALLING_GRAPHS[name]
         self.check(shuffle_labels(build(), random.Random(name)))
         # Random regular graphs depend on networkx's generator, so only
         # their values are pinned, not how they were found.
         if runs is not None:
             assert (len(searches[0]), searches[1]) == (runs, chunks)
 
-    # reiman(5), shuffled, leaves 54 vertices after bounding, with the
-    # largest upper bound 5; cycle(50) leaves 42, with the largest at
-    # least 21.  Narrowing the chunk moves both across the size rule.
+    # reiman(5), shuffled, leaves 54 vertices after 8 stalled rounds,
+    # with the largest upper bound 5; cycle(50) leaves 42, with the
+    # largest at least 21.  Narrowing the chunk moves both across the
+    # size rule: bounding goes on, one BFS per vertex left at most.
     @pytest.mark.parametrize(
         "name, width, runs, chunks",
         [
@@ -329,17 +331,18 @@ class TestBitParallelFallback:
     )
     def test_chunk_width_and_size_rule(self, name, width, runs, chunks, searches, monkeypatch):
         monkeypatch.setattr(avec.graph, "_BIT_WIDTH", width)
-        build = FALLBACK_GRAPHS[name][0]
+        build = STALLING_GRAPHS[name][0]
         self.check(shuffle_labels(build(), random.Random(name)))
         assert (len(searches[0]), searches[1]) == (runs, chunks)
 
-    def test_plain_side_at_full_width(self, searches):
-        # 12 vertices left with bounds of at least 12: one BFS each.
-        # One more cycle vertex puts the rule on the bit-parallel side.
+    def test_bounding_side_at_full_width(self, searches):
+        # 12 vertices left with bounds of at least 12: bounding goes on
+        # and settles each with its own BFS.  One more cycle vertex puts
+        # the rule on the bit-parallel side.
         self.check(shuffle_labels(classic("cycle", 20), random.Random("cycle20")))
         assert (len(searches[0]), searches[1]) == (20, [])
         # chain(5, ell) leaves 2 vertices, with a largest upper bound of
-        # 7 at ell = 2 and 43 at ell = 8.
+        # 7 at ell = 2 and 43 at ell = 8; bounding takes one BFS each.
         for ell in (2, 8):
             g = chain(ChainSpec(5, ell)).graph
             del searches[0][:]

@@ -87,6 +87,13 @@ class TestEdgelist:
         with pytest.raises(InvalidArgument, match="MAX_ORDER"):
             parse_edgelist(f"{MAX_ORDER + 1} 0\n")
 
+    def test_order_limit_is_the_graph_module_one(self):
+        # The limit lives in avec.graph, which the generators share; the
+        # name still resolves here.
+        from avec import graph
+
+        assert MAX_ORDER is graph.MAX_ORDER == 2**20
+
 
 class TestGraph6:
     def test_matches_networkx_encoding(self):

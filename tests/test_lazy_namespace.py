@@ -88,7 +88,7 @@ RUNS = {
     ),
     "sweep": (
         ["sweep", "--family", "chain", "--delta", "3", "--ell-range", "2..2", "--csv", "s.csv"],
-        ["bounds", "generators", "gf", "graph", "io"],
+        ["bounds", "generators", "gf", "graph"],
     ),
     "help": (["--help"], []),
 }

@@ -468,6 +468,39 @@ class TestTree:
         with pytest.raises(ConstructionInvariantViolated, match=message):
             _assert_tree(g, m, tampered, dm)
 
+    def test_tree_with_wrong_edge_count_rejected(self):
+        g = chain(ChainSpec(3, 6)).graph
+        m, t, dm = _anchored(g)
+        edges = tuple(t.tree.edges())[1:]
+        tampered = t._replace(tree=build_graph(g.n, edges))
+        match = f"^tree has {g.n - 2} edges, expected {g.n - 1}$"
+        with pytest.raises(ConstructionInvariantViolated, match=match):
+            _assert_tree(g, m, tampered, dm)
+
+    def test_tree_that_does_not_span_rejected(self):
+        # Cut a leaf off and close a cycle elsewhere: still n - 1 edges.
+        g = chain(ChainSpec(3, 6)).graph
+        m, t, dm = _anchored(g)
+        tree = t.tree
+        x = next(x for x in range(g.n) if tree.degree(x) == 1)
+        (parent,) = tree.adjacency[x]
+        extra = next(e for e in g.edges() if x not in e and not tree.has_edge(*e))
+        edges = set(tree.edges()) - {(min(x, parent), max(x, parent))} | {extra}
+        tampered = t._replace(tree=build_graph(g.n, edges))
+        assert tampered.tree.m == g.n - 1
+        with pytest.raises(ConstructionInvariantViolated, match="^tree is not spanning$"):
+            _assert_tree(g, m, tampered, dm)
+
+    def test_matching_edge_missing_from_ball_tree_rejected(self):
+        g = chain(ChainSpec(3, 6)).graph
+        m, t, dm = _anchored(g)
+        subtrees = list(t.subtrees)
+        subtrees[1] = subtrees[1] - {m.edges[1]}
+        tampered = t._replace(subtrees=tuple(subtrees))
+        message = re.escape(f"matching edge {m.edges[1]} missing from its ball tree")
+        with pytest.raises(ConstructionInvariantViolated, match=message):
+            _assert_tree(g, m, tampered, dm)
+
     def test_overlapping_matching_rejected(self, chain32):
         g = chain32.graph
         e1, e2 = tuple(g.edges())[:2]  # share vertex 0
@@ -604,6 +637,14 @@ class TestWeights:
         with pytest.raises(LemmaBoundViolated):
             compute_weights(g, m, t, sc)
 
+    def test_anchor_floor_violation_raises(self, chain34):
+        g = chain34.graph
+        m = build_matching(g, "maxdeg", smallest_max_degree_vertex(g))
+        t = build_tree(g, m)
+        sc = structural_constants(3, g.max_degree())._replace(Delta_star=10**6)
+        with pytest.raises(LemmaBoundViolated, match=r"^cbar\(e_1\) = \d+ below Delta_star = 1000000$"):
+            compute_weights(g, m, t, sc)
+
 
 class TestReplayGirth6:
     def test_chain32_frozen(self, chain32):
@@ -704,6 +745,21 @@ class TestDisconnectedTarget:
         assert by_name["contraction_connected"].lhs > 1
         assert not by_name["contraction_connected"].passed
         assert not by_name["power_contraction_transfer"].passed
+        assert not tr.overall_pass
+        json.dumps(trace_json(tr))
+
+    def test_maxdeg_trace_fails(self, edgeless_power):
+        # The maxdeg twin: the anchor's eccentricity in the target has
+        # no value either, so its check fails with no sides.
+        g = chain(ChainSpec(3, 4)).graph
+        tr = replay(g, "maxdeg", smallest_max_degree_vertex(g))
+        assert tuple(c.name for c in tr.checks) == MAXDEG_CHECKS
+        by_name = {c.name: c for c in tr.checks}
+        assert not by_name["contraction_connected"].passed
+        for name in ("power_contraction_transfer", "contracted_path_bound",
+                     "anchor_eccentricity_bound"):
+            assert by_name[name] == (name, None, None, False)
+        assert dict(tr.values)["anchor_target_ecc"] is None
         assert not tr.overall_pass
         json.dumps(trace_json(tr))
 

@@ -11,7 +11,13 @@ from avec.generators import ChainSpec, chain
 from avec.graph import eccentricity_profile
 from util import chain_ex_oracle
 
-DELTAS = (3, 4, 5)
+#: delta -> the largest ell that the closed-form checks read.  The
+#: oracle spends about ell * copy_order^2 steps, so delta = 6, 8 and 9,
+#: with copies of 62 to 146 vertices, stop at 12, where
+#: `test_oracle_equals_eccentricity_profile` still holds the oracle to
+#: the built chain.  delta = 7 has no chain: 6 is no prime power.
+TOP_ELL = {3: 44, 4: 44, 5: 44, 6: 12, 8: 12, 9: 12}
+DELTAS = tuple(TOP_ELL)
 
 
 def copy_order(delta):
@@ -34,21 +40,30 @@ def test_oracle_equals_eccentricity_profile(delta, ell):
 
 
 @pytest.mark.parametrize(
-    "delta, a, b, c", [(3, 63, -35, -16), (4, 117, -65, -20), (5, 189, -105, -24)]
+    "delta, a, b, c",
+    [
+        (3, 63, -35, -16),
+        (4, 117, -65, -20),
+        (5, 189, -105, -24),
+        (6, 279, -155, -28),
+        (8, 513, -285, -36),
+        (9, 657, -365, -40),
+    ],
 )
 def test_closed_form(delta, a, b, c):
     # EX = a ell^2 + b ell + c, that is copy_order * (9 ell^2 - 5 ell) / 2
     # - 4 (delta + 1).
     assert (2 * a, 2 * b, c) == (9 * copy_order(delta), -5 * copy_order(delta), -4 * (delta + 1))
-    for ell in [*range(2, 42, 2), 1024, 16384]:
+    big = (1024, 16384) if delta <= 5 else ()
+    for ell in [*range(2, TOP_ELL[delta] + 1, 2), *big]:
         assert chain_ex_oracle(delta, ell) == a * ell * ell + b * ell + c
 
 
-@pytest.mark.parametrize("delta, second", zip(DELTAS, (504, 936, 1512)))
+@pytest.mark.parametrize("delta, second", zip(DELTAS, (504, 936, 1512, 2232, 4104, 5256)))
 def test_second_difference_is_36_copy_orders(delta, second):
     assert second == 36 * copy_order(delta)
-    ex = {ell: chain_ex_oracle(delta, ell) for ell in range(2, 46, 2)}
-    for ell in range(2, 42, 2):
+    ex = {ell: chain_ex_oracle(delta, ell) for ell in range(2, TOP_ELL[delta] + 1, 2)}
+    for ell in range(2, TOP_ELL[delta] - 3, 2):
         assert ex[ell + 4] - 2 * ex[ell + 2] + ex[ell] == second
 
 
@@ -57,7 +72,7 @@ def test_slack_limits(delta):
     # ell * slack(ell) is linear in ell, so slack(ell) = limit + c / ell
     # exactly, and the limit is half the step of ell * slack over ell + 2.
     steps = set()
-    for ell in range(2, 42, 2):
+    for ell in range(2, TOP_ELL[delta] - 1, 2):
         now, after = slacks(delta, ell), slacks(delta, ell + 2)
         steps.add(tuple((ell + 2) * b - ell * a for a, b in zip(now, after)))
     assert len(steps) == 1, steps
