@@ -5,7 +5,16 @@ report for a graph file), audit (ball-size audit), replay (step-by-step
 certificate for the constructive bounds), sweep (CSV over a family).
 
 Exit codes: 0 success, 1 a certified inequality or audit failed,
-2 bad usage or bad input.
+2 bad usage or bad input, with one `error:` line on stderr.
+
+The command line is read by `parse_args` from one table, `VERBS`, that
+gives each verb its function, positionals and options; `-h` or `--help`
+prints the `help_text` built from it.  Options are spelled in full, as
+`--name value` or `--name=value`, in any order among the positionals,
+and a repeated option keeps its last value.  The standard library's
+option parser is not used: its import and the gettext and locale
+lookups it makes would cost every process more time and memory than
+any avec module.
 
 Each verb imports what it calls at its top, before it reads its input:
 the package runs a submodule only on first use, so a command compiles
@@ -13,10 +22,10 @@ only the modules it needs, and the compiler's memory is freed before the
 graph is built.
 """
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import (
     AvecError,
@@ -170,65 +179,179 @@ def _cmd_sweep(args):
     return 0 if ok else 1
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="avec",
-        description="Exact eccentricity statistics, extremal generators, "
-        "bound reports, and proof replays.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+#: The default of an option that the command line must give.
+REQUIRED = object()
 
-    out_opts = argparse.ArgumentParser(add_help=False)
-    out_opts.add_argument("--out", metavar="PATH", help="write the graph here")
-    out_opts.add_argument(
-        "--format", choices=("edgelist", "graph6"), default="edgelist"
-    )
+#: The options of both `gen` families.
+_GRAPH_OUT = {
+    "--out": ("PATH", None, "write the graph here"),
+    "--format": (("edgelist", "graph6"), "edgelist", "graph file format"),
+}
 
-    gen = sub.add_parser("gen", help="generate a graph family member")
-    gsub = gen.add_subparsers(dest="family", required=True)
-    g_r = gsub.add_parser("reiman", parents=[out_opts], help="incidence graph over GF(q)")
-    g_r.add_argument("--q", type=int, required=True, help="prime power >= 2")
-    g_r.set_defaults(func=_cmd_gen_reiman)
-    g_c = gsub.add_parser("chain", parents=[out_opts], help="chained incidence copies")
-    g_c.add_argument("--delta", type=int, required=True, help="minimum degree >= 3")
-    g_c.add_argument("--ell", type=int, required=True, help="even copy count >= 2")
-    g_c.add_argument("--head", metavar="PATH", help="custom first copy (edge list)")
-    g_c.set_defaults(func=_cmd_gen_chain)
+#: The command line: verb -> (function, help, positional names, options,
+#: flags that exclude each other).  Options map flag -> (kind, default,
+#: help); a kind is `int`, `bool` (a flag that takes no value), a tuple
+#: of choices, or a str: the metavar of a text value.  Each option's
+#: value lands on the attribute named by its flag, less its dashes, with
+#: `-` read as `_`.
+VERBS = {
+    "gen reiman": (
+        _cmd_gen_reiman,
+        "incidence graph over GF(q)",
+        (),
+        {"--q": (int, REQUIRED, "prime power >= 2"), **_GRAPH_OUT},
+        (),
+    ),
+    "gen chain": (
+        _cmd_gen_chain,
+        "chained incidence copies",
+        (),
+        {
+            "--delta": (int, REQUIRED, "minimum degree >= 3"),
+            "--ell": (int, REQUIRED, "even copy count >= 2"),
+            "--head": ("PATH", None, "custom first copy (edge list)"),
+            **_GRAPH_OUT,
+        },
+        (),
+    ),
+    "analyze": (
+        _cmd_analyze,
+        "bound report for a graph file",
+        ("path",),
+        {
+            "--json": (bool, False, "JSON report (default)"),
+            "--csv": (bool, False, "CSV header plus one row"),
+        },
+        ("--json", "--csv"),
+    ),
+    "audit": (_cmd_audit, "ball-size audit for a graph file", ("path",), {}, ()),
+    "replay": (
+        _cmd_replay,
+        "step-by-step bound certificate",
+        ("path",),
+        {
+            # Spelled here, so that parsing loads no replay code.
+            "--variant": (("girth6", "maxdeg"), REQUIRED, "which bound to replay"),
+            "--anchor": (int, None, "maxdeg anchor (default: least of maximum degree)"),
+            "--trace": ("PATH", None, "write the JSON trace here"),
+        },
+        (),
+    ),
+    "sweep": (
+        _cmd_sweep,
+        "CSV bound report over a family",
+        (),
+        {
+            "--family": (("chain",), REQUIRED, "graph family"),
+            "--delta": (int, REQUIRED, "minimum degree >= 3"),
+            "--ell-range": ("A..B", REQUIRED, "ell from A to B, even values only"),
+            "--csv": ("PATH", REQUIRED, "write the CSV here"),
+        },
+        (),
+    ),
+}
 
-    ana = sub.add_parser("analyze", help="bound report for a graph file")
-    ana.add_argument("path")
-    fmt = ana.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON report (default)")
-    fmt.add_argument("--csv", action="store_true", help="CSV header plus one row")
-    ana.set_defaults(func=_cmd_analyze)
 
-    aud = sub.add_parser("audit", help="ball-size audit for a graph file")
-    aud.add_argument("path")
-    aud.set_defaults(func=_cmd_audit)
+def _metavar(flag, kind):
+    if kind is bool:
+        return ""
+    if kind is int:
+        return " " + flag[2:].upper()
+    return " " + (kind if isinstance(kind, str) else "|".join(kind))
 
-    rep = sub.add_parser("replay", help="step-by-step bound certificate")
-    rep.add_argument("path")
-    # Spelled here, so that building the parser loads no replay code.
-    rep.add_argument("--variant", choices=("girth6", "maxdeg"), required=True)
-    rep.add_argument(
-        "--anchor",
-        type=int,
-        help="maxdeg anchor vertex (default: smallest of maximum degree)",
-    )
-    rep.add_argument("--trace", metavar="PATH", help="write the JSON trace here")
-    rep.set_defaults(func=_cmd_replay)
 
-    swp = sub.add_parser("sweep", help="CSV bound report over a family")
-    swp.add_argument("--family", choices=("chain",), required=True)
-    swp.add_argument("--delta", type=int, required=True)
-    swp.add_argument("--ell-range", required=True, metavar="A..B")
-    swp.add_argument("--csv", required=True, metavar="PATH")
-    swp.set_defaults(func=_cmd_sweep)
-    return parser
+def help_text():
+    """Every verb with its arguments and options."""
+    lines = [
+        "usage: avec VERB [ARGUMENTS]",
+        "",
+        "Exact eccentricity statistics, extremal generators, bound reports,",
+        "and proof replays.  Options go in any order, spelled in full, as",
+        "--name value or --name=value; -h or --help prints this text.",
+    ]
+    for verb, (_, about, positionals, options, exclusive) in VERBS.items():
+        words = [f"avec {verb}", *(p.upper() for p in positionals)]
+        for flag, (kind, default, _) in options.items():
+            word = flag + _metavar(flag, kind)
+            words.append(word if default is REQUIRED else f"[{word}]")
+        lines += ["", " ".join(words), f"    {about}"]
+        for flag, (kind, _, text) in options.items():
+            lines.append(f"    {flag + _metavar(flag, kind):<25} {text}")
+        if exclusive:
+            lines.append(f"    {' and '.join(exclusive)} exclude each other")
+    return "\n".join(lines) + "\n"
+
+
+def _usage_error(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv):
+    """The arguments of a command line, as attributes, with `func` the
+    verb's function.
+
+    Prints the help text and raises SystemExit(0) if any token is -h or
+    --help; prints one `error:` line and raises SystemExit(2) if the
+    command line is not one that VERBS allows.
+    """
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(help_text())
+        raise SystemExit(0)
+    words = 2 if argv[:1] == ["gen"] else 1
+    verb = " ".join(argv[:words])
+    if verb not in VERBS:
+        if words == 2:
+            known = [v for v in VERBS if v.startswith("gen ")]
+        else:
+            known = dict.fromkeys(v.split()[0] for v in VERBS)
+        got = " ".join(["avec", *argv[:words]])
+        _usage_error(f"expected one of {', '.join(known)}; got {got!r}")
+    func, _, positionals, options, exclusive = VERBS[verb]
+    given, free = {}, []
+    tokens = iter(argv[words:])
+    for token in tokens:
+        if not token.startswith("-") or token == "-":
+            free.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in options:
+            _usage_error(f"avec {verb} has no option {flag!r}")
+        kind = options[flag][0]
+        if kind is bool:
+            if eq:
+                _usage_error(f"{flag} takes no value")
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                _usage_error(f"{flag} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"{flag} needs an integer, got {value!r}")
+        elif isinstance(kind, tuple) and value not in kind:
+            _usage_error(f"{flag} must be one of {', '.join(kind)}; got {value!r}")
+        given[flag] = value
+    if len(free) != len(positionals):
+        if len(free) < len(positionals):
+            _usage_error(f"avec {verb} needs {' '.join(p.upper() for p in positionals)}")
+        _usage_error(f"unexpected argument {free[len(positionals)]!r}")
+    if exclusive and all(f in given for f in exclusive):
+        _usage_error(f"{' and '.join(exclusive)} exclude each other")
+    args = SimpleNamespace(func=func, **dict(zip(positionals, free)))
+    for flag, (_, default, _) in options.items():
+        value = given.get(flag, default)
+        if value is REQUIRED:
+            _usage_error(f"avec {verb} needs {flag}")
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ConstructionInvariantViolated, LemmaBoundViolated) as exc:

@@ -8,7 +8,6 @@ are reported with the `UNREACHABLE` sentinel, never a large number.
 
 from bisect import bisect_right
 from collections import defaultdict, namedtuple
-from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, repeat
 from operator import and_, mul
@@ -264,6 +263,8 @@ def eccentricity_profile(g):
     instead: with a farthest from vertex 0 and b farthest from a,
     ecc(v) = max(d(v, a), d(v, b)).  That is 3 BFS runs in all.
     """
+    from fractions import Fraction  # here, so that `gen` loads no fractions
+
     n = g.n
     if n < 1:
         raise InvalidArgument("graph must have at least one vertex")
@@ -372,6 +373,8 @@ def weighted_avec(g, weights):
 
     Weights must be nonnegative ints or Fractions with positive total.
     """
+    from fractions import Fraction
+
     if len(weights) != g.n:
         raise InvalidWeights(f"expected {g.n} weights, got {len(weights)}")
     for c in weights:

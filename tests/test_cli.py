@@ -1,6 +1,11 @@
 import importlib
+import importlib.util
 import json
 import random
+import re
+import shlex
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +18,8 @@ from avec.graph import line_graph
 from avec.io import MAX_ORDER, format_edgelist, parse_edgelist, read_graph
 from avec.errors import ConstructionInvariantViolated, OutOfRange
 from avec.replay import replay, trace_json
-from util import audit_json_oracle, shuffle_labels, thin
+from test_tracer_names import TINY
+from util import argparse_oracle, audit_json_oracle, shuffle_labels, thin
 
 # The CLI imports each function from its module when a verb runs, so a
 # fault is injected on the module that defines the function.
@@ -395,6 +401,140 @@ class TestSweep:
     def test_no_even_ell(self, tmp_path):
         assert run(["sweep", "--family", "chain", "--delta", "3",
                     "--ell-range", "3..3", "--csv", str(tmp_path / "s.csv")]) == 2
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_command_lines():
+    """The `avec ...` lines of README's shell blocks, as argument lists."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.splitlines():
+            if line.startswith("avec "):
+                yield shlex.split(line, comments=True)[1:]
+
+
+def benchmark_command_lines(monkeypatch):
+    """Every command of the benchmark's workloads, set-up included."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("avec_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for w in workloads.WORKLOADS.values():
+        for cmd in w.setup + w.timed:
+            yield list(cmd.args)
+
+
+#: Valid command lines that the README, the benchmark and the traced
+#: runs leave out.
+MORE_COMMAND_LINES = [
+    ["gen", "reiman", "--q", "3", "--q", "2"],
+    ["gen", "chain", "--ell", "2", "--delta", "3", "--format", "edgelist"],
+    ["analyze", "g.el"],
+    ["analyze", "--csv", "--csv", "g.el"],
+    ["replay", "g.el", "--variant", "maxdeg", "--anchor", "-7"],
+    ["replay", "-", "--variant=girth6", "--trace", "-"],
+    ["audit", "g.el"],
+]
+
+
+def spellings(argv):
+    """argv, with its options and positionals in reverse order, and with
+    every option that takes a value spelled --name=value."""
+    words = 2 if argv[0] == "gen" else 1
+    options = cli.VERBS[" ".join(argv[:words])][3]
+    groups, tokens = [], iter(argv[words:])
+    for token in tokens:
+        takes_value = token in options and options[token][0] is not bool
+        groups.append([token, next(tokens)] if takes_value else [token])
+    yield argv
+    yield argv[:words] + [t for g in reversed(groups) for t in g]
+    yield argv[:words] + ["=".join(g) if g[0].startswith("--") else g[0] for g in groups]
+
+
+def without_verb(args):
+    return {k: v for k, v in vars(args).items() if k not in ("func", "command", "family")}
+
+
+class TestParser:
+    """`cli.parse_args` against the argparse parser it replaced
+    (`util.argparse_oracle`), and its one-line usage errors."""
+
+    def test_same_values_as_argparse(self, monkeypatch):
+        lines = [*readme_command_lines(), *benchmark_command_lines(monkeypatch)]
+        lines += [list(args) for cmds in TINY.values() for args in cmds]
+        assert len(lines) > 30
+        lines += MORE_COMMAND_LINES
+        verbs = {" ".join(argv[: 2 if argv[0] == "gen" else 1]) for argv in lines}
+        assert verbs == set(cli.VERBS)
+        oracle = argparse_oracle()
+        for argv in lines:
+            for spelling in spellings(argv):
+                want = oracle.parse_args(spelling)
+                got = cli.parse_args(spelling)
+                assert without_verb(got) == without_verb(want), spelling
+                assert got.func is want.func
+
+    def test_spellings_reorder_and_join(self):
+        assert list(spellings(["analyze", "x", "--csv"])) == [
+            ["analyze", "x", "--csv"], ["analyze", "--csv", "x"], ["analyze", "x", "--csv"],
+        ]
+        assert list(spellings(["gen", "reiman", "--q", "2", "--out", "r"])) == [
+            ["gen", "reiman", "--q", "2", "--out", "r"],
+            ["gen", "reiman", "--out", "r", "--q", "2"],
+            ["gen", "reiman", "--q=2", "--out=r"],
+        ]
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["frobnicate"],
+        ["gen"],
+        ["gen", "cycle", "--n", "5"],
+        ["replay", "g.el"],
+        ["gen", "reiman", "--q", "x"],
+        ["replay", "g.el", "--variant", "foo"],
+        ["analyze", "g.el", "--json", "--csv"],
+        ["audit", "g.el", "--verbose"],
+        ["gen", "reiman", "--q"],
+        ["analyze"],
+        ["analyze", "g.el", "h.el"],
+        ["gen", "chain", "--del", "3", "--ell", "2"],
+        ["analyze", "g.el", "--csv=yes"],
+        ["sweep", "--family", "chain", "--delta", "3", "--csv", "s.csv"],
+        ["replay", "g.el", "--variant", "girth6", "-x"],
+        ["audit", "g.el", "--no\nsuch"],
+    ], ids=repr)
+    def test_usage_error_is_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1, captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["-h"],
+        ["gen", "chain", "--help"],
+        ["replay", "g.el", "--variant", "foo", "-h"],
+    ])
+    def test_help_anywhere(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out == cli.help_text() and captured.err == ""
+
+    def test_help_names_every_verb_and_option(self):
+        text = cli.help_text()
+        for verb, (_, _, _, options, _) in cli.VERBS.items():
+            assert f"\navec {verb} " in text
+            for flag in options:
+                assert f"\n    {flag} " in text, flag
 
 
 class TestEntry:

@@ -13,7 +13,6 @@ covers only the modules a verb runs; the verb runs here repeat it, and
 together they run all six submodules and the two modules that `replay`
 imports itself, `construct` and `certificate`."""
 
-import argparse
 import importlib.util
 import json
 import os
@@ -35,15 +34,20 @@ SUBMODULES = ("bounds", "generators", "gf", "graph", "io", "replay")
 #: registered, so each is absent from sys.modules until it has run.
 REPLAY_PARTS = ("certificate", "construct")
 
-#: Prints, as the last line of stdout, the submodules that have run and
-#: the costly modules that are loaded (read before `json` is imported).
+#: Loaded by the first Fraction, which no `gen` command builds.
+EXACT = ("decimal", "fractions", "numbers")
+
+#: Prints, as the last line of stdout, the submodules that have run, the
+#: costly modules that are loaded and those of `EXACT` that are (read
+#: before `json` is imported).
 EXECUTED = (
     "import sys, types\n"
     f"heavy = sorted(set({HEAVY!r}) & set(sys.modules))\n"
+    f"exact = sorted(set({EXACT!r}) & set(sys.modules))\n"
     f"ran = [s for s in {tuple(sorted(SUBMODULES + REPLAY_PARTS))!r}"
     " if type(sys.modules.get('avec.' + s)) is types.ModuleType]\n"
     "import json\n"
-    "print(json.dumps({'ran': ran, 'heavy': heavy}))\n"
+    "print(json.dumps({'ran': ran, 'heavy': heavy, 'exact': exact}))\n"
 )
 
 
@@ -72,7 +76,8 @@ def inputs(tmp_path_factory):
 # ------------------------------------------------------------ what each verb runs
 
 #: Each verb on a tiny input, and the submodules it must leave run (with
-#: none of `HEAVY` loaded).  Only `replay` may load `REPLAY_PARTS`.
+#: none of `HEAVY` loaded, and for `gen` and `--help` none of `EXACT`).
+#: Only `replay` may load `REPLAY_PARTS`.
 RUNS = {
     "analyze": (["analyze", "r.el"], ["bounds", "graph", "io"]),
     "analyze_csv": (["analyze", "r.el", "--csv"], ["bounds", "graph", "io"]),
@@ -104,7 +109,10 @@ def test_verb_runs_only_the_modules_it_calls(verb, inputs):
         "except SystemExit as exc:\n"
         "    assert exc.code == 0\n"
     )
-    assert python(code + EXECUTED, inputs) == {"ran": wanted, "heavy": []}
+    got = python(code + EXECUTED, inputs)
+    assert (got["ran"], got["heavy"]) == (wanted, [])
+    if verb.startswith("gen") or verb == "help":
+        assert got["exact"] == []
 
 
 def test_cli_import_registers_every_traced_module(monkeypatch, tmp_path):
@@ -120,7 +128,8 @@ def test_cli_import_registers_every_traced_module(monkeypatch, tmp_path):
         f"print(json.dumps([s for s in {sorted(tracer.TRACED)!r} if 'avec.' + s not in sys.modules]))\n"
     )
     assert python(code, tmp_path) == []
-    assert python("import avec.cli\n" + EXECUTED, tmp_path) == {"ran": [], "heavy": []}
+    unloaded = {"ran": [], "heavy": [], "exact": []}
+    assert python("import avec.cli\n" + EXECUTED, tmp_path) == unloaded
 
 
 # ------------------------------------------------------------ namespace identity
@@ -179,7 +188,5 @@ def test_unknown_name_is_attribute_error():
 
 
 def test_parser_variant_choices_are_the_replay_variants():
-    parser = cli.build_parser()
-    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    variant = next(a for a in verbs.choices["replay"]._actions if a.dest == "variant")
-    assert variant.choices == (VARIANT_GIRTH6, VARIANT_MAXDEG)
+    options = cli.VERBS["replay"][3]
+    assert options["--variant"][0] == (VARIANT_GIRTH6, VARIANT_MAXDEG)

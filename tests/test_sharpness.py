@@ -11,13 +11,12 @@ from avec.generators import ChainSpec, chain
 from avec.graph import eccentricity_profile
 from util import chain_ex_oracle
 
-#: delta -> the largest ell that the closed-form checks read.  The
-#: oracle spends about ell * copy_order^2 steps, so delta = 6, 8 and 9,
-#: with copies of 62 to 146 vertices, stop at 12, where
-#: `test_oracle_equals_eccentricity_profile` still holds the oracle to
-#: the built chain.  delta = 7 has no chain: 6 is no prime power.
-TOP_ELL = {3: 44, 4: 44, 5: 44, 6: 12, 8: 12, 9: 12}
-DELTAS = tuple(TOP_ELL)
+#: delta = 7 has no chain: 6 is no prime power.
+DELTAS = (3, 4, 5, 6, 8, 9)
+#: The closed-form checks read every even ell up to here;
+#: `test_oracle_equals_eccentricity_profile` holds the oracle to the
+#: built chain up to 12.
+TOP_ELL = 44
 
 
 def copy_order(delta):
@@ -54,16 +53,18 @@ def test_closed_form(delta, a, b, c):
     # EX = a ell^2 + b ell + c, that is copy_order * (9 ell^2 - 5 ell) / 2
     # - 4 (delta + 1).
     assert (2 * a, 2 * b, c) == (9 * copy_order(delta), -5 * copy_order(delta), -4 * (delta + 1))
-    big = (1024, 16384) if delta <= 5 else ()
-    for ell in [*range(2, TOP_ELL[delta] + 1, 2), *big]:
+    # The oracle spends about copy_order^2 + ell * copy_order steps, so
+    # ell = 16384 takes up to a second for delta >= 6.
+    big = (1024, 16384) if delta <= 5 else (1024,)
+    for ell in [*range(2, TOP_ELL + 1, 2), *big]:
         assert chain_ex_oracle(delta, ell) == a * ell * ell + b * ell + c
 
 
 @pytest.mark.parametrize("delta, second", zip(DELTAS, (504, 936, 1512, 2232, 4104, 5256)))
 def test_second_difference_is_36_copy_orders(delta, second):
     assert second == 36 * copy_order(delta)
-    ex = {ell: chain_ex_oracle(delta, ell) for ell in range(2, TOP_ELL[delta] + 1, 2)}
-    for ell in range(2, TOP_ELL[delta] - 3, 2):
+    ex = {ell: chain_ex_oracle(delta, ell) for ell in range(2, TOP_ELL + 1, 2)}
+    for ell in range(2, TOP_ELL - 3, 2):
         assert ex[ell + 4] - 2 * ex[ell + 2] + ex[ell] == second
 
 
@@ -72,7 +73,7 @@ def test_slack_limits(delta):
     # ell * slack(ell) is linear in ell, so slack(ell) = limit + c / ell
     # exactly, and the limit is half the step of ell * slack over ell + 2.
     steps = set()
-    for ell in range(2, TOP_ELL[delta] - 1, 2):
+    for ell in range(2, TOP_ELL - 1, 2):
         now, after = slacks(delta, ell), slacks(delta, ell + 2)
         steps.add(tuple((ell + 2) * b - ell * a for a, b in zip(now, after)))
     assert len(steps) == 1, steps

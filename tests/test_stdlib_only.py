@@ -68,8 +68,9 @@ def test_reader_sees_every_import_form():
     assert sorted(absolute_imports(source)) == ["json", "networkx", "numpy", "os"]
 
 
-#: Modules whose import alone costs more than avec's own start-up work.
-HEAVY = ("dataclasses", "inspect", "typing")
+#: Modules whose import alone costs more than avec's own start-up work;
+#: `gettext` and `locale` come with an option parser's messages.
+HEAVY = ("argparse", "dataclasses", "gettext", "inspect", "locale", "typing")
 
 
 def test_cli_import_loads_no_heavy_module(tmp_path):

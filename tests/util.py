@@ -7,6 +7,8 @@ subset enumeration, short-cycle flags by the three separate scans that
 networkx or a plain BFS of the oracle's own.
 """
 
+import argparse
+import functools
 import gc
 import itertools
 import json
@@ -17,6 +19,7 @@ from fractions import Fraction
 
 import networkx as nx
 
+from avec import cli
 from avec.bounds import _CLASSES, AuditItem, AuditRecord, at_most, structural_constants
 from avec.construct import AnchoredTree, _bonus
 from avec.errors import (
@@ -762,19 +765,14 @@ def _distance_table(adjacency):
     return table
 
 
-def chain_ex_oracle(delta, ell):
-    """EX(chain(delta, ell)), the sum of its eccentricities, derived from
-    one full copy and one middle copy; no chain is built.
+@functools.cache
+def _copy_tables(delta):
+    """u, v and, for a full copy and then a middle copy of chain(delta,
+    ell), its distance table and each vertex's eccentricity within it.
 
     A copy is the point-line incidence graph of PG(2, delta - 1), made
-    here from a difference set D mod N: point i is on line j when
-    j - i mod N is in D.  Its automorphisms, with a duality, map each
-    incident pair, in either order, to any other, so the designated u
-    and v are taken as point 0 and line 0; a middle copy lacks that
-    edge.  Copy t's v is joined to copy t+1's u by a bridge, so a path
-    between copies runs along the path of copies: `right[s]` is the
-    farthest reach from u of copy s into copies s..ell, and `left[s]`
-    from v of copy s into copies 1..s.  O(N^2 + ell * N).
+    from a difference set D mod N: point i is on line j when j - i mod N
+    is in D; u is point 0, v is line 0 and a middle copy lacks uv.
     """
     D = _difference_set(delta - 1)
     N = len(D) ** 2 - len(D) + 1
@@ -782,21 +780,96 @@ def chain_ex_oracle(delta, ell):
     full += [[(j - d) % N for d in D] for j in range(N)]
     u, v = 0, N
     middle = [[y for y in nbrs if {x, y} != {u, v}] for x, nbrs in enumerate(full)]
-    dF, dM = _distance_table(full), _distance_table(middle)
-    right = {ell: max(dF[u])}
+    tables = (_distance_table(full), _distance_table(middle))
+    return (u, v, *((d, [max(row) for row in d]) for d in tables))
+
+
+def chain_ex_oracle(delta, ell):
+    """EX(chain(delta, ell)), the sum of its eccentricities, derived from
+    one full copy and one middle copy; no chain is built.
+
+    A copy is the point-line incidence graph of PG(2, delta - 1).  Its
+    automorphisms, with a duality, map each incident pair, in either
+    order, to any other, so the designated u and v are taken as point 0
+    and line 0; a middle copy lacks that edge.  Copy t's v is joined to
+    copy t+1's u by a bridge, so a path between copies runs along the
+    path of copies: `right[s]` is the farthest reach from u of copy s
+    into copies s..ell, and `left[s]` from v of copy s into copies
+    1..s.  O(N^2) once per delta (`_copy_tables`) plus O(ell * N).
+    """
+    u, v, (dF, eF), (dM, eM) = _copy_tables(delta)
+    right = {ell: eF[u]}
     for s in range(ell - 1, 1, -1):
-        right[s] = max(max(dM[u]), dM[u][v] + 1 + right[s + 1])
-    left = {1: max(dF[v])}
+        right[s] = max(eM[u], dM[u][v] + 1 + right[s + 1])
+    left = {1: eF[v]}
     for s in range(2, ell):
-        left[s] = max(max(dM[v]), dM[v][u] + 1 + left[s - 1])
+        left[s] = max(eM[v], dM[v][u] + 1 + left[s - 1])
     total = 0
     for t in range(1, ell + 1):
-        d = dF if t in (1, ell) else dM
-        for x in range(2 * N):
-            reach = [max(d[x])]
+        d, e = (dF, eF) if t in (1, ell) else (dM, eM)
+        for x, reach in enumerate(e):
             if t < ell:
-                reach.append(d[x][v] + 1 + right[t + 1])
+                reach = max(reach, d[x][v] + 1 + right[t + 1])
             if t > 1:
-                reach.append(d[x][u] + 1 + left[t - 1])
-            total += max(reach)
+                reach = max(reach, d[x][u] + 1 + left[t - 1])
+            total += reach
     return total
+
+
+def argparse_oracle():
+    """The argparse parser that `avec.cli.parse_args` replaced, kept as
+    the reference for the command lines it accepts and the values it
+    gives them."""
+    parser = argparse.ArgumentParser(
+        prog="avec",
+        description="Exact eccentricity statistics, extremal generators, "
+        "bound reports, and proof replays.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    out_opts = argparse.ArgumentParser(add_help=False)
+    out_opts.add_argument("--out", metavar="PATH", help="write the graph here")
+    out_opts.add_argument(
+        "--format", choices=("edgelist", "graph6"), default="edgelist"
+    )
+
+    gen = sub.add_parser("gen", help="generate a graph family member")
+    gsub = gen.add_subparsers(dest="family", required=True)
+    g_r = gsub.add_parser("reiman", parents=[out_opts], help="incidence graph over GF(q)")
+    g_r.add_argument("--q", type=int, required=True, help="prime power >= 2")
+    g_r.set_defaults(func=cli._cmd_gen_reiman)
+    g_c = gsub.add_parser("chain", parents=[out_opts], help="chained incidence copies")
+    g_c.add_argument("--delta", type=int, required=True, help="minimum degree >= 3")
+    g_c.add_argument("--ell", type=int, required=True, help="even copy count >= 2")
+    g_c.add_argument("--head", metavar="PATH", help="custom first copy (edge list)")
+    g_c.set_defaults(func=cli._cmd_gen_chain)
+
+    ana = sub.add_parser("analyze", help="bound report for a graph file")
+    ana.add_argument("path")
+    fmt = ana.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="JSON report (default)")
+    fmt.add_argument("--csv", action="store_true", help="CSV header plus one row")
+    ana.set_defaults(func=cli._cmd_analyze)
+
+    aud = sub.add_parser("audit", help="ball-size audit for a graph file")
+    aud.add_argument("path")
+    aud.set_defaults(func=cli._cmd_audit)
+
+    rep = sub.add_parser("replay", help="step-by-step bound certificate")
+    rep.add_argument("path")
+    rep.add_argument("--variant", choices=("girth6", "maxdeg"), required=True)
+    rep.add_argument(
+        "--anchor",
+        type=int,
+        help="maxdeg anchor vertex (default: smallest of maximum degree)",
+    )
+    rep.add_argument("--trace", metavar="PATH", help="write the JSON trace here")
+    rep.set_defaults(func=cli._cmd_replay)
+
+    swp = sub.add_parser("sweep", help="CSV bound report over a family")
+    swp.add_argument("--family", choices=("chain",), required=True)
+    swp.add_argument("--delta", type=int, required=True)
+    swp.add_argument("--ell-range", required=True, metavar="A..B")
+    swp.add_argument("--csv", required=True, metavar="PATH")
+    swp.set_defaults(func=cli._cmd_sweep)
+    return parser
