@@ -7,7 +7,6 @@ exactly on rationals, with 1e-9 of slack once a float is involved.
 Exact quantities are never rounded.
 """
 
-import json
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -279,6 +278,8 @@ _ITEMS_PER_WRITE = 16
 def _audit_item_text(check, size, bound, margin):
     # An item of the audit document at depth 2 of json's indent=2, cut
     # where its subject ints go.
+    import json
+
     return (
         '\n    {\n      "check": ' + json.dumps(check) + ',\n      "subject": [\n        ',
         '\n      ],\n      "size": ' + json.dumps(size)
@@ -304,6 +305,8 @@ def write_audit_json(record: AuditRecord, fh) -> None:
     spells, because 42 == 42.0 would reuse the wrong text; every piece
     is spelled by `json.dumps` itself.
     """
+    import json
+
     head = json.dumps(
         {
             "delta": record.delta,

@@ -22,7 +22,6 @@ only the modules it needs, and the compiler's memory is freed before the
 graph is built.
 """
 
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -40,6 +39,8 @@ def _emit_graph(labeled, args):
 
     g = labeled.graph
     if args.out:
+        import json
+
         write_graph(g, args.out, args.format)
         print(json.dumps(labeled.meta, indent=2))
     elif args.format == "graph6":
@@ -67,7 +68,6 @@ def _cmd_gen_chain(args):
         hu, hv = next(hg.edges())
         head = LabeledGraph(
             graph=hg,
-            labels=tuple(str(v) for v in range(hg.n)),
             designated={"u": hu, "v": hv},
             meta={"construction": "file", "path": args.head},
         )
@@ -83,6 +83,8 @@ def _cmd_analyze(args):
         print(CSV_HEADER)
         print(report_csv_row(report))
     else:
+        import json
+
         print(json.dumps(report_json(report), indent=2))
     return 0 if not report.violations else 1
 

@@ -7,18 +7,19 @@ it together into a long girth-6 graph with minimum degree q+1 whose
 average eccentricity grows linearly in the number of copies.
 
 Both refuse, before building anything, a graph of more than
-`graph.MAX_ORDER` vertices.
+`graph.MAX_ORDER` vertices: `chain` through `chain_order`, `reiman`
+through `gf.make_field`.
 """
 
 from collections import namedtuple
 
-from .errors import InvalidArgument, InvalidChainSpec, NotPrimePower
+from .errors import InvalidChainSpec, NotPrimePower
 from .gf import make_field
 from .graph import MAX_ORDER, Graph, build_graph, distances_from, forbidden_cycle_scan
 
 
-class LabeledGraph(namedtuple("LabeledGraph", "graph labels designated meta")):
-    """A graph together with vertex labels and named special vertices.
+class LabeledGraph(namedtuple("LabeledGraph", "graph designated meta")):
+    """A graph together with its named special vertices and a description.
 
     It holds dicts, so it compares and hashes by identity.
     """
@@ -45,27 +46,21 @@ def reiman(q: int) -> LabeledGraph:
     covectors, same order).  A point and a line are adjacent iff their
     dot product vanishes in GF(q).
     """
-    order = 2 * (q * q + q + 1)
-    # q < 2 is left to make_field, which rejects it as no prime power.
-    if q > 1 and order > MAX_ORDER:
-        raise InvalidArgument(
-            f"reiman({q}) has {order} vertices, more than MAX_ORDER={MAX_ORDER}"
-        )
     fld = make_field(q)
     add, mul = fld.add, fld.mul
     triples = _normalized_triples(q)
     npts = len(triples)
-    edges = []
-    for pi, (x0, x1, x2) in enumerate(triples):
-        row0, row1, row2 = mul[x0], mul[x1], mul[x2]
-        for li, (a0, a1, a2) in enumerate(triples):
-            if add[add[row0[a0]][row1[a1]]][row2[a2]] == 0:
-                edges.append((pi, npts + li))
-    g = build_graph(2 * npts, edges)
-    labels = tuple(f"pt({x},{y},{z})" for x, y, z in triples) + tuple(
-        f"ln({x},{y},{z})" for x, y, z in triples
-    )
+
+    def pairs():
+        for pi, (x0, x1, x2) in enumerate(triples):
+            row0, row1, row2 = mul[x0], mul[x1], mul[x2]
+            for li, (a0, a1, a2) in enumerate(triples):
+                if add[add[row0[a0]][row1[a1]]][row2[a2]] == 0:
+                    yield pi, npts + li
+
+    g = build_graph(2 * npts, pairs())
     u, v = next(g.edges())
+    designated = {"u": u, "v": v}
     meta = {
         "construction": "reiman",
         "q": q,
@@ -73,9 +68,9 @@ def reiman(q: int) -> LabeledGraph:
         "k": fld.k,
         "modulus": list(fld.modulus),
         "n": g.n,
-        "designated": {"u": u, "v": v},
+        "designated": designated,
     }
-    return LabeledGraph(graph=g, labels=labels, designated={"u": u, "v": v}, meta=meta)
+    return LabeledGraph(graph=g, designated=designated, meta=meta)
 
 
 class ChainSpec(namedtuple("ChainSpec", "delta ell head", defaults=(None,))):
@@ -92,8 +87,7 @@ class ChainSpec(namedtuple("ChainSpec", "delta ell head", defaults=(None,))):
 def _distance3_vertex(g: Graph, source: int):
     # Smallest-index vertex at distance exactly 3 from source, if any.
     dist = distances_from(g, (source,))
-    hits = [v for v, d in enumerate(dist) if d == 3]
-    return min(hits) if hits else None
+    return next((v for v, d in enumerate(dist) if d == 3), None)
 
 
 def chain_order(spec: ChainSpec) -> int:
@@ -127,7 +121,7 @@ def chain(spec: ChainSpec) -> LabeledGraph:
     to copy t+1's u.  With the default head the result has minimum
     degree delta and diameter 6*ell - 5.
     """
-    chain_order(spec)
+    n = chain_order(spec)
     try:
         base = reiman(spec.delta - 1)
     except NotPrimePower:
@@ -153,40 +147,35 @@ def chain(spec: ChainSpec) -> LabeledGraph:
         if not forbidden_cycle_scan(hg).class_girth6:
             raise InvalidChainSpec("head contains a cycle shorter than 6")
 
-    edges = []
-    labels = []
-    designated = {}
-    offset = 0
-    ell = spec.ell
-    prev_v = None
-    for t in range(1, ell + 1):
-        if t == 1 and head is not None:
-            copy_graph, cu, cv = head.graph, head.designated["u"], head.designated["v"]
-            copy_edges = head.graph.edges()
-            copy_labels = head.labels
-        else:
-            copy_graph, cu, cv = base.graph, u0, v0
-            copy_edges = base_edges if t in (1, ell) else middle_edges
-            copy_labels = base.labels
-        edges.extend((offset + a, offset + b) for a, b in copy_edges)
-        labels.extend(f"H{t}:{lab}" for lab in copy_labels)
-        designated[f"u{t}"] = offset + cu
-        designated[f"v{t}"] = offset + cv
-        if prev_v is not None:
-            edges.append((prev_v, offset + cu))
-        prev_v = offset + cv
-        offset += copy_graph.n
-    g = build_graph(offset, edges)
+    first = base if head is None else head
+    fu, fv = first.designated["u"], first.designated["v"]
+    ell, size = spec.ell, base.graph.n
+    # Copy t >= 2 starts at starts[t - 2].
+    starts = range(first.graph.n, n, size)
+    designated = {"u1": fu, "v1": fv}
+    for t, start in enumerate(starts, 2):
+        designated[f"u{t}"] = start + u0
+        designated[f"v{t}"] = start + v0
+
+    def pairs():
+        # Each copy's edges, then the edge that joins it to the one before.
+        yield from first.graph.edges()
+        prev_v = fv
+        for t, start in enumerate(starts, 2):
+            for a, b in base_edges if t == ell else middle_edges:
+                yield start + a, start + b
+            yield prev_v, start + u0
+            prev_v = start + v0
+
+    g = build_graph(n, pairs())
 
     # Distance-3 witnesses inside the end copies, when they exist.
-    first = head.graph if head is not None else base.graph
-    first_v = head.designated["v"] if head is not None else v0
-    w = _distance3_vertex(first, first_v)
+    w = _distance3_vertex(first.graph, fv)
     if w is not None:
         designated["u_star"] = w
     w = _distance3_vertex(base.graph, u0)
     if w is not None:
-        designated["v_star"] = (offset - base.graph.n) + w
+        designated["v_star"] = n - size + w
 
     meta = {
         "construction": "chain",
@@ -194,10 +183,8 @@ def chain(spec: ChainSpec) -> LabeledGraph:
         "ell": ell,
         "q": spec.delta - 1,
         "modulus": base.meta["modulus"],
-        "n": g.n,
-        "designated": dict(designated),
+        "n": n,
+        "designated": designated,
         "head": "custom" if head is not None else "default",
     }
-    return LabeledGraph(
-        graph=g, labels=tuple(labels), designated=designated, meta=meta
-    )
+    return LabeledGraph(graph=g, designated=designated, meta=meta)

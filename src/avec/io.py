@@ -36,10 +36,14 @@ def _data_lines(text):
         start = end
 
 
+def _edgelist_lines(g):
+    yield f"{g.n} {g.m}\n"
+    for u, v in g.edges():
+        yield f"{u} {v}\n"
+
+
 def format_edgelist(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return "".join(_edgelist_lines(g))
 
 
 def parse_edgelist(text: str) -> Graph:
@@ -214,11 +218,13 @@ def read_graph(path) -> Graph:
 
 
 def write_graph(g: Graph, path, fmt: str = "edgelist") -> None:
+    """Write g to path; an edge list goes line by line into the file's
+    buffer, so its text is never held whole."""
     if fmt == "edgelist":
-        payload = format_edgelist(g)
+        lines = _edgelist_lines(g)
     elif fmt == "graph6":
-        payload = to_graph6(g) + "\n"
+        lines = (to_graph6(g) + "\n",)
     else:
         raise InvalidArgument(f"unknown format {fmt!r}")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(payload)
+        fh.writelines(lines)

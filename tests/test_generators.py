@@ -1,6 +1,7 @@
 import pytest
 
 import avec.generators
+import avec.gf
 from avec.errors import InvalidArgument, InvalidChainSpec, NotPrimePower
 from avec.generators import ChainSpec, LabeledGraph, chain, chain_order, reiman
 from avec.graph import (
@@ -9,7 +10,7 @@ from avec.graph import (
     forbidden_cycle_scan,
 )
 from avec.io import MAX_ORDER
-from util import classic, from_nx, is_bipartite, to_nx
+from util import classic, from_nx, is_bipartite, to_nx, traced
 
 import networkx as nx
 
@@ -39,12 +40,18 @@ class TestReiman:
     def test_labels_and_designation(self):
         lab = reiman(2)
         g = lab.graph
-        assert len(lab.labels) == g.n
-        assert lab.labels[0].startswith("pt(")
-        assert lab.labels[7].startswith("ln(")
         u, v = lab.designated["u"], lab.designated["v"]
         assert (u, v) == tuple(g.edges())[0]
         assert lab.meta["n"] == 14 and lab.meta["q"] == 2
+
+    def test_memory(self):
+        # `traced` counts bytes by object size, so the figures depend on
+        # the interpreter, not on the machine.  reiman(16) peaked at 618236
+        # bytes while it made a list of its pairs and a label string per
+        # vertex; it measured 180740 with its pairs streamed.
+        lab, _, peak = traced(reiman, 16)
+        assert lab.graph.n == 546
+        assert peak <= 300_000
 
     def test_not_prime_power(self):
         with pytest.raises(NotPrimePower):
@@ -55,13 +62,14 @@ class TestReiman:
     @pytest.mark.parametrize("q", [724, 727, 729, 10**9 + 7])
     def test_order_above_max_order(self, q, monkeypatch):
         # 2(q^2 + q + 1) passes MAX_ORDER between q = 723 and q = 724;
-        # the check runs before the field is built
+        # the check runs before q is factored or a modulus is sought
         assert 2 * (723 * 723 + 723 + 1) <= MAX_ORDER < 2 * (724 * 724 + 724 + 1)
 
-        def no_field(q):
+        def not_reached(*args):
             raise AssertionError("field built")
 
-        monkeypatch.setattr(avec.generators, "make_field", no_field)
+        monkeypatch.setattr(avec.gf, "find_irreducible", not_reached)
+        monkeypatch.setattr(avec.gf, "_factor_prime_power", not_reached)
         with pytest.raises(InvalidArgument, match="MAX_ORDER"):
             reiman(q)
 
@@ -157,7 +165,6 @@ class TestChain:
             chain(ChainSpec(4, 2, low))
         short_cycles = LabeledGraph(
             graph=from_nx(nx.complete_bipartite_graph(3, 3)),
-            labels=tuple(str(i) for i in range(6)),
             designated={"u": 0, "v": 3},
             meta={},
         )
@@ -166,15 +173,12 @@ class TestChain:
         g2 = reiman(2)
         non_adjacent = LabeledGraph(
             graph=g2.graph,
-            labels=g2.labels,
             designated={"u": 0, "v": 1},  # two points, never adjacent
             meta={},
         )
         with pytest.raises(InvalidChainSpec):
             chain(ChainSpec(3, 2, non_adjacent))
-        missing_keys = LabeledGraph(
-            graph=g2.graph, labels=g2.labels, designated={"u": 0}, meta={}
-        )
+        missing_keys = LabeledGraph(graph=g2.graph, designated={"u": 0}, meta={})
         with pytest.raises(InvalidChainSpec):
             chain(ChainSpec(3, 2, missing_keys))
 
@@ -182,12 +186,29 @@ class TestChain:
         a, b = reiman(2), reiman(2)
         assert a == a and not a != a
         assert a != b and not a == b
-        assert a.graph == b.graph and a.labels == b.labels and a.meta == b.meta
+        assert a.graph == b.graph and a.meta == b.meta
         assert len({a, b}) == 2
         # A spec with a head is hashable, though the head holds dicts.
         spec = ChainSpec(3, 2, a)
         assert hash(spec) == hash(ChainSpec(3, 2, a))
         assert spec != ChainSpec(3, 2, b)
+
+    def test_memory(self):
+        # `traced` counts bytes by object size, so the figures depend on
+        # the interpreter, not on the machine.  chain(3, 1024) peaked at
+        # 5487972 bytes and kept 2896068 while it made a label string per
+        # vertex, a list of its pairs and a copy of its designated dict;
+        # it measured 2172436 and 1716408 with the adjacency alone.
+        lab, kept, peak = traced(chain, ChainSpec(3, 1024))
+        assert lab.graph.n == 14336
+        assert peak <= 3_000_000
+        assert kept <= 2_300_000
+
+    def test_one_designated_dict(self, chain34):
+        # The designated vertices are held once: meta names the same dict.
+        assert LabeledGraph._fields == ("graph", "designated", "meta")
+        for lab in (reiman(2), chain34, chain(ChainSpec(3, 2, reiman(4)))):
+            assert lab.meta["designated"] is lab.designated
 
     def test_meta(self, chain34):
         m = chain34.meta

@@ -38,16 +38,17 @@ REPLAY_PARTS = ("certificate", "construct")
 EXACT = ("decimal", "fractions", "numbers")
 
 #: Prints, as the last line of stdout, the submodules that have run, the
-#: costly modules that are loaded and those of `EXACT` that are (read
-#: before `json` is imported).
+#: costly modules that are loaded, those of `EXACT` that are, and whether
+#: `json` is (all read before `json` is imported).
 EXECUTED = (
     "import sys, types\n"
     f"heavy = sorted(set({HEAVY!r}) & set(sys.modules))\n"
     f"exact = sorted(set({EXACT!r}) & set(sys.modules))\n"
+    "loads_json = 'json' in sys.modules\n"
     f"ran = [s for s in {tuple(sorted(SUBMODULES + REPLAY_PARTS))!r}"
     " if type(sys.modules.get('avec.' + s)) is types.ModuleType]\n"
     "import json\n"
-    "print(json.dumps({'ran': ran, 'heavy': heavy, 'exact': exact}))\n"
+    "print(json.dumps({'ran': ran, 'heavy': heavy, 'exact': exact, 'json': loads_json}))\n"
 )
 
 
@@ -77,7 +78,8 @@ def inputs(tmp_path_factory):
 
 #: Each verb on a tiny input, and the submodules it must leave run (with
 #: none of `HEAVY` loaded, and for `gen` and `--help` none of `EXACT`).
-#: Only `replay` may load `REPLAY_PARTS`.
+#: Only `replay` may load `REPLAY_PARTS`, and only the verbs that print
+#: or write JSON, `WRITES_JSON`, may load `json`.
 RUNS = {
     "analyze": (["analyze", "r.el"], ["bounds", "graph", "io"]),
     "analyze_csv": (["analyze", "r.el", "--csv"], ["bounds", "graph", "io"]),
@@ -98,6 +100,9 @@ RUNS = {
     "help": (["--help"], []),
 }
 
+#: The runs of `RUNS` that write JSON.  `gen` does only with `--out`.
+WRITES_JSON = ("analyze", "audit", "replay")
+
 
 @pytest.mark.parametrize("verb", sorted(RUNS))
 def test_verb_runs_only_the_modules_it_calls(verb, inputs):
@@ -111,6 +116,7 @@ def test_verb_runs_only_the_modules_it_calls(verb, inputs):
     )
     got = python(code + EXECUTED, inputs)
     assert (got["ran"], got["heavy"]) == (wanted, [])
+    assert got["json"] == (verb in WRITES_JSON)
     if verb.startswith("gen") or verb == "help":
         assert got["exact"] == []
 
@@ -128,7 +134,7 @@ def test_cli_import_registers_every_traced_module(monkeypatch, tmp_path):
         f"print(json.dumps([s for s in {sorted(tracer.TRACED)!r} if 'avec.' + s not in sys.modules]))\n"
     )
     assert python(code, tmp_path) == []
-    unloaded = {"ran": [], "heavy": [], "exact": []}
+    unloaded = {"ran": [], "heavy": [], "exact": [], "json": False}
     assert python("import avec.cli\n" + EXECUTED, tmp_path) == unloaded
 
 

@@ -365,6 +365,24 @@ class TestTree:
         with pytest.raises(ConstructionInvariantViolated, match="> 5 from V"):
             build_tree(g, short)
 
+    def test_unjoined_balls_rejected(self):
+        # The first and last edges of chain(3, 4) lie in the end copies,
+        # and no edge joins their radius-2 balls.
+        g = chain(ChainSpec(3, 4)).graph
+        edges = tuple(g.edges())
+        m = Matching(variant="girth6", edges=(edges[0], edges[-1]), anchor=None)
+        message = re.escape(f"no edge joins the ball of {edges[-1]} to the earlier balls")
+        with pytest.raises(ConstructionInvariantViolated, match=message):
+            build_tree(g, m)
+
+    def test_disconnected_graph_rejected(self):
+        # Two disjoint Heawood graphs; the one matching edge lies in the first.
+        h = reiman(2).graph
+        g = build_graph(2 * h.n, [*h.edges(), *((u + h.n, v + h.n) for u, v in h.edges())])
+        m = Matching(variant="girth6", edges=(next(g.edges()),), anchor=None)
+        with pytest.raises(ConstructionInvariantViolated, match="^graph is disconnected$"):
+            build_tree(g, m)
+
     @pytest.mark.parametrize("beyond_cap", [False, True], ids=["within_cap", "beyond_cap"])
     def test_rehung_vertex_fails_distance_check(self, beyond_cap):
         # Move a tree leaf x under another graph neighbour y, so that it
