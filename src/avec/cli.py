@@ -362,6 +362,9 @@ def main(argv=None) -> int:
     except (AvecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def entry():

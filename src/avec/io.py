@@ -10,7 +10,7 @@ A graph6 file holds one graph on one line; blank and ``#`` lines
 around it are ignored, and a second data line is rejected.
 """
 
-from binascii import b2a_base64
+from binascii import a2b_base64, b2a_base64
 from math import isqrt
 
 from .errors import InvalidArgument, NotAscii
@@ -104,74 +104,64 @@ def parse_edgelist(text: str) -> Graph:
     return g
 
 
+#: The graph6 digits ``?``..``~``, the base64 digits of the same six bits,
+#: and a bytes table for each direction.
+_G6 = bytes(range(63, 127))
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6, _FROM_G6 = bytes.maketrans(_B64, _G6), bytes.maketrans(_G6, _B64)
+#: The graph6 order forms, by the count of ``~`` that opens each: the
+#: digits that follow, and the largest order they spell.
+_ORDER_FORMS = ((1, 62), (3, 258047), (6, 68719476735))
+
+
+def _spell_order(n):
+    """The graph6 spelling of order `n`, in the shortest form it fits."""
+    for tildes, (digits, top) in enumerate(_ORDER_FORMS):
+        if n <= top:
+            return "~" * tildes + "".join(chr((n >> 6 * k & 63) + 63) for k in reversed(range(digits)))
+    raise InvalidArgument(f"graph too large for graph6: n={n}")
+
+
+def _read_order(s):
+    """(n, start): the order that graph6 digits `s` spell, and where the body starts."""
+    tildes = 0 if s[0] != "~" else 1 if s[1:2] != "~" else 2
+    start = tildes + _ORDER_FORMS[tildes][0]
+    if len(s) < start:
+        raise InvalidArgument("truncated graph6 input")
+    return sum(ord(c) - 63 << 6 * k for k, c in enumerate(reversed(s[tildes:start]))), start
+
+
 def to_graph6(g: Graph) -> str:
     """Encode as a graph6 line (without the optional ``>>graph6<<`` header).
 
     Bit i of the body is the pair (u, v), u < v, with i = v(v - 1)/2 + u,
     most significant first.  Only the edges' bits are set, in a byte
-    buffer; base64 then cuts the bits into 6-bit words, and each
-    base64 digit d is replaced by chr(d + 63).  So the cost is O(m)
-    in Python and O(n^2) in C.
-    """
+    buffer that base64 cuts into 6-bit words; `_TO_G6` turns each base64
+    digit into the graph6 digit of the same bits.  So the cost is O(m) in
+    Python and O(n^2) in C.  `from_graph6` takes these steps back."""
     n = g.n
-    if n <= 62:
-        head = [n + 63]
-    elif n <= 258047:
-        head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    elif n <= 68719476735:
-        head = [126, 126]
-        head.extend(((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0))
-    else:
-        raise InvalidArgument(f"graph too large for graph6: n={n}")
+    head = _spell_order(n)
     need = n * (n - 1) // 2
     bits = bytearray(-(-need // 8))
     for u, v in g.edges():
         i = v * (v - 1) // 2 + u
         bits[i >> 3] |= 128 >> (i & 7)
-    body = b2a_base64(bits, newline=False)[: -(-need // 6)]
-    return "".join(map(chr, head)) + body.decode("ascii").translate(_B64_TO_G6)
-
-
-#: base64 digit -> the graph6 character of the same six bits.
-_B64_TO_G6 = str.maketrans(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    "".join(chr(c + 63) for c in range(64)),
-)
-
-
-#: graph6 character -> its six bits, most significant first.
-_G6_BITS = {c + 63: format(c, "06b") for c in range(64)}
+    return head + b2a_base64(bits, newline=False)[: -(-need // 6)].translate(_TO_G6).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:
     """Decode one graph6 line; tolerates the ``>>graph6<<`` header.
 
-    The line is read as one string of bits, with no copy of its body,
-    and only the body's set bits are visited: body bit i is the pair
-    (u, v), u < v, with i = v(v - 1)/2 + u, so v = (1 + isqrt(1 + 8i)) // 2.
-    The pairs stream into `build_graph`.
-    """
-    s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<") :]
+    The inverse of `to_graph6`: `_FROM_G6` turns the body, padded with
+    zero words to whole groups of four, back into base64 digits, and base64
+    gives back the byte buffer that the encoder filled.  Its nonzero bytes
+    are found in C; only their set bits stream into `build_graph`."""
+    s = text.strip().removeprefix(">>graph6<<")
     if not s:
         raise InvalidArgument("empty graph6 input")
     if min(s) < "?" or max(s) > "~":
         raise InvalidArgument("invalid graph6 character")
-    head = [ord(c) - 63 for c in s[:8]]
-    if head[0] < 63:
-        n = head[0]
-        start = 1
-    elif len(head) >= 4 and head[1] < 63:
-        n = (head[1] << 12) | (head[2] << 6) | head[3]
-        start = 4
-    elif len(head) >= 8:
-        n = 0
-        for b in head[2:8]:
-            n = (n << 6) | b
-        start = 8
-    else:
-        raise InvalidArgument("truncated graph6 input")
+    n, start = _read_order(s)
     need = n * (n - 1) // 2
     words = -(-need // 6)
     if len(s) - start < words:
@@ -180,18 +170,28 @@ def from_graph6(text: str) -> Graph:
         raise InvalidArgument(f"graph6 body has {len(s) - start - words} bytes past the n promised")
     if words and (ord(s[-1]) - 63) & ((1 << (6 * words - need)) - 1):
         raise InvalidArgument("graph6 padding bits are not zero")
-    return build_graph(n, _set_pairs(s.translate(_G6_BITS), 6 * start))
+    bits = a2b_base64((s[start:] + "???"[: -words % 4]).encode("ascii").translate(_FROM_G6))
+    return build_graph(n, _set_pairs(bits))
 
 
-def _set_pairs(bits, start):
-    """The pair (u, v) of each '1' of bits[start:], a graph6 body spelt
-    in '0' and '1', in order; `bits` is let go once the last is read."""
-    i = bits.find("1", start)
-    while i >= 0:
-        k = i - start
-        v = (1 + isqrt(1 + 8 * k)) // 2
-        yield k - v * (v - 1) // 2, v
-        i = bits.find("1", i + 1)
+#: byte -> 1 if it is nonzero, so that `bytes.find` finds set bits in C.
+_NONZERO = bytes(map(bool, range(256)))
+
+
+def _set_pairs(bits):
+    """The pair (u, v) of each set bit of `bits`, in order: bit i is the
+    pair with v = (1 + isqrt(1 + 8i)) // 2 and u = i - v(v - 1)/2."""
+    nonzero = bits.translate(_NONZERO)
+    j = nonzero.find(1)
+    while j >= 0:
+        b = bits[j]
+        while b:
+            top = b.bit_length()
+            b ^= 1 << top - 1
+            i = 8 * j + 8 - top
+            v = (1 + isqrt(1 + 8 * i)) // 2
+            yield i - v * (v - 1) // 2, v
+        j = nonzero.find(1, j + 1)
 
 
 def read_graph(path) -> Graph:

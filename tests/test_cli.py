@@ -543,6 +543,20 @@ class TestEntry:
             run([])
         assert exc.value.code == 2
 
+    def test_out_of_memory_is_one_error_line(self, monkeypatch, capsys):
+        # A graph6 line of a large graph can exhaust memory; the run ends
+        # with one line and exit 2, not a traceback.  No real allocation:
+        # the encoder is patched to raise.
+        def exhausted(g):
+            raise MemoryError
+
+        monkeypatch.setattr("avec.io.to_graph6", exhausted)
+        assert run(["gen", "reiman", "--q", "2", "--format", "graph6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
+        assert "Traceback" not in captured.err
+
     def test_entry_raises_system_exit(self, monkeypatch, tmp_path):
         path = tmp_path / "g.txt"
         run(["gen", "reiman", "--q", "2", "--out", str(path)])

@@ -15,7 +15,7 @@ from avec.io import (
     to_graph6,
     write_graph,
 )
-from util import classic, random_connected_graph, to_nx, traced
+from util import classic, g6_order_oracle, random_connected_graph, to_nx, traced
 
 
 class TestEdgelist:
@@ -107,6 +107,21 @@ class TestGraph6:
             assert from_graph6(ours) == g
             assert from_graph6(theirs) == g
 
+    @pytest.mark.parametrize("n", [0, 62, 63, 258047, 258048, 2**36 - 1])
+    def test_order_header_at_each_form_boundary(self, n):
+        # The 4- and 8-character forms need graphs of gigabytes to reach
+        # through to_graph6, so the header is spelt and read on its own.
+        head = io._spell_order(n)
+        assert head == "".join(map(chr, g6_order_oracle(n)))
+        assert io._read_order(head + "?~") == (n, len(head))
+
+    def test_order_header_too_large_or_truncated(self):
+        with pytest.raises(InvalidArgument, match=r"^graph too large for graph6: n=68719476736$"):
+            io._spell_order(2**36)
+        for head in ("~", "~??", "~~", "~~?????"):
+            with pytest.raises(InvalidArgument, match="truncated"):
+                io._read_order(head)
+
     def test_header_tolerated(self):
         g = classic("cycle", 5)
         assert from_graph6(">>graph6<<" + to_graph6(g)) == g
@@ -189,18 +204,26 @@ class TestReadPeak:
     # the interpreter, not on the machine.  The text is split a piece at
     # a time, the endpoints wait in one list of shared ints, and graph6
     # bits stream into build_graph.  An edge-list peak is held within 3%
-    # of what this reader measured (456679 and 266367 bytes).  The graph6
-    # peak may not pass what reading peaked at when a graph still kept an
-    # edge-list tuple beside its adjacency (485559 bytes).  What each read
-    # keeps is bounded by its measured size with the adjacency alone.
+    # of what this reader measured (456679 and 266367 bytes).  A graph6
+    # peak is held within 10% of what this reader measured (218513 and
+    # 907339 bytes); when the body was spelt in '0' and '1' characters,
+    # six per graph6 digit, the two peaked at 330196 and 2110954 bytes.
+    # What each read keeps is bounded by its measured size with the
+    # adjacency alone.
     @pytest.mark.parametrize(
         "make, fmt, peak_bound, kept_bound",
         [
             (lambda: chain(ChainSpec(5, 48)).graph, "edgelist", 470_000, 233_000),
-            (lambda: reiman(16).graph, "graph6", 485_559, 116_000),
+            (lambda: reiman(16).graph, "graph6", 240_000, 116_000),
+            (lambda: chain(ChainSpec(3, 128)).graph, "graph6", 995_000, 186_000),
             (lambda: reiman(16).graph, "edgelist", 274_000, 116_000),
         ],
-        ids=["chain(5,48)-edgelist", "reiman(16)-graph6", "reiman(16)-edgelist"],
+        ids=[
+            "chain(5,48)-edgelist",
+            "reiman(16)-graph6",
+            "chain(3,128)-graph6",
+            "reiman(16)-edgelist",
+        ],
     )
     def test_read_peak_is_its_result(self, tmp_path, make, fmt, peak_bound, kept_bound):
         g = make()

@@ -301,9 +301,8 @@ def traced(fn, *args):
     return result, end - start, peak - start
 
 
-def to_graph6_oracle(g):
-    """graph6 encoding by one list entry per vertex pair, Theta(n^2)."""
-    n = g.n
+def g6_order_oracle(n):
+    """The graph6 order header of n as character codes, one branch per form."""
     if n <= 62:
         head = [n + 63]
     elif n <= 258047:
@@ -313,6 +312,13 @@ def to_graph6_oracle(g):
         head.extend(((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0))
     else:
         raise InvalidArgument(f"graph too large for graph6: n={n}")
+    return head
+
+
+def to_graph6_oracle(g):
+    """graph6 encoding by one list entry per vertex pair, Theta(n^2)."""
+    n = g.n
+    head = g6_order_oracle(n)
     adj = set(g.edges())
     bits = []
     for v in range(1, n):
