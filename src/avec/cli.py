@@ -133,13 +133,12 @@ def _cmd_replay(args):
     if trace.matching.anchor is not None:
         head += f" anchor={trace.matching.anchor}"
     print(head)
-    for c in trace.checks:
-        mark = "ok" if c.passed else "FAIL"
-        print(f"  [{mark}] {c.name}: {_fmt_val(c.lhs)} vs {_fmt_val(c.rhs)}")
-    print("structural:")
-    for c in trace.structural:
-        mark = "ok" if c.passed else "FAIL"
-        print(f"  [{mark}] {c.name}: {_fmt_val(c.lhs)} vs {_fmt_val(c.rhs)}")
+    for title, checks in ((None, trace.checks), ("structural:", trace.structural)):
+        if title:
+            print(title)
+        for c in checks:
+            mark = "ok" if c.passed else "FAIL"
+            print(f"  [{mark}] {c.name}: {_fmt_val(c.lhs)} vs {_fmt_val(c.rhs)}")
     print(f"overall: {'pass' if trace.overall_pass else 'FAIL'}")
     return 0 if trace.overall_pass else 1
 
@@ -190,19 +189,17 @@ _GRAPH_OUT = {
     "--format": (("edgelist", "graph6"), "edgelist", "graph file format"),
 }
 
-#: The command line: verb -> (function, help, positional names, options,
-#: flags that exclude each other).  Options map flag -> (kind, default,
-#: help); a kind is `int`, `bool` (a flag that takes no value), a tuple
-#: of choices, or a str: the metavar of a text value.  Each option's
-#: value lands on the attribute named by its flag, less its dashes, with
-#: `-` read as `_`.
+#: The command line: verb -> (function, help, positional names, options).
+#: Options map flag -> (kind, default, help); a kind is `int`, `bool` (a
+#: flag that takes no value), a tuple of choices, or a str: the metavar
+#: of a text value.  Each option's value lands on the attribute named by
+#: its flag, less its dashes, with `-` read as `_`.
 VERBS = {
     "gen reiman": (
         _cmd_gen_reiman,
         "incidence graph over GF(q)",
         (),
         {"--q": (int, REQUIRED, "prime power >= 2"), **_GRAPH_OUT},
-        (),
     ),
     "gen chain": (
         _cmd_gen_chain,
@@ -214,19 +211,14 @@ VERBS = {
             "--head": ("PATH", None, "custom first copy (edge list)"),
             **_GRAPH_OUT,
         },
-        (),
     ),
     "analyze": (
         _cmd_analyze,
         "bound report for a graph file",
         ("path",),
-        {
-            "--json": (bool, False, "JSON report (default)"),
-            "--csv": (bool, False, "CSV header plus one row"),
-        },
-        ("--json", "--csv"),
+        {"--csv": (bool, False, "CSV header plus one row, not the JSON report")},
     ),
-    "audit": (_cmd_audit, "ball-size audit for a graph file", ("path",), {}, ()),
+    "audit": (_cmd_audit, "ball-size audit for a graph file", ("path",), {}),
     "replay": (
         _cmd_replay,
         "step-by-step bound certificate",
@@ -237,7 +229,6 @@ VERBS = {
             "--anchor": (int, None, "maxdeg anchor (default: least of maximum degree)"),
             "--trace": ("PATH", None, "write the JSON trace here"),
         },
-        (),
     ),
     "sweep": (
         _cmd_sweep,
@@ -249,7 +240,6 @@ VERBS = {
             "--ell-range": ("A..B", REQUIRED, "ell from A to B, even values only"),
             "--csv": ("PATH", REQUIRED, "write the CSV here"),
         },
-        (),
     ),
 }
 
@@ -271,7 +261,7 @@ def help_text():
         "and proof replays.  Options go in any order, spelled in full, as",
         "--name value or --name=value; -h or --help prints this text.",
     ]
-    for verb, (_, about, positionals, options, exclusive) in VERBS.items():
+    for verb, (_, about, positionals, options) in VERBS.items():
         words = [f"avec {verb}", *(p.upper() for p in positionals)]
         for flag, (kind, default, _) in options.items():
             word = flag + _metavar(flag, kind)
@@ -279,8 +269,6 @@ def help_text():
         lines += ["", " ".join(words), f"    {about}"]
         for flag, (kind, _, text) in options.items():
             lines.append(f"    {flag + _metavar(flag, kind):<25} {text}")
-        if exclusive:
-            lines.append(f"    {' and '.join(exclusive)} exclude each other")
     return "\n".join(lines) + "\n"
 
 
@@ -309,7 +297,7 @@ def parse_args(argv):
             known = dict.fromkeys(v.split()[0] for v in VERBS)
         got = " ".join(["avec", *argv[:words]])
         _usage_error(f"expected one of {', '.join(known)}; got {got!r}")
-    func, _, positionals, options, exclusive = VERBS[verb]
+    func, _, positionals, options = VERBS[verb]
     given, free = {}, []
     tokens = iter(argv[words:])
     for token in tokens:
@@ -341,8 +329,6 @@ def parse_args(argv):
         if len(free) < len(positionals):
             _usage_error(f"avec {verb} needs {' '.join(p.upper() for p in positionals)}")
         _usage_error(f"unexpected argument {free[len(positionals)]!r}")
-    if exclusive and all(f in given for f in exclusive):
-        _usage_error(f"{' and '.join(exclusive)} exclude each other")
     args = SimpleNamespace(func=func, **dict(zip(positionals, free)))
     for flag, (_, default, _) in options.items():
         value = given.get(flag, default)

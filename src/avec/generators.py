@@ -14,7 +14,7 @@ through `gf.make_field`.
 from collections import namedtuple
 
 from .errors import InvalidChainSpec, NotPrimePower
-from .gf import make_field
+from .gf import _factor_prime_power, make_field
 from .graph import MAX_ORDER, Graph, build_graph, distances_from, forbidden_cycle_scan
 
 
@@ -95,7 +95,8 @@ def chain_order(spec: ChainSpec) -> int:
 
     That is ell copies of 2(delta^2 - delta + 1) vertices, the first
     replaced by the head when one is given.  Raises `InvalidChainSpec`
-    for a bad ell or delta, or an order above `graph.MAX_ORDER`.
+    for a bad ell or delta, an order above `graph.MAX_ORDER`, or a
+    delta - 1 that is not a prime power.
     """
     if spec.ell < 2 or spec.ell % 2:
         raise InvalidChainSpec(f"ell must be even and >= 2, got {spec.ell}")
@@ -109,6 +110,10 @@ def chain_order(spec: ChainSpec) -> int:
             f"chain(delta={spec.delta}, ell={spec.ell}) has {order} vertices,"
             f" more than MAX_ORDER={MAX_ORDER}"
         )
+    try:
+        _factor_prime_power(spec.delta - 1)
+    except NotPrimePower:
+        raise InvalidChainSpec(f"delta - 1 = {spec.delta - 1} is not a prime power") from None
     return order
 
 
@@ -122,12 +127,7 @@ def chain(spec: ChainSpec) -> LabeledGraph:
     degree delta and diameter 6*ell - 5.
     """
     n = chain_order(spec)
-    try:
-        base = reiman(spec.delta - 1)
-    except NotPrimePower:
-        raise InvalidChainSpec(
-            f"delta - 1 = {spec.delta - 1} is not a prime power"
-        ) from None
+    base = reiman(spec.delta - 1)
     u0, v0 = base.designated["u"], base.designated["v"]
     base_edges = tuple(base.graph.edges())
     middle_edges = tuple(e for e in base_edges if e != (u0, v0))

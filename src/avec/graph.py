@@ -45,7 +45,8 @@ class Graph:
     __slots__ = ("n", "m", "adjacency")
 
     def __init__(self, adjacency):
-        # Not for direct use outside this module; go through build_graph().
+        # Unchecked: adjacency must hold one sorted neighbour tuple per
+        # vertex, symmetric, with no self loops.  build_graph() makes one.
         object.__setattr__(self, "n", len(adjacency))
         object.__setattr__(self, "m", sum(map(len, adjacency)) // 2)
         object.__setattr__(self, "adjacency", adjacency)

@@ -398,6 +398,19 @@ class TestSweep:
         assert captured.err.startswith("error:") and str(csv_path) in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    def test_bad_delta_leaves_the_csv_alone(self, tmp_path, capsys):
+        # delta - 1 = 6 is refused before the CSV file is opened
+        old, missing = tmp_path / "old.csv", tmp_path / "missing.csv"
+        old.write_bytes(b"kept\n")
+        for csv_path in (old, missing):
+            assert run(["sweep", "--family", "chain", "--delta", "7",
+                        "--ell-range", "2..4", "--csv", str(csv_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: delta - 1 = 6 is not a prime power\n"
+        assert old.read_bytes() == b"kept\n"
+        assert not missing.exists()
+
     def test_no_even_ell(self, tmp_path):
         assert run(["sweep", "--family", "chain", "--delta", "3",
                     "--ell-range", "3..3", "--csv", str(tmp_path / "s.csv")]) == 2
@@ -531,10 +544,20 @@ class TestParser:
 
     def test_help_names_every_verb_and_option(self):
         text = cli.help_text()
-        for verb, (_, _, _, options, _) in cli.VERBS.items():
+        for verb, (_, _, _, options) in cli.VERBS.items():
             assert f"\navec {verb} " in text
             for flag in options:
                 assert f"\n    {flag} " in text, flag
+        assert "exclude each other" not in text
+
+    def test_analyze_has_no_json_option(self, capsys):
+        # JSON is what analyze prints without --csv; there is no flag for it
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", "g.el", "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: avec analyze has no option '--json'\n"
 
 
 class TestEntry:

@@ -136,6 +136,9 @@ class TestChain:
             chain(ChainSpec(2, 2))
         with pytest.raises(InvalidChainSpec):
             chain(ChainSpec(7, 2))  # 6 is not a prime power
+        # chain_order decides it too, so a caller can check before it writes
+        with pytest.raises(InvalidChainSpec, match=r"^delta - 1 = 6 is not a prime power$"):
+            chain_order(ChainSpec(7, 2))
 
     def test_order(self, reiman4):
         assert chain_order(ChainSpec(3, 4)) == 56

@@ -823,9 +823,10 @@ def chain_ex_oracle(delta, ell):
 
 
 def argparse_oracle():
-    """The argparse parser that `avec.cli.parse_args` replaced, kept as
-    the reference for the command lines it accepts and the values it
-    gives them."""
+    """The argparse parser that `avec.cli.parse_args` replaced, less the
+    `analyze --json` flag that selected the default, kept as the
+    reference for the command lines it accepts and the values it gives
+    them."""
     parser = argparse.ArgumentParser(
         prog="avec",
         description="Exact eccentricity statistics, extremal generators, "
@@ -852,9 +853,7 @@ def argparse_oracle():
 
     ana = sub.add_parser("analyze", help="bound report for a graph file")
     ana.add_argument("path")
-    fmt = ana.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON report (default)")
-    fmt.add_argument("--csv", action="store_true", help="CSV header plus one row")
+    ana.add_argument("--csv", action="store_true", help="CSV header plus one row")
     ana.set_defaults(func=cli._cmd_analyze)
 
     aud = sub.add_parser("audit", help="ball-size audit for a graph file")
