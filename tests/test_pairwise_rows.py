@@ -19,6 +19,7 @@ from util import (
     shuffle_labels,
     star_of_blocks,
     to_nx,
+    tree_of_blocks,
 )
 
 INPUTS = {
@@ -35,6 +36,8 @@ INPUTS = {
     "star56": lambda: star_of_blocks(3),
     "star70": lambda: star_of_blocks(4),
     "shuffled_star70": lambda: shuffle_labels(star_of_blocks(4), random.Random(70)),
+    "tree_of_blocks12": lambda: tree_of_blocks(random.Random(12), 12),
+    "shuffled_tree_of_blocks16": lambda: tree_of_blocks(random.Random(37), 16, True),
     "reiman2": lambda: reiman(2).graph,
     "reiman5": lambda: reiman(5).graph,
     "reiman7": lambda: reiman(7).graph,
@@ -125,6 +128,25 @@ def graphs_with_edges(draw):
 @given(graphs_with_edges())
 def test_rows_match_oracle_on_random_graphs(case):
     g, edges = case
+    rows = _pairwise_rows(g, edges)
+    assert rows == pairwise_distances_oracle(g, edges) == rows_networkx(g, edges)
+
+
+@st.composite
+def blocks_with_edges(draw):
+    """A random tree of Heawood blocks, relabelled or not, and a random
+    ordered set of its edges that holds bridges."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = random.Random(seed)
+    g = tree_of_blocks(rng, draw(st.integers(min_value=5, max_value=12)), draw(st.booleans()))
+    return g, edge_sample(g, rng, draw(st.integers(min_value=2, max_value=16)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(blocks_with_edges())
+def test_rows_match_oracle_on_trees_of_blocks(case):
+    g, edges = case
+    assert any(e in bridges_networkx(g) for e in edges)
     rows = _pairwise_rows(g, edges)
     assert rows == pairwise_distances_oracle(g, edges) == rows_networkx(g, edges)
 

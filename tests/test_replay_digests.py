@@ -6,7 +6,9 @@ target components and contraction pairs, and on chain(3,160), whose
 keep their distances in a dict.  Two stars of Heawood blocks (56 and 70
 vertices) have a bridge tree that is not a path and a port with two
 bridges, and a relabelled chain(3,16) lists its bridges in random label
-order.
+order.  A relabelled tree of 16 Heawood blocks has a bridge tree with
+light and heavy branches, depth at least 3 and a matching that holds
+bridges.
 
 A change that is meant to keep replay's outputs identical must leave
 every digest here as it is.  The CLI's `--trace` file must hold the
@@ -26,7 +28,7 @@ from avec import cli
 from avec.generators import ChainSpec, chain, reiman
 from avec.io import format_edgelist
 from avec.replay import replay, trace_json
-from util import shuffle_labels, star_of_blocks
+from util import shuffle_labels, star_of_blocks, tree_of_blocks
 
 INPUTS = {
     "reiman2": lambda: reiman(2).graph,
@@ -47,6 +49,7 @@ INPUTS = {
     "shuffled_chain3_16": lambda: shuffle_labels(
         chain(ChainSpec(3, 16)).graph, random.Random(16)
     ),
+    "shuffled_tree_of_blocks16": lambda: tree_of_blocks(random.Random(37), 16, True),
 }
 
 #: (input, variant) -> (sha256 of the trace JSON, sha256 of CLI stdout)
@@ -162,6 +165,14 @@ DIGESTS = {
     ("shuffled_chain3_16", "maxdeg"): (
         "e7070a977a8af94aea69ec53a10f0a634c98452231494cba6b9f423a94e52b90",
         "4cae0e44bbb0dbc2930b55f895a128692bac90434c561e0a7593164fad8bc63d",
+    ),
+    ("shuffled_tree_of_blocks16", "girth6"): (
+        "e807808eb7a52ac0145690e0428e2d7e1f1612eb8c25f89ca45bfa1b2baeb3db",
+        "fb37b5fbd69a20521bd237f04317f79e60ffb93988d59164926585542a21a1dc",
+    ),
+    ("shuffled_tree_of_blocks16", "maxdeg"): (
+        "d219a21acbe82a25dd850dff2fa9890ff46cd97f53594359ae2c50b2b08ac521",
+        "7bef576d990a6f698bc55d15dd66ccf5e8a53dd72f7a8d8650341fbf83d2babf",
     ),
     ("star56", "girth6"): (
         "6ddac4b97e5cf8f021cf50fd62019a1e72aa10c0acea695dc51ad796511a4733",

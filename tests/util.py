@@ -710,6 +710,27 @@ def star_of_blocks(copies):
     return build_graph(14 * (copies + 1), edges)
 
 
+def tree_of_blocks(rng, copies, shuffle=False):
+    """`copies` >= 5 Heawood graphs (`reiman(2)`), copy j >= 1 hung on an
+    earlier copy by one edge between random vertices of the two.  Copies
+    1, 2 and 3 hang in a path below copy 0 and copy 4 on copy 0, so the
+    bridge tree has depth at least 3 and copy 0 at least two children;
+    each later copy picks its parent at random, which makes light and
+    heavy branches, and two bridges may share an end.  Relabelled at
+    random when `shuffle`.  Girth 6, minimum degree 3."""
+    from avec.generators import reiman
+
+    heawood = tuple(reiman(2).graph.edges())
+    edges = []
+    for j in range(copies):
+        edges += [(14 * j + u, 14 * j + v) for u, v in heawood]
+        if j:
+            parent = j - 1 if j <= 3 else 0 if j == 4 else rng.randrange(j)
+            edges.append((14 * parent + rng.randrange(14), 14 * j + rng.randrange(14)))
+    g = build_graph(14 * copies, edges)
+    return shuffle_labels(g, rng) if shuffle else g
+
+
 def random_tree(rng, n):
     return random_connected_graph(rng, n, 0)
 
