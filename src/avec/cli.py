@@ -99,7 +99,7 @@ def _cmd_audit(args):
 
 
 def _cmd_replay(args):
-    from .certificate import _fmt_val, _json_pieces
+    from .certificate import _fmt_val
     from .io import read_graph
     from .replay import VARIANT_MAXDEG, replay, trace_json
 
@@ -109,22 +109,22 @@ def _cmd_replay(args):
         top = g.max_degree()
         anchor = min((v for v in range(g.n) if g.degree(v) == top), default=None)
     # Opened first, so a bad path fails before the replay; append mode keeps
-    # an old file until the trace is ready, and a failed replay removes a new one.
+    # an old file until the trace is ready, and a failed replay or trace
+    # write removes a new one.
     made = bool(args.trace) and not os.path.exists(args.trace)
     fh = open(args.trace, "a", encoding="ascii") if args.trace else None
     try:
         trace = replay(g, args.variant, anchor)
+        if fh:
+            with fh:
+                fh.truncate(0)
+                trace_json(trace, fh)
     except BaseException:
         if fh:
             fh.close()
         if made:
             os.remove(args.trace)
         raise
-    if fh:
-        with fh:
-            fh.truncate(0)
-            fh.writelines(_json_pieces(trace_json(trace)))
-            fh.write("\n")
     head = (
         f"replay variant={trace.variant} n={trace.n} delta={trace.delta}"
         f" max_degree={trace.max_degree}"

@@ -35,7 +35,7 @@ from avec.graph import (
     forbidden_cycle_scan,
     weighted_avec,
 )
-from avec.replay import replay, trace_json
+from avec.replay import replay
 from util import (
     classic,
     edge_distance_oracle,
@@ -43,6 +43,7 @@ from util import (
     random_connected_graph,
     random_tree,
     to_nx,
+    written_trace,
 )
 
 REIMAN_QS = (2, 3, 4, 5, 7, 8, 9)
@@ -192,7 +193,7 @@ def test_criterion_4_replay_girth6():
             assert all(c.passed for c in tr.checks)
             # matching invariants, exhaustively re-derived
             k = len(tr.matching.edges)
-            pairwise = trace_json(tr)["matching"]["pairwise_distances"]
+            pairwise = json.loads(written_trace(tr))["matching"]["pairwise_distances"]
             G = to_nx(g)
             for i, e in enumerate(tr.matching.edges):
                 for j, f in enumerate(tr.matching.edges):

@@ -12,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from avec import cli
 from avec.bounds import analyze, audit_balls
-from avec.certificate import _json_pieces
+from avec.certificate import _PAIR, _list, _pieces, _rows
 from avec.generators import ChainSpec, chain, reiman
 from avec.graph import line_graph
 from avec.io import MAX_ORDER, format_edgelist, parse_edgelist, read_graph
 from avec.errors import ConstructionInvariantViolated, OutOfRange
-from avec.replay import replay, trace_json
+from avec.replay import replay
 from test_tracer_names import TINY
-from util import argparse_oracle, audit_json_oracle, shuffle_labels, thin
+from util import argparse_oracle, audit_json_oracle, shuffle_labels, thin, trace_json_oracle
 
 # The CLI imports each function from its module when a verb runs, so a
 # fault is injected on the module that defines the function.
@@ -344,8 +344,29 @@ class TestReplay:
         trace_path.write_text("x" * 100000)
         assert run(["replay", str(path), "--variant", "girth6",
                     "--trace", str(trace_path)]) == 0
-        doc = trace_json(replay(g, "girth6"))
+        doc = trace_json_oracle(replay(g, "girth6"))
         assert trace_path.read_text() == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), MemoryError()])
+    def test_failed_trace_write_leaves_no_new_file(self, exc, tmp_path, capsys, monkeypatch):
+        # The writer fails after its first piece, as a full disk or an
+        # exhausted heap would part-way through a large trace.
+        path = tmp_path / "g.txt"
+        path.write_text(format_edgelist(chain(ChainSpec(3, 2)).graph))
+
+        def broken(trace, fh):
+            fh.write("{")
+            raise exc
+
+        monkeypatch.setattr(REPLAY_MODULE, "trace_json", broken)
+        trace_path = tmp_path / "t.json"
+        assert run(["replay", str(path), "--variant", "girth6",
+                    "--trace", str(trace_path)]) == 2
+        captured = capsys.readouterr()
+        assert not trace_path.exists()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
     def test_missing_variant_usage(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -596,6 +617,7 @@ _JSON_SCALARS = (
     | st.floats(allow_nan=False)
     | st.text(max_size=4)
 )
+_INTS = st.integers(min_value=-(10**30), max_value=10**30)
 _JSON_DOCS = st.recursive(
     _JSON_SCALARS | st.lists(st.integers(min_value=-300, max_value=300), max_size=5),
     lambda inner: st.lists(inner, max_size=4)
@@ -610,11 +632,23 @@ class TestTraceWriter:
     traces, floats and nulls included, through the CLI."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_JSON_DOCS)
+    @given(st.dictionaries(st.text(max_size=4), _JSON_DOCS, max_size=4))
     def test_pieces_equal_json_dumps(self, doc):
-        assert "".join(_json_pieces(doc)) == json.dumps(doc, indent=2)
+        assert "".join(_pieces(doc)) == json.dumps(doc, indent=2)
 
-    def test_int_list_is_one_piece_and_bools_are_not_ints(self):
-        assert list(_json_pieces([1, 2, 300])) == ["[\n  1,\n  2,\n  300\n]"]
-        doc = {"a": [1, True], "b": [], "c": {}}
-        assert "".join(_json_pieces(doc)) == json.dumps(doc, indent=2)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.lists(_INTS, max_size=5),
+        st.lists(st.tuples(_INTS, _INTS), max_size=4),
+        st.integers(min_value=0, max_value=4).flatmap(
+            lambda k: st.lists(st.lists(_INTS, min_size=k, max_size=k), max_size=4)
+        ),
+    )
+    def test_int_lists_pairs_and_rows_equal_json_dumps(self, ints, pairs, rows):
+        doc = {"a": {"ints": ints, "pairs": [list(p) for p in pairs], "rows": rows}}
+        written = {"a": {
+            "ints": _list(ints),
+            "pairs": _list(pairs, _PAIR),
+            "rows": lambda pad: _rows(iter(rows), pad),
+        }}
+        assert "".join(_pieces(written)) == json.dumps(doc, indent=2)

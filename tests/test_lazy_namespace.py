@@ -10,8 +10,9 @@ lazy subclass of `types.ModuleType` until its first attribute read, and
 `type()` reads no attribute.  Since an unrun module imports nothing,
 `test_stdlib_only`'s check that importing the CLI loads no costly module
 covers only the modules a verb runs; the verb runs here repeat it, and
-together they run all six submodules and the two modules that `replay`
-imports itself, `construct` and `certificate`."""
+together they run all six submodules and the three modules that
+`replay` imports itself, `construct`, `certificate` and, for a trace
+only, `pairwise`."""
 
 import importlib.util
 import json
@@ -32,7 +33,7 @@ TRACER = SRC.parent / "perfbench" / "tracer.py"
 SUBMODULES = ("bounds", "generators", "gf", "graph", "io", "replay")
 #: Modules that only `avec.replay` imports, as plain imports: not
 #: registered, so each is absent from sys.modules until it has run.
-REPLAY_PARTS = ("certificate", "construct")
+REPLAY_PARTS = ("certificate", "construct", "pairwise")
 
 #: Loaded by the first Fraction, which no `gen` command builds.
 EXACT = ("decimal", "fractions", "numbers")
@@ -91,6 +92,10 @@ RUNS = {
     ),
     "replay": (
         ["replay", "c.el", "--variant", "girth6", "--trace", "t.json"],
+        ["bounds", "certificate", "construct", "graph", "io", "pairwise", "replay"],
+    ),
+    "replay_untraced": (
+        ["replay", "c.el", "--variant", "girth6"],
         ["bounds", "certificate", "construct", "graph", "io", "replay"],
     ),
     "sweep": (
@@ -101,7 +106,8 @@ RUNS = {
 }
 
 #: The runs of `RUNS` that write JSON.  `gen` does only with `--out`.
-WRITES_JSON = ("analyze", "audit", "replay")
+#: An untraced replay writes none, but `certificate` imports `json`.
+WRITES_JSON = ("analyze", "audit", "replay", "replay_untraced")
 
 
 @pytest.mark.parametrize("verb", sorted(RUNS))

@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avec.certificate import _bridges, _pairwise_rows
+from avec.pairwise import _bridges, _pairwise_rows
 from avec.generators import ChainSpec, chain, reiman
 from avec.replay import build_matching
 from util import (
@@ -101,7 +101,7 @@ def test_rows_match_oracles(name):
     samples.append(list(build_matching(g, "girth6").edges))
     samples.append(list(build_matching(g, "maxdeg", anchor).edges))
     for edges in samples:
-        rows = _pairwise_rows(g, edges)
+        rows = list(_pairwise_rows(g, edges))
         assert rows == pairwise_distances_oracle(g, edges)
         assert rows == rows_networkx(g, edges)
 
@@ -128,7 +128,7 @@ def graphs_with_edges(draw):
 @given(graphs_with_edges())
 def test_rows_match_oracle_on_random_graphs(case):
     g, edges = case
-    rows = _pairwise_rows(g, edges)
+    rows = list(_pairwise_rows(g, edges))
     assert rows == pairwise_distances_oracle(g, edges) == rows_networkx(g, edges)
 
 
@@ -147,7 +147,7 @@ def blocks_with_edges(draw):
 def test_rows_match_oracle_on_trees_of_blocks(case):
     g, edges = case
     assert any(e in bridges_networkx(g) for e in edges)
-    rows = _pairwise_rows(g, edges)
+    rows = list(_pairwise_rows(g, edges))
     assert rows == pairwise_distances_oracle(g, edges) == rows_networkx(g, edges)
 
 

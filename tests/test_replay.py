@@ -2,6 +2,7 @@ import importlib
 import inspect
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -58,10 +59,16 @@ from util import (
     star_of_blocks,
     thin,
     to_nx,
+    trace_json_oracle,
     traced,
+    written_trace,
 )
 
 REPLAY_MODULE = importlib.import_module("avec.replay")
+
+#: Bytes that writing the girth6 trace of chain(3,256) may hold at once:
+#: 1.14 MB measured on CPython 3.11, where the dict form held 1.53 MB.
+TRACE_WRITE_PEAK = 1_300_000
 
 import networkx as nx
 
@@ -167,7 +174,7 @@ class TestMatching:
         m = tr.matching
         assert m == build_matching(g, "girth6")
         assert len(m.edges) > 1
-        pairwise = trace_json(tr)["matching"]["pairwise_distances"]
+        pairwise = json.loads(written_trace(tr))["matching"]["pairwise_distances"]
         G = to_nx(g)
         for i in range(len(m.edges)):
             for j in range(i + 1, len(m.edges)):
@@ -193,7 +200,7 @@ class TestMatching:
         )
         assert m.edges[0] == expected
         assert len(m.edges) > 1
-        pairwise = trace_json(tr)["matching"]["pairwise_distances"]
+        pairwise = json.loads(written_trace(tr))["matching"]["pairwise_distances"]
         G = to_nx(g)
         for j in range(1, len(m.edges)):
             assert pairwise[0][j] >= 6
@@ -701,7 +708,7 @@ class TestReplayGirth6:
         assert tr.overall_pass
         m = tr.matching
         k = len(m.edges)
-        pairwise = trace_json(tr)["matching"]["pairwise_distances"]
+        pairwise = json.loads(written_trace(tr))["matching"]["pairwise_distances"]
         G = to_nx(g)
         for i in range(0, k, 29):
             for j in range(i + 1, k, 37):
@@ -764,7 +771,7 @@ class TestDisconnectedTarget:
         assert not by_name["contraction_connected"].passed
         assert not by_name["power_contraction_transfer"].passed
         assert not tr.overall_pass
-        json.dumps(trace_json(tr))
+        assert written_trace(tr) == json.dumps(trace_json_oracle(tr), indent=2) + "\n"
 
     def test_maxdeg_trace_fails(self, edgeless_power):
         # The maxdeg twin: the anchor's eccentricity in the target has
@@ -779,7 +786,7 @@ class TestDisconnectedTarget:
             assert by_name[name] == (name, None, None, False)
         assert dict(tr.values)["anchor_target_ecc"] is None
         assert not tr.overall_pass
-        json.dumps(trace_json(tr))
+        assert written_trace(tr) == json.dumps(trace_json_oracle(tr), indent=2) + "\n"
 
     def test_cli_exits_1(self, edgeless_power, tmp_path, capsys):
         path = tmp_path / "c.el"
@@ -793,7 +800,7 @@ class TestDisconnectedTarget:
 class TestTraceJson:
     def test_structure(self, chain32):
         tr = replay(chain32.graph, "girth6")
-        doc = trace_json(tr)
+        doc = json.loads(written_trace(tr))
         assert doc["overall_pass"] is True
         assert doc["variant"] == "girth6"
         assert doc["values"]["avec_graph"] == {"num": 83, "den": 14}
@@ -803,19 +810,18 @@ class TestTraceJson:
         json.dumps(doc)  # serializable
 
     def test_deterministic(self, chain34):
-        a = json.dumps(trace_json(replay(chain34.graph, "girth6")), sort_keys=True)
-        b = json.dumps(trace_json(replay(chain34.graph, "girth6")), sort_keys=True)
+        a = written_trace(replay(chain34.graph, "girth6"))
+        b = written_trace(replay(chain34.graph, "girth6"))
         assert a == b
 
-    def test_pairwise_rows_share_their_ints(self):
-        # One int object per distance value, not one per BFS: on
-        # chain(3,64) many distances are above 256, so each BFS would
-        # otherwise make its own.
-        tr = replay(chain(ChainSpec(3, 64)).graph, "girth6")
-        pairwise = trace_json(tr)["matching"]["pairwise_distances"]
-        values = [x for row in pairwise for x in row]
-        assert max(values) > 256
-        assert len(set(map(id, values))) == len(set(values))
+    def test_trace_write_holds_no_table(self):
+        # The rows are written one at a time: no k x k table is held, whose
+        # 255 rows of 255 list slots alone would take 520 kB here.
+        tr = replay(chain(ChainSpec(3, 256)).graph, "girth6")
+        assert len(tr.matching.edges) == 255
+        with open(os.devnull, "w", encoding="ascii") as sink:
+            peak = traced(trace_json, tr, sink)[2]
+        assert peak <= TRACE_WRITE_PEAK
 
 
 @st.composite
@@ -1059,11 +1065,12 @@ class TestBfsBudget:
     distances to V(M) and its spanning test, the target's component
     search, and the eccentricity profiles.
 
-    `trace_json` then searches g without its bridges: once from each
-    bridge end and once from each matching edge that is not a bridge.
-    On a chain that is no full run of g itself; on `reiman(7)` and the
-    hexagonal torus, which have no bridges, it is one full run of g per
-    matching edge.
+    `trace_json` then searches inside 2-edge-connected components: at
+    most once from each bridge end and once from each matching edge that
+    is not a bridge, each on a graph of that component alone.  On a
+    chain that is no run of g itself; on `reiman(7)` and the hexagonal
+    torus, which have no bridges, it is one full run of g per matching
+    edge.
     """
 
     FULL_RUNS = 22
@@ -1075,7 +1082,12 @@ class TestBfsBudget:
         Each replay module imports `_bfs` itself, and a search through one
         left unpatched would go uncounted without an error.  Returns a
         check to call after the run, before undo, that no avec module,
-        one loaded by the run included, still binds the real `_bfs`."""
+        one loaded by the run included, still binds the real `_bfs`.
+
+        `trace_json` imports `avec.pairwise` on its first call; loaded
+        under the patch, it would keep `counting` after undo, so it is
+        loaded first."""
+        importlib.import_module("avec.pairwise")
         real = importlib.import_module("avec.graph")._bfs
 
         def binders():
@@ -1139,28 +1151,32 @@ class TestBfsBudget:
         tr = replay(g, variant, anchor)
         graph_module = importlib.import_module("avec.graph")
         real = graph_module._bfs
-        runs = Counter()
+        runs, orders = Counter(), Counter()
 
         def counting(h, sources, cap=None):
             runs[h is g, cap] += 1
+            orders[h.n] += 1
             return real(h, sources, cap)
 
         check = cls._patch_bfs(monkeypatch, counting)
-        trace_json(tr)
+        with open(os.devnull, "w", encoding="ascii") as sink:
+            trace_json(tr, sink)
         check()
         monkeypatch.undo()
-        return tr.matching.edges, runs
+        return tr.matching.edges, runs, orders
 
     @pytest.mark.parametrize("variant", ["girth6", "maxdeg"])
     def test_trace_searches_inside_components(self, monkeypatch, variant):
         for ell in (32, 128):
             g = chain(ChainSpec(3, ell)).graph
-            edges, runs = self._trace_runs(monkeypatch, g, variant)
+            edges, runs, orders = self._trace_runs(monkeypatch, g, variant)
             bridges = {tuple(sorted(e)) for e in nx.bridges(to_nx(g))}
             ports = {v for e in bridges for v in e}
             inner = [e for e in edges if e not in bridges]
             assert len(edges) > 1 and len(ports) == 2 * (ell - 1)
             assert runs == Counter({(False, None): len(ports) + len(inner)})
+            # Each search runs on one block of the chain, 14 vertices.
+            assert set(orders) == {14}
 
     @pytest.mark.parametrize("variant", ["girth6", "maxdeg"])
     def test_trace_without_bridges_runs_one_bfs_per_row(self, monkeypatch, variant):
@@ -1168,6 +1184,6 @@ class TestBfsBudget:
         # 8 x 8 hexagonal torus has six.
         torus = from_nx(nx.hexagonal_lattice_graph(8, 8, periodic=True))
         for g, k in ((reiman(7).graph, 1), (torus, 6)):
-            edges, runs = self._trace_runs(monkeypatch, g, variant)
+            edges, runs, _ = self._trace_runs(monkeypatch, g, variant)
             assert len(edges) == k
             assert runs == Counter({(True, None): k})

@@ -10,6 +10,7 @@ networkx or a plain BFS of the oracle's own.
 import argparse
 import functools
 import gc
+import io
 import itertools
 import json
 import math
@@ -43,6 +44,7 @@ from avec.graph import (
     is_connected,
 )
 from avec.io import MAX_ORDER
+from avec.replay import trace_json
 
 
 def to_nx(g):
@@ -90,6 +92,57 @@ def pairwise_distances_oracle(g, edges):
         dist = _bfs(g, e)[0]
         rows.append([level[min(dist[a], dist[b])] for a, b in edges])
     return rows
+
+
+def _fraction_as_pair_oracle(x):
+    return {"num": x.numerator, "den": x.denominator} if isinstance(x, Fraction) else x
+
+
+def trace_json_oracle(trace):
+    """The JSON form of a replay trace as one dict, every pairwise row from
+    a full BFS (`pairwise_distances_oracle`): `json.dumps(doc, indent=2)`
+    plus a newline is what `trace_json` writes."""
+    pair = _fraction_as_pair_oracle
+
+    def check(c):
+        return {"name": c.name, "lhs": pair(c.lhs), "rhs": pair(c.rhs), "pass": c.passed}
+
+    return {
+        "variant": trace.variant,
+        "n": trace.n,
+        "delta": trace.delta,
+        "max_degree": trace.max_degree,
+        "matching": {
+            "size": len(trace.matching.edges),
+            "edges": [list(e) for e in trace.matching.edges],
+            "anchor": trace.matching.anchor,
+            "pairwise_distances": pairwise_distances_oracle(trace.graph, trace.matching.edges),
+        },
+        "tree": {
+            "edges": [list(e) for e in trace.tree.tree.edges()],
+            "connectors": [list(e) for e in trace.tree.connectors],
+            "assignment": list(trace.tree.assignment),
+        },
+        "weights": {
+            "c": list(trace.weights.c),
+            "cbar": list(trace.weights.cbar),
+            "cprime": [pair(w) for w in trace.weights.cprime],
+            "n_normalized": pair(trace.weights.n_normalized),
+        },
+        "values": {name: pair(v) for name, v in trace.values},
+        "checks": [check(c) for c in trace.checks],
+        "structural": [check(c) for c in trace.structural],
+        "final_bound": pair(trace.final_bound),
+        "overall_pass": trace.overall_pass,
+        "notes": list(trace.notes),
+    }
+
+
+def written_trace(trace):
+    """The text that `trace_json` writes for a trace."""
+    fh = io.StringIO()
+    trace_json(trace, fh)
+    return fh.getvalue()
 
 
 def girth_oracle(g):
