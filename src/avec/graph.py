@@ -135,47 +135,61 @@ def build_graph(n, edges):
     return Graph(tuple(nbrs))
 
 
-#: Graph size above which a capped BFS keeps distances in a dict.  Up
-#: to here, allocating an n-long list costs a few microseconds, less
-#: than a dict spends on each dense ball of `reiman(q)`; beyond it the
-#: list costs more than a dict spends on a small ball of a long chain.
+#: Graph size above which a capped BFS keeps distances in a dict: up to
+#: here an n-long list costs less than a dict on a dense `reiman(q)`
+#: ball, beyond it more than a dict on a small ball of a long chain.
 _LIST_LIMIT = 2048
 
 
 def _bfs(g, sources, cap=None):
     """Layered BFS from a duplicate-free, validated source collection.
 
-    Stops after layer `cap` when a cap is given.  Returns (dist, layer,
-    reached): the distances, read as `UNREACHABLE` where not reached,
-    the last nonempty layer, whose vertices are all at the largest
-    distance reached, and the reached vertices in BFS order.
+    Stops after layer `cap` when a nonnegative cap is given.  Returns
+    (dist, layer, reached): the distances, read as `UNREACHABLE` where
+    not reached, the last nonempty layer, whose vertices are all at the
+    largest distance reached, and the reached vertices in BFS order.  A
+    capped search on more than `_LIST_LIMIT` vertices keeps dist in a
+    dict that reads missing keys as None, so its cost grows with the ball.
 
-    Distances live in an n-long list, except in a capped search on a
-    graph of more than `_LIST_LIMIT` vertices.  Such a search usually
-    reaches a small ball, and `ball` and `power_graph` run one per edge
-    or per vertex, so it uses a dict that reads missing keys as None:
-    its cost then grows with the ball, not with n.
+    A layer may reach every vertex left when it holds at least as many,
+    room = n - len(reached).  Such a layer is scanned with a check after
+    each vertex, and the scan stops once it has found room vertices:
+    the rest of the layer, and every later one, would find none.  So the
+    outputs are those of the full scan, in the same order, as long as
+    no source repeats, which would make room one too small.  A radius-3
+    ball of `reiman(q)`, of diameter 3, reads 2q + 2 adjacency rows, not
+    q^2 + 2q + 2.  Smaller layers skip the check, which would cost long
+    chains, with about 2 vertices per layer, 5-8%; counting the layers
+    with `range`, not a compared counter, pays for the size test.
     """
     adjacency = g.adjacency
-    if cap is None or g.n <= _LIST_LIMIT:
-        dist = [UNREACHABLE] * g.n
+    n = g.n
+    if cap is None or n <= _LIST_LIMIT:
+        dist = [UNREACHABLE] * n
     else:
         dist = defaultdict(type(UNREACHABLE))
     layer = list(sources)
     for s in layer:
         dist[s] = 0
     reached = list(layer)
-    d = 0
-    while d != cap:
-        d += 1
+    for d in range(1, n if cap is None else cap + 1):
         nxt = []
-        for u in layer:
-            for w in adjacency[u]:
-                # UNREACHABLE is None; the literal test skips a global
-                # lookup in the hottest loop of the package.
-                if dist[w] is None:
-                    dist[w] = d
-                    nxt.append(w)
+        if len(layer) + len(reached) < n:
+            for u in layer:
+                for w in adjacency[u]:
+                    # `is None`, not `is UNREACHABLE`: no global lookup.
+                    if dist[w] is None:
+                        dist[w] = d
+                        nxt.append(w)
+        else:
+            room = n - len(reached)
+            for u in layer:
+                for w in adjacency[u]:
+                    if dist[w] is None:
+                        dist[w] = d
+                        nxt.append(w)
+                if len(nxt) == room:
+                    break
         if not nxt:
             break
         reached += nxt
@@ -199,15 +213,11 @@ def distances_from(g, sources):
     Entry v is the length of a shortest path from the nearest source to
     v, or `UNREACHABLE`.
     """
-    dist, _, _ = _bfs(g, _source_set(g, sources))
-    return tuple(dist)
+    return tuple(_bfs(g, _source_set(g, sources))[0])
 
 
 def is_connected(g):
-    if g.n == 0:
-        return False
-    _, _, reached = _bfs(g, (0,))
-    return len(reached) == g.n
+    return g.n > 0 and len(_bfs(g, (0,))[2]) == g.n
 
 
 class EccentricityProfile(
@@ -540,8 +550,7 @@ def ball(g, sources, k):
     """Set of vertices within distance k of the source set."""
     if k < 0:
         raise InvalidArgument(f"radius must be nonnegative, got {k}")
-    _, _, reached = _bfs(g, _source_set(g, sources), k)
-    return frozenset(reached)
+    return frozenset(_bfs(g, _source_set(g, sources), k)[2])
 
 
 def line_graph(g):

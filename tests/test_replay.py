@@ -1187,3 +1187,32 @@ class TestBfsBudget:
             edges, runs, _ = self._trace_runs(monkeypatch, g, variant)
             assert len(edges) == k
             assert runs == Counter({(True, None): k})
+
+    @pytest.mark.parametrize("variant", ["girth6", "maxdeg"])
+    def test_sources_are_distinct(self, monkeypatch, variant):
+        # `_bfs` counts the vertices left to reach from its source count,
+        # so a repeated source would end a search one vertex early.  No
+        # caller, through a replay and its trace, passes one.
+        real = importlib.import_module("avec.graph")._bfs
+        calls, repeats = [], []
+
+        def distinct(g, sources, cap=None):
+            sources = list(sources)
+            calls.append(sources)
+            if len(set(sources)) != len(sources):
+                repeats.append(sources)
+            return real(g, sources, cap)
+
+        graphs = [chain(ChainSpec(3, 32)).graph, reiman(7).graph, star_of_blocks(4),
+                  from_nx(nx.hexagonal_lattice_graph(8, 8, periodic=True))]
+        for g in graphs:
+            anchor = smallest_max_degree_vertex(g) if variant == "maxdeg" else None
+            check = self._patch_bfs(monkeypatch, distinct)
+            tr = replay(g, variant, anchor)
+            with open(os.devnull, "w", encoding="ascii") as sink:
+                trace_json(tr, sink)
+            check()
+            monkeypatch.undo()
+            assert tr.overall_pass
+        assert any(len(s) > 2 for s in calls)
+        assert not repeats

@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import tracemalloc
-from collections import deque
+from collections import defaultdict, deque
 from fractions import Fraction
 
 import networkx as nx
@@ -34,6 +34,8 @@ from avec.errors import (
     OutOfRange,
 )
 from avec.graph import (
+    _LIST_LIMIT,
+    UNREACHABLE,
     CycleScan,
     _bfs,
     _walk2_counts,
@@ -322,6 +324,37 @@ def audit_balls_oracle(g):
         items=tuple(items),
         passed=passed,
     )
+
+
+def bfs_oracle(g, sources, cap=None):
+    """`graph._bfs` before it stopped at a layer that reaches every vertex
+    left: each layer up to `cap` is scanned in full, and the search ends
+    at the first empty one.  Same (dist, layer, reached) contract."""
+    adjacency = g.adjacency
+    if cap is None or g.n <= _LIST_LIMIT:
+        dist = [UNREACHABLE] * g.n
+    else:
+        dist = defaultdict(type(UNREACHABLE))
+    layer = list(sources)
+    for s in layer:
+        dist[s] = 0
+    reached = list(layer)
+    d = 0
+    while d != cap:
+        d += 1
+        nxt = []
+        for u in layer:
+            for w in adjacency[u]:
+                # UNREACHABLE is None; the literal test skips a global
+                # lookup in the hottest loop of the package.
+                if dist[w] is None:
+                    dist[w] = d
+                    nxt.append(w)
+        if not nxt:
+            break
+        reached += nxt
+        layer = nxt
+    return dist, layer, reached
 
 
 def power_graph_oracle(g, k):
